@@ -7,51 +7,42 @@ work extraction, entropy production and heat-engine/refrigerator figures
 of merit, plus 2-D parameter sweeps with zero-contour extraction.
 """
 
-from .green import (CausalSpectral, GreenPair, causal_spectral, green_pair,
-                    green_pure_bath, green_qubit, retarded_im)
+from .green import green_pair, green_pure_bath, green_qubit
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
-                    QubitSpec, Rule, SystemSpec, ValidationReport, beta_q,
-                    validate, with_param)
+                    QubitSpec, Rule, SystemSpec, beta_q, validate, with_param)
 from .quadrature import (InversionPlan, QuadratureError, default_plan,
                          integrate_lambda, invert_samples, lambda_weight,
                          oscillatory_pair)
-from .spectral import (WightmanPair, bose_occupation, bosonic_wightman,
+from .spectral import (bose_occupation, bosonic_wightman,
                        damped_wightman_pair, fermi_occupation, ohmic_density,
                        wightman_pair)
-from .sweep import (Axis, Quantity, SweepError, SweepPlan, SweepResult,
-                    beta_q_marker, extract_zero_contour, line_scan, run_sweep)
-from .thermo import (EngineMode, EngineReport, engine_report,
-                     entropy_production, heat_flows)
-from .workstats import (ChiField, ConstraintError, CrooksRatio,
-                        InversionError, PerturbativeBreakdownError,
-                        PositivityReport, WorkDistribution, atom_weight2,
+from .sweep import (Axis, Quantity, SweepError, SweepPlan, beta_q_marker,
+                    extract_zero_contour, run_sweep)
+from .thermo import EngineMode, engine_report, entropy_production, heat_flows
+from .workstats import (ConstraintError, InversionError,
+                        PerturbativeBreakdownError, atom_weight2,
                         channel_sum_integral, chi2, chi2_at_i_beta,
                         chi2_field, chi_nonperturbative, correction_field,
                         crooks_ratio, default_w_grid, invert_characteristic,
-                        mean_work2, mean_work_finite_difference,
-                        positivity_check, w_ext2, wdf2, wdf2_from_inversion,
-                        wdf_nonperturbative)
+                        mean_work_finite_difference, positivity_check, w_ext2,
+                        wdf2, wdf_nonperturbative)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "CausalSpectral", "ChiField", "ConstraintError", "Coupling",
-    "CrooksRatio", "DrivenSource", "EngineMode", "EngineReport",
-    "FrequencyGrid", "GreenPair", "InversionError", "InversionPlan",
-    "OhmicSpectrum", "PerturbativeBreakdownError", "PositivityReport",
-    "Quantity", "QuadratureError", "QubitSpec", "Rule", "SweepError",
-    "SweepPlan", "SweepResult", "SystemSpec", "ValidationReport",
-    "WightmanPair", "WorkDistribution", "atom_weight2", "beta_q",
+    "Axis", "ConstraintError", "Coupling", "DrivenSource", "EngineMode",
+    "FrequencyGrid", "InversionError", "InversionPlan", "OhmicSpectrum",
+    "PerturbativeBreakdownError", "Quantity", "QuadratureError", "QubitSpec",
+    "Rule", "SweepError", "SweepPlan", "SystemSpec", "atom_weight2", "beta_q",
     "beta_q_marker", "bose_occupation", "bosonic_wightman",
-    "causal_spectral", "channel_sum_integral", "chi2", "chi2_at_i_beta",
-    "chi2_field", "chi_nonperturbative", "correction_field", "crooks_ratio",
+    "channel_sum_integral", "chi2", "chi2_at_i_beta", "chi2_field",
+    "chi_nonperturbative", "correction_field", "crooks_ratio",
     "damped_wightman_pair", "default_plan", "default_w_grid",
     "engine_report", "entropy_production", "extract_zero_contour",
     "fermi_occupation", "green_pair", "green_pure_bath", "green_qubit",
     "heat_flows", "integrate_lambda", "invert_characteristic",
-    "invert_samples", "lambda_weight", "line_scan", "mean_work2",
-    "mean_work_finite_difference", "ohmic_density", "oscillatory_pair",
-    "positivity_check", "retarded_im", "run_sweep", "validate", "w_ext2",
-    "wdf2", "wdf2_from_inversion", "wdf_nonperturbative", "wightman_pair",
+    "invert_samples", "lambda_weight", "mean_work_finite_difference",
+    "ohmic_density", "oscillatory_pair", "positivity_check", "run_sweep",
+    "validate", "w_ext2", "wdf2", "wdf_nonperturbative", "wightman_pair",
     "with_param",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,22 +28,80 @@ from .model import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
                     SystemSpec, validate)
 from .quadrature import QuadratureError, default_plan
 
-_CONFIG_SCHEMA = {
-    "bath": {"alpha", "beta", "lc"},
-    "drive": {"lambda0", "tint"},
-    "qubit": {"coupling", "omega", "p"},
-    "wcf": {"vmax", "samples", "nonperturbative"},
-    "wdf": {"samples", "nonperturbative"},
-    "sweep": {"x", "y", "x_start", "x_stop", "x_scale",
-              "y_start", "y_stop", "y_scale", "nx", "ny", "quantity"},
-    "output": {"out"},
-}
-
 _QUANTITIES = {q.value: q for q in sweepmod.Quantity}
 
 
-class ConfigError(ValueError):
-    pass
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: its config key ("section.name"), flag and type.
+
+    The flag overrides the config file, which overrides ``default``; a
+    setting without a flag comes from the config file or the default.
+    """
+
+    key: str
+    flag: Optional[str] = None
+    cast: type = float
+    default: object = None
+    choices: Optional[Sequence[str]] = None
+    help: Optional[str] = None
+
+
+def _common(out: str) -> tuple[_Setting, ...]:
+    """Settings of every computing command; ``out`` is its default output."""
+    return (
+        _Setting("bath.alpha", "--alpha", default=5.0, help="Ohmic exponent"),
+        _Setting("bath.beta", "--beta", default=1.0,
+                 help="bath inverse temperature"),
+        _Setting("bath.lc", "--lc", default=1.0, help="bath cutoff length"),
+        _Setting("drive.lambda0", "--lambda0", default=0.01,
+                 help="drive amplitude"),
+        _Setting("drive.tint", "--tint", default=100.0,
+                 help="drive interaction time"),
+        _Setting("qubit.coupling", "--qubit", str, "none",
+                 ("none", "spin", "fermion", "topological"),
+                 "qubit coupling type"),
+        _Setting("qubit.omega", "--omega", default=0.05,
+                 help="qubit level spacing"),
+        _Setting("qubit.p", "--p", default=1.0,
+                 help="qubit ground population"),
+        _Setting("output.out", "--out", str, out, help="output path"),
+    )
+
+
+_SCALES = ("linear", "log")
+
+#: settings of each computing command; a config file may carry any of them
+_SETTINGS = {
+    "wcf": _common("wcf.csv") + (
+        _Setting("wcf.vmax", "--vmax"),  # default 64 t_int
+        _Setting("wcf.samples", "--samples", int, 201),
+        _Setting("wcf.nonperturbative", "--nonperturbative", bool, False),
+    ),
+    "wdf": _common("wdf.csv") + (
+        _Setting("wdf.samples", "--samples", int, 800),
+        _Setting("wdf.nonperturbative", "--nonperturbative", bool, False),
+    ),
+    "wext": _common("wext.csv"),
+    "engine": _common("engine.csv"),
+    "sweep": _common("sweep_out") + (
+        _Setting("sweep.x", "--sweep-x", str,
+                 choices=sweepmod.SWEEP_PARAMETERS),
+        _Setting("sweep.y", "--sweep-y", str,
+                 choices=sweepmod.SWEEP_PARAMETERS),
+        # set by --x-range / --y-range together
+        _Setting("sweep.x_start"), _Setting("sweep.x_stop"),
+        _Setting("sweep.y_start"), _Setting("sweep.y_stop"),
+        _Setting("sweep.x_scale", "--x-scale", str, "linear", _SCALES),
+        _Setting("sweep.y_scale", "--y-scale", str, "linear", _SCALES),
+        _Setting("sweep.nx", "--nx", int, 64),
+        _Setting("sweep.ny", "--ny", int, 64),
+        _Setting("sweep.quantity", "--quantity", str, "wext",
+                 sorted(_QUANTITIES)),
+    ),
+}
+
+_CONFIG_KEYS = {s.key for settings in _SETTINGS.values() for s in settings}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -52,57 +111,55 @@ def _load_config(path: Optional[str]) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
+    sections = {key.split(".")[0] for key in _CONFIG_KEYS}
     values: dict[str, str] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        if section not in sections:
+            raise ValueError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
-                raise ConfigError(
+            if f"{section}.{key}" not in _CONFIG_KEYS:
+                raise ValueError(
                     f"unknown key {key!r} in config section [{section}]")
             values[f"{section}.{key}"] = value
     return values
 
 
-def _pick(args_value, config: dict, key: str, cast, default):
-    """Precedence: command-line flag, then config file, then default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+def _resolve(args) -> dict:
+    """The command's settings by name: flag, then config file, then default."""
+    config = _load_config(getattr(args, "config", None))
+    values = {}
+    for setting in _SETTINGS.get(args.command, ()):
+        value = None
+        if setting.flag is not None:
+            value = getattr(args, setting.flag[2:].replace("-", "_"))
+        if value is None and setting.key in config:
+            raw = config[setting.key]
+            if setting.cast is bool:
+                value = raw.strip().lower() in ("1", "true", "yes", "on")
+            else:
+                value = setting.cast(raw)
+            if setting.choices and value not in setting.choices:
+                raise ValueError(
+                    f"unknown {setting.key} {value!r} (expected "
+                    + "|".join(setting.choices) + ")")
+        name = setting.key.split(".")[1]
+        values[name] = setting.default if value is None else value
+    return values
 
 
-def _build_spec(args, config: dict) -> SystemSpec:
-    alpha = _pick(args.alpha, config, "bath.alpha", float, 5.0)
-    beta = _pick(args.beta, config, "bath.beta", float, 1.0)
-    lc = _pick(args.lc, config, "bath.lc", float, 1.0)
-    lambda0 = _pick(args.lambda0, config, "drive.lambda0", float, 0.01)
-    tint = _pick(args.tint, config, "drive.tint", float, 100.0)
-    qubit_kind = _pick(args.qubit, config, "qubit.coupling", str, "none")
-    omega = _pick(args.omega, config, "qubit.omega", float, 0.05)
-    p = _pick(args.p, config, "qubit.p", float, 1.0)
-
+def _build_spec(s: dict) -> SystemSpec:
     qubit = None
-    if qubit_kind != "none":
-        try:
-            coupling = Coupling(qubit_kind)
-        except ValueError:
-            raise ConfigError(
-                f"unknown qubit coupling {qubit_kind!r} "
-                "(expected none|spin|fermion|topological)") from None
-        qubit = QubitSpec(coupling=coupling, omega_gap=omega, p_ground=p)
-
-    spec = SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha, l_c=lc),
-                      source=DrivenSource(lambda0=lambda0, t_int=tint),
-                      qubit=qubit)
+    if s["coupling"] != "none":
+        qubit = QubitSpec(coupling=Coupling(s["coupling"]),
+                          omega_gap=s["omega"], p_ground=s["p"])
+    spec = SystemSpec(
+        beta=s["beta"], spectrum=OhmicSpectrum(alpha=s["alpha"], l_c=s["lc"]),
+        source=DrivenSource(lambda0=s["lambda0"], t_int=s["tint"]),
+        qubit=qubit)
     report = validate(spec)
     if not report.is_valid:
-        raise ConfigError("; ".join(report.errors))
+        raise ValueError("; ".join(report.errors))
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return spec
@@ -122,24 +179,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
                               for cell in row) + "\n")
 
 
-def _out_path(args, config: dict, default: str) -> Path:
-    return Path(_pick(args.out, config, "output.out", str, default))
-
-
-def cmd_wcf(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    v_max = _pick(args.vmax, config, "wcf.vmax", float,
-                  64.0 * spec.source.t_int)
-    samples = _pick(args.samples, config, "wcf.samples", int, 201)
-    nonpert = args.nonperturbative or _pick(None, config,
-                                            "wcf.nonperturbative", bool, False)
-    if nonpert and spec.qubit is not None:
-        raise ConfigError("all-order characteristic function is available "
-                          "only for the pure thermal bath")
+def cmd_wcf(args, s: dict) -> int:
+    spec = _build_spec(s)
+    if s["nonperturbative"]:
+        workstats.require_pure_bath(spec)
+    v_max = 64.0 * spec.source.t_int if s["vmax"] is None else s["vmax"]
+    samples = s["samples"]
     v = np.linspace(0.0, v_max, samples)
     field = workstats.chi2_field(spec, v)
     chi = field.chi2_values()
-    if nonpert:
+    if s["nonperturbative"]:
         chi_full = np.exp(chi - 1.0)
         rows = [(v[i], chi[i].real, chi[i].imag,
                  chi_full[i].real, chi_full[i].imag) for i in range(samples)]
@@ -147,7 +196,7 @@ def cmd_wcf(args, config: dict) -> int:
     else:
         rows = [(v[i], chi[i].real, chi[i].imag) for i in range(samples)]
         header = "v,re_chi2,im_chi2"
-    _write_csv(_out_path(args, config, "wcf.csv"), header, rows)
+    _write_csv(Path(s["out"]), header, rows)
     return 0
 
 
@@ -155,22 +204,18 @@ def _with_suffix(path: Path, tag: str) -> Path:
     return path.with_name(path.stem + tag + path.suffix)
 
 
-def cmd_wdf(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    samples = _pick(args.samples, config, "wdf.samples", int, 800)
-    nonpert = args.nonperturbative or _pick(None, config,
-                                            "wdf.nonperturbative", bool, False)
-    if nonpert and spec.qubit is not None:
-        raise ConfigError("all-order characteristic function is available "
-                          "only for the pure thermal bath")
-    w_grid = workstats.default_w_grid(spec.source, n=samples)
+def cmd_wdf(args, s: dict) -> int:
+    spec = _build_spec(s)
+    if s["nonperturbative"]:
+        workstats.require_pure_bath(spec)
+    w_grid = workstats.default_w_grid(spec.source, n=s["samples"])
     dist = workstats.wdf2(spec, w_grid=w_grid)
-    out = _out_path(args, config, "wdf.csv")
+    out = Path(s["out"])
     header = (f"w,density,atom_weight={_fmt(dist.atom_weight)},"
               f"normalization={_fmt(dist.normalization)}")
     _write_csv(out, header,
                zip(dist.w_grid.tolist(), dist.density.tolist()))
-    if nonpert:
+    if s["nonperturbative"]:
         full = workstats.wdf_nonperturbative(spec, default_plan(spec.source))
         header = (f"w,density,atom_weight={_fmt(full.atom_weight)},"
                   f"normalization={_fmt(full.normalization)}")
@@ -179,24 +224,16 @@ def cmd_wdf(args, config: dict) -> int:
     return 0
 
 
-def cmd_wext(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    value = workstats.w_ext2(spec)
-    _write_csv(_out_path(args, config, "wext.csv"), "w_ext2", [(value,)])
+def cmd_wext(args, s: dict) -> int:
+    value = workstats.w_ext2(_build_spec(s))
+    _write_csv(Path(s["out"]), "w_ext2", [(value,)])
     print(f"w_ext2 = {_fmt(value)}")
     return 0
 
 
-def cmd_engine(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    if spec.qubit is None:
-        raise ConfigError("engine analysis requires a qubit")
-    if not spec.qubit.p_ground > 0.5:
-        raise ConfigError(
-            "population-inverted or infinite-temperature qubit excluded "
-            "from engine analysis (requires p > 1/2)")
-    report = thermo.engine_report(spec)
-    _write_csv(_out_path(args, config, "engine.csv"),
+def cmd_engine(args, s: dict) -> int:
+    report = thermo.engine_report(_build_spec(s))
+    _write_csv(Path(s["out"]),
                "mode,w_bar,delta_s,q_b,q_q,t_h,t_l,r,figure_of_merit",
                [(report.mode.value, report.w_bar, report.delta_s,
                  report.q_b, report.q_q, report.t_h, report.t_l,
@@ -210,49 +247,27 @@ def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"expected 'low,high', got {text!r}") from None
+        raise ValueError(f"expected 'low,high', got {text!r}") from None
     return lo, hi
 
 
-def cmd_sweep(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    x_name = _pick(args.sweep_x, config, "sweep.x", str, None)
-    y_name = _pick(args.sweep_y, config, "sweep.y", str, None)
-    if x_name is None or y_name is None:
-        raise ConfigError("sweep requires --sweep-x and --sweep-y")
-    if args.x_range is not None:
-        x_start, x_stop = _parse_range(args.x_range)
-    else:
-        x_start = _pick(None, config, "sweep.x_start", float, None)
-        x_stop = _pick(None, config, "sweep.x_stop", float, None)
-    if args.y_range is not None:
-        y_start, y_stop = _parse_range(args.y_range)
-    else:
-        y_start = _pick(None, config, "sweep.y_start", float, None)
-        y_stop = _pick(None, config, "sweep.y_stop", float, None)
+def cmd_sweep(args, s: dict) -> int:
+    spec = _build_spec(s)
+    if s["x"] is None or s["y"] is None:
+        raise ValueError("sweep requires --sweep-x and --sweep-y")
+    x_start, x_stop = (s["x_start"], s["x_stop"]) if args.x_range is None \
+        else _parse_range(args.x_range)
+    y_start, y_stop = (s["y_start"], s["y_stop"]) if args.y_range is None \
+        else _parse_range(args.y_range)
     if None in (x_start, x_stop, y_start, y_stop):
-        raise ConfigError("sweep requires ranges for both axes")
-    quantity_name = _pick(args.quantity, config, "sweep.quantity", str, "wext")
-    if quantity_name not in _QUANTITIES:
-        raise ConfigError(f"unknown quantity {quantity_name!r} (expected "
-                          + "|".join(_QUANTITIES))
-    try:
-        plan = sweepmod.SweepPlan(
-            x=sweepmod.Axis(x_name, x_start, x_stop,
-                            _pick(args.nx, config, "sweep.nx", int, 64),
-                            _pick(args.x_scale, config, "sweep.x_scale",
-                                  str, "linear")),
-            y=sweepmod.Axis(y_name, y_start, y_stop,
-                            _pick(args.ny, config, "sweep.ny", int, 64),
-                            _pick(args.y_scale, config, "sweep.y_scale",
-                                  str, "linear")),
-            fixed=spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError("sweep requires ranges for both axes")
+    plan = sweepmod.SweepPlan(
+        x=sweepmod.Axis(s["x"], x_start, x_stop, s["nx"], s["x_scale"]),
+        y=sweepmod.Axis(s["y"], y_start, y_stop, s["ny"], s["y_scale"]),
+        fixed=spec)
 
-    result = sweepmod.run_sweep(plan, _QUANTITIES[quantity_name],
-                                threads=args.threads)
-    out_dir = _out_path(args, config, "sweep_out")
+    result = sweepmod.run_sweep(plan, _QUANTITIES[s["quantity"]])
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -261,11 +276,11 @@ def cmd_sweep(args, config: dict) -> int:
             value = result.grid[i, j]
             rows.append((float(x), float(y),
                          None if np.isnan(value) else float(value)))
-    _write_csv(out_dir / "grid.csv", f"{x_name},{y_name},{quantity_name}",
+    _write_csv(out_dir / "grid.csv", f"{s['x']},{s['y']},{s['quantity']}",
                rows)
-    _write_contours(out_dir / "contour.csv", x_name, y_name,
+    _write_contours(out_dir / "contour.csv", s["x"], s["y"],
                     result.zero_contour)
-    _write_contours(out_dir / "betaq.csv", x_name, y_name,
+    _write_contours(out_dir / "betaq.csv", s["x"], s["y"],
                     result.betaq_contour)
     print(f"sweep written to {out_dir} "
           f"({len(result.failures)} failed cells)")
@@ -283,7 +298,7 @@ def _write_contours(path: Path, x_name: str, y_name: str,
                 fh.write(f"{_fmt(x)},{_fmt(y)}\n")
 
 
-def cmd_verify(args, config: dict) -> int:
+def cmd_verify(args, s: dict) -> int:
     results = verify.run_all(names=args.checks or None)
     failed = 0
     for res in results:
@@ -298,21 +313,13 @@ def cmd_verify(args, config: dict) -> int:
     return 1 if failed else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="Ohmic exponent")
-    parser.add_argument("--beta", type=float, help="bath inverse temperature")
-    parser.add_argument("--lc", type=float, help="bath cutoff length")
-    parser.add_argument("--lambda0", type=float, help="drive amplitude")
-    parser.add_argument("--tint", type=float, help="drive interaction time")
-    parser.add_argument("--qubit",
-                        choices=["none", "spin", "fermion", "topological"],
-                        help="qubit coupling type")
-    parser.add_argument("--omega", type=float, help="qubit level spacing")
-    parser.add_argument("--p", type=float, help="qubit ground population")
-    parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for sweeps")
+_COMMANDS = {
+    "wcf": ("characteristic function samples", cmd_wcf),
+    "wdf": ("work distribution", cmd_wdf),
+    "wext": ("work extraction scalar", cmd_wext),
+    "engine": ("engine/refrigerator report", cmd_engine),
+    "sweep": ("2-D parameter sweep", cmd_sweep),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,39 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "with optional qubit coupling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_wcf = sub.add_parser("wcf", help="characteristic function samples")
-    _add_common(p_wcf)
-    p_wcf.add_argument("--vmax", type=float)
-    p_wcf.add_argument("--samples", type=int)
-    p_wcf.add_argument("--nonperturbative", action="store_true")
-    p_wcf.set_defaults(func=cmd_wcf)
-
-    p_wdf = sub.add_parser("wdf", help="work distribution")
-    _add_common(p_wdf)
-    p_wdf.add_argument("--samples", type=int)
-    p_wdf.add_argument("--nonperturbative", action="store_true")
-    p_wdf.set_defaults(func=cmd_wdf)
-
-    p_wext = sub.add_parser("wext", help="work extraction scalar")
-    _add_common(p_wext)
-    p_wext.set_defaults(func=cmd_wext)
-
-    p_engine = sub.add_parser("engine", help="engine/refrigerator report")
-    _add_common(p_engine)
-    p_engine.set_defaults(func=cmd_engine)
-
-    p_sweep = sub.add_parser("sweep", help="2-D parameter sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--sweep-x", choices=sweepmod.SWEEP_PARAMETERS)
-    p_sweep.add_argument("--sweep-y", choices=sweepmod.SWEEP_PARAMETERS)
-    p_sweep.add_argument("--x-range", help="low,high")
-    p_sweep.add_argument("--y-range", help="low,high")
-    p_sweep.add_argument("--x-scale", choices=["linear", "log"])
-    p_sweep.add_argument("--y-scale", choices=["linear", "log"])
-    p_sweep.add_argument("--nx", type=int)
-    p_sweep.add_argument("--ny", type=int)
-    p_sweep.add_argument("--quantity", choices=sorted(_QUANTITIES))
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, (help_text, func) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for setting in _SETTINGS[name]:
+            if setting.flag is None:
+                continue
+            if setting.cast is bool:
+                command.add_argument(setting.flag, action="store_true",
+                                     default=None, help=setting.help)
+            else:
+                command.add_argument(setting.flag, type=setting.cast,
+                                     choices=setting.choices,
+                                     help=setting.help)
+        command.add_argument("--config", help="INI config file")
+        if name == "sweep":
+            command.add_argument("--x-range", help="low,high")
+            command.add_argument("--y-range", help="low,high")
+        command.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--verbose", action="store_true",
@@ -369,16 +360,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args, _resolve(args))
     except (QuadratureError, workstats.ConstraintError,
             workstats.PerturbativeBreakdownError, workstats.InversionError,
             sweepmod.SweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

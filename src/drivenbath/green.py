@@ -36,13 +36,6 @@ class GreenPair:
     singular_exponent: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class CausalSpectral:
-    """Antisymmetric (commutator) spectral function g_mp - g_pm."""
-
-    s_v: DensityFn
-
-
 def _edge_exponent(spec: SystemSpec) -> Optional[float]:
     a = spec.spectrum.alpha
     return a - 1.0 if a < 1.0 else None
@@ -106,27 +99,3 @@ def green_pair(spec: SystemSpec) -> GreenPair:
         return green_pure_bath(spec)
     return green_qubit(spec)
 
-
-def causal_spectral(pair: GreenPair) -> CausalSpectral:
-    """Difference of the channels; positive on the support for a pure bath."""
-    def s_v(w: ArrayLike) -> ArrayLike:
-        return pair.g_mp(w) - pair.g_pm(w)
-
-    return CausalSpectral(s_v=s_v)
-
-
-def retarded_im(spec: SystemSpec) -> DensityFn:
-    """Imaginary part of the retarded channel for the pure bath: -S(w)/2.
-
-    Diagnostic only: it feeds the dissipation-side cross-check of the
-    work extraction; no real part is computed because the retarded term
-    drops out of the second-order statistics identically.
-    """
-    if spec.qubit is not None:
-        raise ValueError("retarded channel implemented for the pure bath only")
-    spectrum = spec.spectrum
-
-    def im_g_r(w: ArrayLike) -> ArrayLike:
-        return -0.5 * spectral.ohmic_density(w, spectrum)
-
-    return im_g_r

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .model import Coupling, OhmicSpectrum, SystemSpec
 
@@ -71,9 +70,15 @@ def bose_occupation(x: ArrayLike) -> ArrayLike:
     return float(out) if out.ndim == 0 else out
 
 
+def _logistic(x: ArrayLike) -> ArrayLike:
+    """1/(1 + e^{-x}); where e^{-x} overflows the result is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def fermi_occupation(x: ArrayLike) -> ArrayLike:
     """Fermi-Dirac factor 1/(e^x + 1), saturating stably at large |x|."""
-    out = expit(-np.asarray(x, dtype=float))
+    out = _logistic(-np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,11 +138,13 @@ def wightman_pair(spec: SystemSpec) -> WightmanPair:
     if kind is Coupling.FERMION:
         def s_particle(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum) * expit(-beta * x))
+                w, lambda x: ohmic_density(x, spectrum)
+                * _logistic(-beta * x))
 
         def s_hole(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum) * expit(beta * x))
+                w, lambda x: ohmic_density(x, spectrum)
+                * _logistic(beta * x))
         return WightmanPair(s1=s_particle, s2=s_hole)
 
     def s_majorana(w):
@@ -171,7 +178,8 @@ def damped_wightman_pair(spec: SystemSpec) -> WightmanPair:
 
         def s2_damped(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum) * expit(-beta * x))
+                w, lambda x: ohmic_density(x, spectrum)
+                * _logistic(-beta * x))
         return WightmanPair(s1=s1_damped, s2=s2_damped)
 
     def s_damped(w):

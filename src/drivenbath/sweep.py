@@ -1,17 +1,15 @@
 """Two-dimensional parameter sweeps, zero contours and marker lines.
 
-Grid cells are independent pure evaluations assembled by index, so the
-result is bit-identical for any thread count or schedule.  Contours are
-marching-squares polylines in the axis scale space (log axes interpolate
-geometrically); saddle cells are disambiguated by evaluating the true
-function at the cell center, not the bilinear interpolant.
+Grid cells are independent pure evaluations assembled by index, so
+reruns are bit-identical.  Contours are marching-squares polylines in the
+axis scale space (log axes interpolate geometrically); saddle cells are
+disambiguated by evaluating the true function at the cell center, not
+the bilinear interpolant.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -19,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import FrequencyGrid, SystemSpec, with_param
+from .quadrature import QuadratureError
 from .thermo import engine_report, entropy_production
 from .workstats import (PerturbativeBreakdownError, chi2_at_i_beta, w_ext2)
 
@@ -26,6 +25,10 @@ SWEEP_PARAMETERS = ("p", "beta", "omega_gap", "alpha")
 
 #: fraction of failed cells beyond which a sweep aborts
 MAX_FAILED_FRACTION = 0.01
+
+#: what a failing cell raises; recorded as data, never propagated
+CELL_ERRORS = (ValueError, PerturbativeBreakdownError, ZeroDivisionError,
+               QuadratureError)
 
 
 class SweepError(RuntimeError):
@@ -121,67 +124,50 @@ def _cell_value(spec: SystemSpec, quantity: Quantity,
 
 
 def run_sweep(plan: SweepPlan, quantity: Quantity,
-              threads: Optional[int] = None,
               grid: Optional[FrequencyGrid] = None) -> SweepResult:
     """Evaluate ``quantity`` over the plan's grid and extract contours.
 
-    Cells failing with a physics/validation error are recorded as NaN;
-    more than MAX_FAILED_FRACTION of them aborts with the cell list.
+    Cells failing with one of CELL_ERRORS are recorded as NaN; more than
+    MAX_FAILED_FRACTION of them aborts with the cell list.  A saddle cell
+    whose center evaluation fails falls back to the corner mean and is
+    listed too, with the message prefixed by "center: ".
     """
     xs, ys = plan.x.values(), plan.y.values()
     values = np.full((plan.x.n, plan.y.n), np.nan)
     failures: list[tuple[int, int, str]] = []
 
-    def spec_at(x: float, y: float) -> SystemSpec:
-        return with_param(with_param(plan.fixed, plan.x.name, x),
+    def evaluate(i: int, j: int, x: float, y: float, tag: str = "") -> float:
+        spec = with_param(with_param(plan.fixed, plan.x.name, x),
                           plan.y.name, y)
+        try:
+            return _cell_value(spec, quantity, grid)
+        except CELL_ERRORS as exc:
+            failures.append((i, j, tag + str(exc)))
+            return math.nan
 
-    def eval_column(i: int) -> None:
+    for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            try:
-                values[i, j] = _cell_value(spec_at(xs[i], y), quantity, grid)
-            except (ValueError, PerturbativeBreakdownError,
-                    ZeroDivisionError) as exc:
-                failures.append((i, j, str(exc)))
+            values[i, j] = evaluate(i, j, x, y)
 
-    n_threads = threads if threads else (os.cpu_count() or 1)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(eval_column, range(plan.x.n)))
-    else:
-        for i in range(plan.x.n):
-            eval_column(i)
-
-    failures.sort()
     if len(failures) > MAX_FAILED_FRACTION * values.size:
         raise SweepError(
             f"{len(failures)} of {values.size} sweep cells failed",
             failures)
 
     result = SweepResult(plan=plan, quantity=quantity, xs=xs, ys=ys,
-                         grid=values, failures=tuple(failures))
+                         grid=values)
 
-    def center_fn(x: float, y: float) -> float:
-        return _cell_value(spec_at(x, y), quantity, grid)
+    def center_fn(i: int, j: int, x: float, y: float) -> float:
+        return evaluate(i, j, x, y, "center: ")
 
     result.zero_contour = extract_zero_contour(result, center_fn=center_fn)
     result.betaq_contour = beta_q_marker(plan)
+    result.failures = tuple(failures)
     result.metadata = {
         "x": plan.x.name, "y": plan.y.name, "quantity": quantity.value,
         "failed_cells": len(failures),
     }
     return result
-
-
-def line_scan(parameter: str, values, fixed: SystemSpec,
-              quantity: Quantity,
-              grid: Optional[FrequencyGrid] = None) -> np.ndarray:
-    """1-D scan of ``quantity`` along one parameter."""
-    out = np.full(len(values), np.nan)
-    for i, val in enumerate(values):
-        out[i] = _cell_value(with_param(fixed, parameter, float(val)),
-                             quantity, grid)
-    return out
 
 
 # -- marching squares --------------------------------------------------------
@@ -222,6 +208,10 @@ def extract_zero_contour(result: SweepResult,
     once per grid edge, so adjacent cells share vertices exactly and the
     segments join into chains without tolerance matching.  Cells touching
     NaN are skipped.  No sign change yields an empty list.
+
+    ``center_fn(i, j, x, y)`` gives the true value at the center (x, y) of
+    saddle cell (i, j); without it, or where it returns NaN, the mean of
+    the four corners decides.
     """
     su = result.plan.x.scale_values()
     sv = result.plan.y.scale_values()
@@ -267,11 +257,12 @@ def extract_zero_contour(result: SweepResult,
                 segments = _SEGMENTS[code]
             else:
                 # saddle: pair edges by the sign at the true cell center
+                center = math.nan
                 if center_fn is not None:
                     cx = result.plan.x.to_coord(0.5 * (su[i] + su[i + 1]))
                     cy = result.plan.y.to_coord(0.5 * (sv[j] + sv[j + 1]))
-                    center = center_fn(float(cx), float(cy)) - level
-                else:
+                    center = center_fn(i, j, float(cx), float(cy)) - level
+                if math.isnan(center):
                     center = float(np.mean(corner_vals))
                 positive_center = center > 0.0
                 corner0_positive = corner_vals[0] > 0.0
@@ -349,79 +340,40 @@ def _marker_curve(xs: np.ndarray, solve) -> list[np.ndarray]:
 def beta_q_marker(plan: SweepPlan, refine: int = 4) -> list[np.ndarray]:
     """Polyline of the matched-temperature condition beta = beta_q.
 
-    Solved analytically per column from whichever axes carry beta, p or
-    the gap; empty when the spec has no qubit or the curve misses the
-    plotted window.
+    Solved analytically per column for the first of beta, the gap and p
+    that is an axis, along the other axis; empty when the spec has no
+    qubit or the curve misses the plotted window.
     """
     spec = plan.fixed
     if spec.qubit is None:
         return []
     names = (plan.x.name, plan.y.name)
+    target = next(n for n in ("beta", "omega_gap", "p") if n in names)
+    target_axis, along = (plan.x, plan.y) if plan.x.name == target \
+        else (plan.y, plan.x)
+    lo, hi = sorted((target_axis.start, target_axis.stop))
+    fixed = {"beta": spec.beta, "omega_gap": spec.qubit.omega_gap,
+             "p": spec.qubit.p_ground}
 
-    def dense(axis: Axis) -> np.ndarray:
-        if axis.scale == "log":
-            return np.geomspace(axis.start, axis.stop, axis.n * refine)
-        return np.linspace(axis.start, axis.stop, axis.n * refine)
-
-    def in_range(v: float, axis: Axis) -> bool:
-        lo, hi = min(axis.start, axis.stop), max(axis.start, axis.stop)
-        return lo <= v <= hi
-
-    def bq_at(p: float, gap: float) -> float:
-        if not 0.0 < p < 1.0 or gap <= 0.0:
+    def solve(value: float) -> float:
+        params = {**fixed, along.name: value}
+        p, gap, beta = params["p"], params["omega_gap"], params["beta"]
+        if target == "p":
+            # beta_q(p) = beta  <=>  p = 1 / (1 + e^{-beta gap})
+            z = beta * gap
+            solved = 1.0 / (1.0 + math.exp(-z)) if z < 700 else 1.0
+        elif not 0.0 < p < 1.0:
             return math.nan
-        return math.log(p / (1.0 - p)) / gap
+        elif target == "beta":
+            solved = math.log(p / (1.0 - p)) / gap if gap > 0.0 else math.nan
+        else:
+            solved = math.log(p / (1.0 - p)) / beta
+            solved = solved if solved > 0.0 else math.nan
+        return solved if lo <= solved <= hi else math.nan
 
-    p_fixed = spec.qubit.p_ground
-    gap_fixed = spec.qubit.omega_gap
-
-    if "beta" in names:
-        beta_axis, other_axis = (plan.x, plan.y) if plan.x.name == "beta" \
-            else (plan.y, plan.x)
-
-        def solve(other_value: float) -> float:
-            p = other_value if other_axis.name == "p" else p_fixed
-            gap = other_value if other_axis.name == "omega_gap" else gap_fixed
-            bq = bq_at(p, gap)
-            return bq if math.isfinite(bq) and in_range(bq, beta_axis) \
-                else math.nan
-
-        curves = _marker_curve(dense(other_axis), solve)
-        if plan.x.name == "beta":
-            curves = [c[:, ::-1] for c in curves]
-        return curves
-
-    # beta fixed: solve beta_q(p, gap) = beta along whichever qubit axis
-    beta = spec.beta
-    if "omega_gap" in names:
-        gap_axis, other_axis = (plan.x, plan.y) if plan.x.name == "omega_gap" \
-            else (plan.y, plan.x)
-
-        def solve(other_value: float) -> float:
-            p = other_value if other_axis.name == "p" else p_fixed
-            if not 0.0 < p < 1.0:
-                return math.nan
-            gap = math.log(p / (1.0 - p)) / beta
-            return gap if gap > 0 and in_range(gap, gap_axis) else math.nan
-
-        curves = _marker_curve(dense(other_axis), solve)
-        if plan.x.name == "omega_gap":
-            curves = [c[:, ::-1] for c in curves]
-        return curves
-
-    if "p" in names:
-        p_axis, other_axis = (plan.x, plan.y) if plan.x.name == "p" \
-            else (plan.y, plan.x)
-        # beta_q(p) = beta  <=>  p = 1 / (1 + e^{-beta gap})
-        z = beta * gap_fixed
-        p_star = 1.0 / (1.0 + math.exp(-z)) if z < 700 else 1.0
-
-        def solve(other_value: float) -> float:
-            return p_star if in_range(p_star, p_axis) else math.nan
-
-        curves = _marker_curve(dense(other_axis), solve)
-        if plan.x.name == "p":
-            curves = [c[:, ::-1] for c in curves]
-        return curves
-
-    return []
+    space = np.geomspace if along.scale == "log" else np.linspace
+    curves = _marker_curve(space(along.start, along.stop, along.n * refine),
+                           solve)
+    if target_axis is plan.x:
+        curves = [c[:, ::-1] for c in curves]
+    return curves

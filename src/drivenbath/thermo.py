@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .model import FrequencyGrid, SystemSpec, beta_q
-from .workstats import chi2_at_i_beta, mean_work2
+from .workstats import chi2_at_i_beta, w_ext2
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -66,7 +66,7 @@ def entropy_production(spec: SystemSpec,
     be passed to avoid duplicate integrals.
     """
     if w_bar is None:
-        w_bar = mean_work2(spec, grid)
+        w_bar = -w_ext2(spec, grid)
     if chi_ib is None:
         chi_ib = chi2_at_i_beta(spec, grid)
     return spec.beta * w_bar + math.log(chi_ib)
@@ -119,7 +119,7 @@ def engine_report(spec: SystemSpec,
     bq = beta_q(spec.qubit)
     t_b = 1.0 / spec.beta
     t_q = 0.0 if math.isinf(bq) else 1.0 / bq
-    w_bar = mean_work2(spec, grid)
+    w_bar = -w_ext2(spec, grid)
     chi_ib = chi2_at_i_beta(spec, grid)
     delta_s = entropy_production(spec, grid, w_bar=w_bar, chi_ib=chi_ib)
     q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)

@@ -181,7 +181,7 @@ def check_moment_cross_check() -> CheckResult:
                               p_ground=float(rng.uniform(0.0, 1.0)))
         spec = _spec(beta, alpha, qubit)
         fd = ws.mean_work_finite_difference(spec)
-        integral = ws.mean_work2(spec)
+        integral = -ws.w_ext2(spec)
         rel = _rel(fd, integral)
         worst = max(worst, rel)
         lines.append(
@@ -313,7 +313,7 @@ def check_quadrature_oracle() -> CheckResult:
     families: list[tuple[str, Callable, Callable]] = [
         ("channel-sum", ws.channel_sum_integral,
          lambda s: FrequencyGrid.for_source(s.source)),
-        ("mean-work", ws.mean_work2,
+        ("mean-work", lambda s, grid=None: -ws.w_ext2(s, grid),
          lambda s: FrequencyGrid.for_source(s.source)),
         ("chi-i-beta", ws.chi2_at_i_beta, ws.default_i_beta_grid),
         ("chi2(v=37.7)", lambda s, grid=None: ws.chi2(37.7, s, grid),

@@ -115,9 +115,11 @@ def chi2(v: complex, spec: SystemSpec,
     require_valid(spec)
     pair = green_pair(spec)
 
+    # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
+    # difference is rounding noise that adaptive refinement would chase
     def f(w):
-        return ((1.0 - np.exp(1j * w * v)) * pair.g_mp(w)
-                + (1.0 - np.exp(-1j * w * v)) * pair.g_pm(w))
+        return (-np.expm1(1j * w * v) * pair.g_mp(w)
+                - np.expm1(-1j * w * v) * pair.g_pm(w))
 
     return 1.0 - 0.5 * _integrate(f, spec, pair, grid, complex_valued=True)
 
@@ -229,11 +231,6 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
         lambda w: w * (pair.g_mp(w) - pair.g_pm(w)), spec, pair, grid)
 
 
-def mean_work2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
-    """Mean work of the second-order statistics (= -w_ext2)."""
-    return -w_ext2(spec, grid)
-
-
 def mean_work_finite_difference(spec: SystemSpec, h: float = 1e-4,
                                 grid: Optional[FrequencyGrid] = None) -> float:
     """-i d(chi2)/dv at v = 0 by Richardson-extrapolated central steps.
@@ -295,6 +292,14 @@ def crooks_ratio(dist: WorkDistribution, beta: float) -> CrooksRatio:
     return CrooksRatio(w_grid=w, values=values, skipped=tuple(skipped))
 
 
+def require_pure_bath(spec: SystemSpec) -> None:
+    """Refuse a qubit: the all-order resummation exists for the bath alone."""
+    if spec.qubit is not None:
+        raise ValueError(
+            "all-order characteristic function is available only for the "
+            "pure thermal bath")
+
+
 def chi_nonperturbative(v: complex, spec: SystemSpec,
                         grid: Optional[FrequencyGrid] = None) -> complex:
     """All-order characteristic function e^{chi2(v) - 1}, pure bath only.
@@ -302,10 +307,7 @@ def chi_nonperturbative(v: complex, spec: SystemSpec,
     No closed resummation exists once a qubit is attached (the coupling
     is quadratic in the channel basis), so that case is refused.
     """
-    if spec.qubit is not None:
-        raise ValueError(
-            "all-order characteristic function is available only for the "
-            "pure thermal bath")
+    require_pure_bath(spec)
     return complex(np.exp(chi2(v, spec, grid) - 1.0))
 
 
@@ -408,10 +410,7 @@ def wdf_nonperturbative(spec: SystemSpec,
     Against the second-order density this resummation carries the small
     oscillatory corrections (self-convolutions of the tail).
     """
-    if spec.qubit is not None:
-        raise ValueError(
-            "all-order characteristic function is available only for the "
-            "pure thermal bath")
+    require_pure_bath(spec)
     if plan is None:
         plan = default_plan(spec.source)
     field = chi2_field(spec, plan.v_grid(), grid)
@@ -419,23 +418,6 @@ def wdf_nonperturbative(spec: SystemSpec,
     residual = atom * np.expm1(field.tail)
     plan = replace(plan, atom_weight=atom)
     return _distribution_from_residual(residual, atom, plan)
-
-
-def wdf2_from_inversion(spec: SystemSpec,
-                        plan: Optional[InversionPlan] = None,
-                        grid: Optional[FrequencyGrid] = None
-                        ) -> WorkDistribution:
-    """Second-order distribution through the same FFT pipeline.
-
-    Matches :func:`wdf2` up to window-truncation artifacts; its purpose
-    is comparisons against :func:`wdf_nonperturbative` on an identical
-    grid, where those artifacts cancel.
-    """
-    if plan is None:
-        plan = default_plan(spec.source)
-    field = chi2_field(spec, plan.v_grid(), grid)
-    plan = replace(plan, atom_weight=field.p0)
-    return _distribution_from_residual(field.tail.copy(), field.p0, plan)
 
 
 def correction_field(spec: SystemSpec,
@@ -448,10 +430,7 @@ def correction_field(spec: SystemSpec,
     fourth-order-and-up correction; computing the two densities
     separately and subtracting would bury it in shared artifacts.
     """
-    if spec.qubit is not None:
-        raise ValueError(
-            "all-order characteristic function is available only for the "
-            "pure thermal bath")
+    require_pure_bath(spec)
     if plan is None:
         plan = default_plan(spec.source)
     field = chi2_field(spec, plan.v_grid(), grid)

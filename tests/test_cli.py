@@ -104,6 +104,24 @@ class TestWextEngine:
         assert code == 2
         assert "p > 1/2" in capsys.readouterr().err
 
+    def test_engine_at_matched_temperatures_is_usage_error(self, tmp_path,
+                                                          capsys):
+        # at this population beta_q equals beta = 1: no heat split exists
+        out = tmp_path / "e.csv"
+        code = run(["engine", "--qubit", "spin", "--alpha", "5", "--beta",
+                    "1", "--omega", "0.05", "--p", "0.5124973964842103",
+                    "--out", out])
+        assert code == 2
+        assert "error: heat split undefined" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constraint_violation_stays_numerical_failure(self, tmp_path,
+                                                          capsys):
+        # ConstraintError is a ValueError, but it is not a usage error
+        assert run(["wdf", "--qubit", "none", "--lambda0", "1e4",
+                    "--out", tmp_path / "w.csv"]) == 1
+        assert "numerical failure: positivity" in capsys.readouterr().err
+
     def test_engine_report_fields(self, tmp_path):
         out = tmp_path / "engine.csv"
         assert run(["engine", "--qubit", "spin", "--p", "0.9",
@@ -129,7 +147,7 @@ class TestSweep:
                     "--x-range", "0,1", "--sweep-y", "beta",
                     "--y-range", "0.1,100", "--y-scale", "log",
                     "--nx", "16", "--ny", "16", "--quantity", "wext",
-                    "--threads", "1", "--out", out]) == 0
+                    "--out", out]) == 0
         header, rows = read_rows(out / "grid.csv")
         assert header == "p,beta,wext"
         assert len(rows) == 256
@@ -179,6 +197,16 @@ class TestConfig:
         assert run(["wext", "--alpha", "-1"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["wcf", "wdf"])
+    def test_nonperturbative_qubit_refused_before_writing(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = run([command, "--qubit", "spin", "--nonperturbative",
+                    "--out", out / "x.csv"])
+        assert code == 2
+        assert "pure thermal bath" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, capsys):
@@ -188,9 +216,9 @@ class TestVerifyCommand:
         assert "PASS passivity-pure-bath" in out
         assert "2/2" in out
 
-    def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError):
-            run(["verify", "--checks", "does-not-exist"])
+    def test_unknown_check_rejected(self, capsys):
+        assert run(["verify", "--checks", "does-not-exist"]) == 2
+        assert "unknown checks: does-not-exist" in capsys.readouterr().err
 
     def test_verbose_prints_margins(self, capsys):
         assert run(["verify", "--checks", "modal-structure",
@@ -210,3 +238,146 @@ class TestVerifyCommand:
         code = run(["verify", "--checks", "jarzynski-pure-bath"])
         assert code == 1
         assert "FAIL jarzynski-pure-bath" in capsys.readouterr().out
+
+
+class _Captured(Exception):
+    """Raised by a patched library call to hand back its arguments."""
+
+
+#: flag, then config file, then default, for every config key.  Each row:
+#: key, command with the other arguments it needs, the flag, the config
+#: lines set next to the flag, the config lines set alone, the value the
+#: flag gives, the value the config gives, the default, and the probe that
+#: reads the value off the captured library call (args, kwargs).
+EXIT_2 = ("exit", 2)
+_SPEC = _PLAN = lambda call: call[0][0]  # noqa: E731
+_RAN = lambda call: "ran"  # noqa: E731
+_SWEEP = ["sweep", "--qubit", "spin"]
+_AXES = {"x": ["--sweep-x", "p"], "y": ["--sweep-y", "beta"],
+         "xr": ["--x-range", "0.1,0.9"], "yr": ["--y-range", "0.5,5"]}
+
+
+def _sweep_with(*parts):
+    return _SWEEP + [arg for part in parts for arg in _AXES[part]]
+
+
+PRECEDENCE = [
+    ("bath.alpha", ["wext"], ["--alpha", "2"], "alpha = 3", "alpha = 3",
+     2.0, 3.0, 5.0, lambda c: _SPEC(c).spectrum.alpha),
+    ("bath.beta", ["wext"], ["--beta", "2"], "beta = 3", "beta = 3",
+     2.0, 3.0, 1.0, lambda c: _SPEC(c).beta),
+    ("bath.lc", ["wext"], ["--lc", "2"], "lc = 3", "lc = 3",
+     2.0, 3.0, 1.0, lambda c: _SPEC(c).spectrum.l_c),
+    ("drive.lambda0", ["wext"], ["--lambda0", "0.02"], "lambda0 = 0.03",
+     "lambda0 = 0.03", 0.02, 0.03, 0.01,
+     lambda c: _SPEC(c).source.lambda0),
+    ("drive.tint", ["wext"], ["--tint", "200"], "tint = 300", "tint = 300",
+     200.0, 300.0, 100.0, lambda c: _SPEC(c).source.t_int),
+    ("qubit.coupling", ["wext"], ["--qubit", "spin"], "coupling = fermion",
+     "coupling = fermion", "spin", "fermion", None,
+     lambda c: _SPEC(c).qubit and _SPEC(c).qubit.coupling.value),
+    ("qubit.omega", ["wext", "--qubit", "spin"], ["--omega", "0.1"],
+     "omega = 0.2", "omega = 0.2", 0.1, 0.2, 0.05,
+     lambda c: _SPEC(c).qubit.omega_gap),
+    ("qubit.p", ["wext", "--qubit", "spin"], ["--p", "0.7"], "p = 0.8",
+     "p = 0.8", 0.7, 0.8, 1.0, lambda c: _SPEC(c).qubit.p_ground),
+    ("wcf.vmax", ["wcf", "--samples", "16"], ["--vmax", "10"], "vmax = 20",
+     "vmax = 20", 10.0, 20.0, 6400.0, lambda c: float(c[0][1][-1])),
+    ("wcf.samples", ["wcf"], ["--samples", "16"], "samples = 24",
+     "samples = 24", 16, 24, 201, lambda c: len(c[0][1])),
+    ("wcf.nonperturbative", ["wcf", "--qubit", "spin"], ["--nonperturbative"],
+     "nonperturbative = false", "nonperturbative = true",
+     EXIT_2, EXIT_2, "ran", _RAN),
+    ("wdf.samples", ["wdf"], ["--samples", "16"], "samples = 24",
+     "samples = 24", 16, 24, 800, lambda c: c[1]["w_grid"].size),
+    ("wdf.nonperturbative", ["wdf", "--qubit", "spin"], ["--nonperturbative"],
+     "nonperturbative = false", "nonperturbative = true",
+     EXIT_2, EXIT_2, "ran", _RAN),
+    ("sweep.x", _sweep_with("y", "xr", "yr"), _AXES["x"], "x = omega_gap",
+     "x = omega_gap", "p", "omega_gap", EXIT_2, lambda c: _PLAN(c).x.name),
+    ("sweep.y", _sweep_with("x", "xr", "yr"), _AXES["y"], "y = alpha",
+     "y = alpha", "beta", "alpha", EXIT_2, lambda c: _PLAN(c).y.name),
+    ("sweep.x_start", _sweep_with("x", "y", "yr"), _AXES["xr"],
+     "x_start = 0.2\nx_stop = 0.8", "x_start = 0.2\nx_stop = 0.8",
+     0.1, 0.2, EXIT_2, lambda c: _PLAN(c).x.start),
+    ("sweep.x_stop", _sweep_with("x", "y", "yr"), _AXES["xr"],
+     "x_start = 0.2\nx_stop = 0.8", "x_start = 0.2\nx_stop = 0.8",
+     0.9, 0.8, EXIT_2, lambda c: _PLAN(c).x.stop),
+    ("sweep.y_start", _sweep_with("x", "y", "xr"), _AXES["yr"],
+     "y_start = 0.6\ny_stop = 4", "y_start = 0.6\ny_stop = 4",
+     0.5, 0.6, EXIT_2, lambda c: _PLAN(c).y.start),
+    ("sweep.y_stop", _sweep_with("x", "y", "xr"), _AXES["yr"],
+     "y_start = 0.6\ny_stop = 4", "y_start = 0.6\ny_stop = 4",
+     5.0, 4.0, EXIT_2, lambda c: _PLAN(c).y.stop),
+    ("sweep.x_scale", _sweep_with("x", "y", "xr", "yr"), ["--x-scale", "log"],
+     "x_scale = linear", "x_scale = log", "log", "log", "linear",
+     lambda c: _PLAN(c).x.scale),
+    ("sweep.y_scale", _sweep_with("x", "y", "xr", "yr"), ["--y-scale", "log"],
+     "y_scale = linear", "y_scale = log", "log", "log", "linear",
+     lambda c: _PLAN(c).y.scale),
+    ("sweep.nx", _sweep_with("x", "y", "xr", "yr"), ["--nx", "20"],
+     "nx = 24", "nx = 24", 20, 24, 64, lambda c: _PLAN(c).x.n),
+    ("sweep.ny", _sweep_with("x", "y", "xr", "yr"), ["--ny", "20"],
+     "ny = 24", "ny = 24", 20, 24, 64, lambda c: _PLAN(c).y.n),
+    ("sweep.quantity", _sweep_with("x", "y", "xr", "yr"),
+     ["--quantity", "chi-i-beta"], "quantity = delta-s",
+     "quantity = delta-s", "chi-i-beta", "delta-s", "wext",
+     lambda c: c[0][1].value),
+]
+
+
+class TestConfigPrecedence:
+    @pytest.fixture(autouse=True)
+    def capture_library(self, monkeypatch, tmp_path):
+        import drivenbath.sweep as sweepmod
+        import drivenbath.workstats as ws
+
+        def capture(*args, **kwargs):
+            raise _Captured(args, kwargs)
+
+        for module, name in ((ws, "w_ext2"), (ws, "chi2_field"),
+                             (ws, "wdf2"), (sweepmod, "run_sweep")):
+            monkeypatch.setattr(module, name, capture)
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def observe(argv, probe, tmp_path, ini=None):
+        """The probed library argument, or ("exit", code) if none was made."""
+        if ini is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(ini)
+            argv = argv + ["--config", cfg]
+        try:
+            code = run(argv)
+        except _Captured as call:
+            return probe(call.args)
+        return ("exit", code)
+
+    @pytest.mark.parametrize(
+        "key,argv,flag,config_with_flag,config_alone,from_flag,from_config,"
+        "default,probe", PRECEDENCE, ids=[row[0] for row in PRECEDENCE])
+    def test_flag_over_config_over_default(
+            self, tmp_path, key, argv, flag, config_with_flag, config_alone,
+            from_flag, from_config, default, probe):
+        section = key.split(".")[0]
+
+        def ini(lines):
+            return f"[{section}]\n{lines}\n"
+
+        assert self.observe(argv + flag, probe, tmp_path,
+                            ini(config_with_flag)) == from_flag
+        assert self.observe(argv, probe, tmp_path,
+                            ini(config_alone)) == from_config
+        assert self.observe(argv, probe, tmp_path) == default
+
+    def test_output_path(self, tmp_path, monkeypatch):
+        import drivenbath.workstats as ws
+        monkeypatch.setattr(ws, "w_ext2", lambda spec: 0.0)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[output]\nout = from_config.csv\n")
+        assert run(["wext", "--config", cfg, "--out", "from_flag.csv"]) == 0
+        assert run(["wext", "--config", cfg]) == 0
+        assert run(["wext"]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["from_config.csv", "from_flag.csv", "run.ini",
+                           "wext.csv"]

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drivenbath
 from drivenbath import (Coupling, OhmicSpectrum, bose_occupation,
                         bosonic_wightman, damped_wightman_pair,
                         fermi_occupation, ohmic_density, wightman_pair)
@@ -59,6 +64,57 @@ class TestOccupations:
     def test_fermi_complement(self, x):
         assert fermi_occupation(x) + fermi_occupation(-x) == \
             pytest.approx(1.0, abs=1e-15)
+
+
+def _within_ulps(got, expected, ulps=4):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return bool(np.all(np.abs(got - expected)
+                       <= ulps * np.spacing(np.abs(expected))))
+
+
+class TestLogistic:
+    """The Fermi factor and fermion channels without a scipy dependency."""
+
+    def test_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(drivenbath.__file__))
+        code = ("import sys, drivenbath.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_fermi_occupation_matches_libm_formula(self):
+        xs = np.concatenate([np.linspace(-700.0, 700.0, 14001),
+                             [-1e-300, 0.0, 1e-12, 36.7, 709.0 - 9.0]])
+        expected = [1.0 / (1.0 + math.exp(x)) for x in xs]
+        assert _within_ulps(fermi_occupation(xs), expected)
+        for x in (-700.0, -3.5, 0.25, 42.0, 700.0):
+            assert _within_ulps(fermi_occupation(x), 1.0 / (1.0 + math.exp(x)))
+
+    def test_fermion_channels_match_libm_formula(self):
+        beta = 200.0
+        spec = make_spec(beta=beta, alpha=2.0, coupling="fermion")
+        pair, damped = wightman_pair(spec), damped_wightman_pair(spec)
+        w = np.linspace(1e-3, 3.0, 3001)
+        bare = ohmic_density(w, spec.spectrum)
+        particle = bare * [1.0 / (1.0 + math.exp(beta * x)) for x in w]
+        hole = bare * [1.0 / (1.0 + math.exp(-beta * x)) for x in w]
+        assert _within_ulps(pair.s1(w), particle)
+        assert _within_ulps(pair.s2(w), hole)
+        assert _within_ulps(damped.s2(w), particle)
+
+    def test_zero_beyond_exp_overflow(self):
+        spec = make_spec(beta=1000.0, alpha=2.0, coupling="fermion")
+        pair, damped = wightman_pair(spec), damped_wightman_pair(spec)
+        w = np.array([0.72, 1.0, 5.0])  # beta * w > log(max float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(fermi_occupation(1000.0 * w) == 0.0)
+            assert fermi_occupation(710.0) == 0.0
+            assert np.all(pair.s1(w) == 0.0)
+            assert np.all(damped.s2(w) == 0.0)
 
 
 class TestBosonicWightman:

@@ -1,12 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from drivenbath import (Axis, Quantity, SweepError, SweepPlan, beta_q_marker,
-                        extract_zero_contour, line_scan, run_sweep, w_ext2,
-                        with_param)
+import drivenbath.sweep as sweepmod
+from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
+                        SweepPlan, beta_q_marker, extract_zero_contour,
+                        run_sweep, w_ext2, with_param)
 from drivenbath.sweep import SweepResult
 
 from conftest import make_spec
+
+
+def w_ext_scan(parameter, values, fixed):
+    """W_ext along one parameter with the others held at ``fixed``."""
+    return np.array([w_ext2(with_param(fixed, parameter, float(v)))
+                     for v in values])
 
 
 def spin_plan(nx=16, ny=16, p_range=(0.0, 1.0), beta_range=(0.1, 100.0)):
@@ -45,14 +54,14 @@ class TestAxis:
 
 
 class TestRunSweep:
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         plan = spin_plan()
-        first = run_sweep(plan, Quantity.W_EXT, threads=1)
-        second = run_sweep(plan, Quantity.W_EXT, threads=4)
+        first = run_sweep(plan, Quantity.W_EXT)
+        second = run_sweep(plan, Quantity.W_EXT)
         assert np.array_equal(first.grid, second.grid)
 
     def test_affine_in_population(self):
-        result = run_sweep(spin_plan(), Quantity.W_EXT, threads=1)
+        result = run_sweep(spin_plan(), Quantity.W_EXT)
         for j in range(result.ys.size):
             col = result.grid[:, j]
             blend = result.xs * col[-1] + (1.0 - result.xs) * col[0]
@@ -61,7 +70,7 @@ class TestRunSweep:
 
     def test_chi_i_beta_affine_in_population(self):
         plan = spin_plan(ny=16, beta_range=(0.5, 5.0))
-        result = run_sweep(plan, Quantity.CHI_I_BETA, threads=1)
+        result = run_sweep(plan, Quantity.CHI_I_BETA)
         for j in range(result.ys.size):
             col = result.grid[:, j]
             blend = result.xs * col[-1] + (1.0 - result.xs) * col[0]
@@ -73,24 +82,24 @@ class TestRunSweep:
         fixed = make_spec(beta=1e-6, alpha=5.0, coupling="spin",
                           omega_gap=0.05, p=0.9)
         ps = np.linspace(0.0, 1.0, 21)
-        values = line_scan("p", ps, fixed, Quantity.W_EXT)
+        values = w_ext_scan("p", ps, fixed)
         assert np.max(np.abs(values + values[::-1])) <= 1e-10
 
     def test_saturation_at_large_beta(self):
         fixed = make_spec(alpha=5.0, coupling="spin", omega_gap=0.05, p=0.95)
-        values = line_scan("beta", [500.0, 1000.0], fixed, Quantity.W_EXT)
+        values = w_ext_scan("beta", [500.0, 1000.0], fixed)
         assert abs(values[1] - values[0]) < 0.01 * abs(values[1])
 
     def test_small_and_large_gap_have_opposite_patterns(self):
         # the extraction regime swaps sides in p between small and large
         # gaps: at p near 0 the signs are opposite for every beta
         betas = [1.0, 20.0]
-        small = line_scan("beta", betas,
-                          make_spec(alpha=5.0, coupling="spin",
-                                    omega_gap=0.05, p=0.05), Quantity.W_EXT)
-        large = line_scan("beta", betas,
-                          make_spec(alpha=5.0, coupling="spin",
-                                    omega_gap=5.0, p=0.05), Quantity.W_EXT)
+        small = w_ext_scan("beta", betas,
+                           make_spec(alpha=5.0, coupling="spin",
+                                     omega_gap=0.05, p=0.05))
+        large = w_ext_scan("beta", betas,
+                           make_spec(alpha=5.0, coupling="spin",
+                                     omega_gap=5.0, p=0.05))
         assert np.all(np.sign(small) == -np.sign(large))
         assert np.all(small < 0) and np.all(large > 0)
 
@@ -98,11 +107,46 @@ class TestRunSweep:
         # figure-of-merit rejects p <= 1/2, more than 1% of this grid
         plan = spin_plan(p_range=(0.3, 0.9))
         with pytest.raises(SweepError) as info:
-            run_sweep(plan, Quantity.FIGURE_OF_MERIT, threads=1)
+            run_sweep(plan, Quantity.FIGURE_OF_MERIT)
         assert len(info.value.failures) > 0
 
+    def test_quadrature_failure_is_recorded_per_cell(self, monkeypatch):
+        original = sweepmod._cell_value
+
+        def flaky(spec, quantity, grid):
+            if spec.qubit.p_ground == 0.0 and spec.beta == 0.1:
+                raise QuadratureError("non-finite integrand")
+            return original(spec, quantity, grid)
+
+        monkeypatch.setattr(sweepmod, "_cell_value", flaky)
+        result = run_sweep(spin_plan(), Quantity.W_EXT)
+        assert result.failures == ((0, 0, "non-finite integrand"),)
+        assert np.isnan(result.grid[0, 0])
+        assert np.isfinite(result.grid).sum() == result.grid.size - 1
+
+    def test_failed_saddle_center_uses_corner_mean(self, monkeypatch):
+        # W = (p - 1/2)(ln beta - ln 1.2) has its saddle inside cell (7, 5)
+        plan = spin_plan()
+        xs = plan.x.values()
+
+        def saddle(spec, quantity, grid):
+            p = spec.qubit.p_ground
+            if p not in xs:
+                raise QuadratureError("stalled")
+            return (p - 0.5) * (math.log(spec.beta) - math.log(1.2))
+
+        monkeypatch.setattr(sweepmod, "_cell_value", saddle)
+        result = run_sweep(plan, Quantity.W_EXT)
+        assert result.failures == ((7, 5, "center: stalled"),)
+        assert result.metadata["failed_cells"] == 1
+        assert np.all(np.isfinite(result.grid))
+        mean_rule = extract_zero_contour(result)
+        assert len(result.zero_contour) == len(mean_rule)
+        for line, expected in zip(result.zero_contour, mean_rule):
+            assert np.array_equal(line, expected)
+
     def test_metadata_and_failures_empty_on_clean_run(self):
-        result = run_sweep(spin_plan(), Quantity.W_EXT, threads=1)
+        result = run_sweep(spin_plan(), Quantity.W_EXT)
         assert result.failures == ()
         assert result.metadata["quantity"] == "wext"
 
@@ -110,7 +154,7 @@ class TestRunSweep:
 class TestZeroContour:
     def test_constant_sign_grid_has_no_contour(self):
         plan = spin_plan(p_range=(0.9, 1.0), beta_range=(0.2, 2.0))
-        result = run_sweep(plan, Quantity.W_EXT, threads=1)
+        result = run_sweep(plan, Quantity.W_EXT)
         assert np.all(result.grid > 0)
         assert result.zero_contour == []
 
@@ -128,8 +172,7 @@ class TestZeroContour:
         assert np.max(np.abs(diag[:, 0] - diag[:, 1])) < 1e-12
 
     def test_vertices_zero_bilinear_interpolant(self):
-        result = run_sweep(spin_plan(nx=24, ny=24), Quantity.W_EXT,
-                           threads=1)
+        result = run_sweep(spin_plan(nx=24, ny=24), Quantity.W_EXT)
         assert result.zero_contour
         su, sv = result.xs, np.log(result.ys)
         from scipy.interpolate import RegularGridInterpolator
@@ -142,8 +185,7 @@ class TestZeroContour:
     def test_vertices_refined_by_bisection_on_population(self):
         # along a p-edge the quantity is exactly affine, so the crossing
         # interpolated by marching squares equals the true root
-        result = run_sweep(spin_plan(nx=24, ny=24), Quantity.W_EXT,
-                           threads=1)
+        result = run_sweep(spin_plan(nx=24, ny=24), Quantity.W_EXT)
         fixed = result.plan.fixed
         checked = 0
         for line in result.zero_contour:

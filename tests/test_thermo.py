@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenbath import (EngineMode, chi2_at_i_beta, engine_report,
-                        entropy_production, heat_flows, mean_work2)
+                        entropy_production, heat_flows, w_ext2)
 from drivenbath.thermo import default_mode_tol
 
 from conftest import make_spec
@@ -55,12 +55,12 @@ class TestEntropyProduction:
     def test_pure_bath_reduces_to_beta_times_work(self):
         spec = make_spec(beta=2.0, alpha=2.0)
         assert entropy_production(spec) == pytest.approx(
-            2.0 * mean_work2(spec), rel=1e-10, abs=1e-30)
+            -2.0 * w_ext2(spec), rel=1e-10, abs=1e-30)
 
     def test_gapless_spin_same_reduction(self):
         spec = make_spec(beta=1.0, coupling="spin", omega_gap=0.0, p=0.7)
         assert entropy_production(spec) == pytest.approx(
-            mean_work2(spec), rel=1e-10, abs=1e-30)
+            -w_ext2(spec), rel=1e-10, abs=1e-30)
 
     def test_nonnegative_with_qubit(self):
         spec = make_spec(beta=1.0, coupling="spin", omega_gap=0.05, p=0.8)
@@ -68,7 +68,7 @@ class TestEntropyProduction:
 
     def test_oracle_composition(self):
         spec = make_spec(beta=1.0, coupling="spin", omega_gap=0.05, p=0.8)
-        expected = spec.beta * mean_work2(spec) + \
+        expected = spec.beta * -w_ext2(spec) + \
             math.log(chi2_at_i_beta(spec))
         assert entropy_production(spec) == pytest.approx(expected, rel=1e-12)
 
@@ -96,7 +96,7 @@ class TestEngineReport:
         spec = make_spec(beta=1.0, alpha=5.0, coupling="spin",
                          omega_gap=0.05, p=0.9)
         report = engine_report(spec)
-        w_bar = mean_work2(spec)
+        w_bar = -w_ext2(spec)
         delta_s = entropy_production(spec)
         assert report.w_bar == pytest.approx(w_bar, rel=1e-12)
         if report.mode is EngineMode.HEAT_ENGINE:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from drivenbath import (ConstraintError, DrivenSource, PerturbativeBreakdownErro
                         atom_weight2, bosonic_wightman, channel_sum_integral,
                         chi2, chi2_at_i_beta, chi2_field, chi_nonperturbative,
                         correction_field, crooks_ratio, default_plan,
-                        default_w_grid, green_pair, lambda_weight, mean_work2,
-                        mean_work_finite_difference, positivity_check, w_ext2,
-                        wdf2, wdf2_from_inversion, wdf_nonperturbative)
+                        default_w_grid, green_pair, invert_characteristic,
+                        lambda_weight, mean_work_finite_difference,
+                        positivity_check, w_ext2, wdf2, wdf_nonperturbative)
 
 from conftest import dense_drive_integral, make_spec
 
@@ -48,6 +49,30 @@ class TestChi2:
         for k, vv in enumerate(v):
             assert values[k] == pytest.approx(chi2(float(vv), spec),
                                               rel=1e-12, abs=1e-15)
+
+
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    def test_small_v_needs_no_deep_refinement(self, monkeypatch, coupling):
+        # 1 - e^{iwv} at small v must not leave rounding noise for the
+        # adaptive rule to refine on
+        import drivenbath.workstats as ws
+        points = [0]
+
+        def counted(spec):
+            pair = green_pair(spec)
+
+            def g_mp(w):
+                points[0] += np.size(w)
+                return pair.g_mp(w)
+            return replace(pair, g_mp=g_mp)
+
+        monkeypatch.setattr(ws, "green_pair", counted)
+        spec = make_spec(beta=1.0, alpha=5.0, coupling=coupling, p=0.9)
+        value = chi2(1e-2, spec)
+        assert points[0] < 10_000
+        # first moment: Im chi2(v) = v * mean work to O(v^3)
+        assert value.imag == pytest.approx(1e-2 * -w_ext2(spec), rel=1e-6)
 
 
 class TestChi2AtImaginaryBeta:
@@ -193,13 +218,13 @@ class TestWorkExtraction:
                         * bosonic_wightman(w + gap, beta, spec.spectrum))
 
         oracle = 0.5 * dense_drive_integral(integrand, spec.source)
-        assert mean_work2(spec) == pytest.approx(oracle, rel=1e-8)
+        assert -w_ext2(spec) == pytest.approx(oracle, rel=1e-8)
 
     def test_finite_difference_cross_check(self):
         spec = make_spec(beta=0.5, alpha=2.0, coupling="fermion",
                          omega_gap=0.03, p=0.9)
         fd = mean_work_finite_difference(spec)
-        assert fd == pytest.approx(mean_work2(spec), rel=1e-6)
+        assert fd == pytest.approx(-w_ext2(spec), rel=1e-6)
 
 
 class TestNonperturbative:
@@ -234,7 +259,9 @@ class TestNonperturbative:
     def test_second_order_inversion_matches_analytic_density(self):
         spec = make_spec(beta=1.0, alpha=5.0)
         plan = default_plan(spec.source)
-        via_fft = wdf2_from_inversion(spec, plan)
+        field = chi2_field(spec, plan.v_grid())
+        via_fft = invert_characteristic(lambda v: field.chi2_values(),
+                                        replace(plan, atom_weight=field.p0))
         analytic = wdf2(spec, w_grid=via_fft.w_grid)
         mask = np.abs(via_fft.w_grid) < 0.06
         assert np.max(np.abs(via_fft.density[mask]
@@ -261,7 +288,7 @@ class TestNonperturbative:
               - chi_nonperturbative(-h / 2, spec)) / h
         derivative = (4.0 * d2 - d1) / 3.0
         assert float((-1j * derivative).real) == \
-            pytest.approx(mean_work2(spec), rel=1e-6)
+            pytest.approx(-w_ext2(spec), rel=1e-6)
 
 
 class TestModalStructure:
