@@ -33,6 +33,10 @@ _MAX_INTERVALS = 4096
 _GL_PHASE = 20.0
 _GL_ORDER = 40
 
+#: rounding slack, as a fraction of max|v|, between a sampled v grid and
+#: the even lattice it stands for
+GRID_RTOL = 16.0 * np.finfo(float).eps
+
 
 class QuadratureError(RuntimeError):
     """Integrand returned a non-finite sample or a rule failed."""
@@ -258,31 +262,40 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
                      grid: FrequencyGrid,
                      *,
                      breakpoints: Sequence[float] = (),
-                     singular_exponent: Optional[float] = None,
-                     block: int = 2048):
+                     singular_exponent: Optional[float] = None):
     """Sample F_k(v) = int dw/2pi |lam|^2 f_k(w) e^{i w v} for k = 1, 2.
 
-    One composite Gauss-Legendre node set shared by both integrands; the
-    phase matrix is built in blocks of ``block`` v-values to bound memory.
-    Returns a pair of complex arrays aligned with ``v``.
+    ``v`` is a 1-D evenly spaced grid, v_j = v_0 + j h, as
+    ``InversionPlan.v_grid()`` and ``linspace`` give; any other grid
+    raises ValueError.  Both integrands share one composite
+    Gauss-Legendre node set.  Splitting j = b B + m with B = ceil(sqrt(n))
+    factors every phase exactly as e^{i w v_bB} e^{i w m h}: the block
+    phases fold into the two coefficient vectors, and the samples are one
+    complex product of the B x nodes table e^{i w m h} with that
+    nodes x 2 ceil(n/B) matrix.  Returns a pair of complex arrays
+    aligned with ``v``.
     """
     v = np.asarray(v, dtype=float)
+    n = v.size
+    v_abs_max = float(np.max(np.abs(v), initial=0.0))
+    h = (v[-1] - v[0]) / (n - 1) if n > 1 else 0.0
+    lattice = v[:1] + h * np.arange(n)
+    if not np.all(np.abs(v - lattice) <= GRID_RTOL * v_abs_max):
+        raise ValueError("v must be an evenly spaced grid")
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
-    nodes, weights = _gl_nodes_weights(panels, float(np.max(np.abs(v))) if v.size else 1.0)
+    nodes, weights = _gl_nodes_weights(panels, v_abs_max)
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
     c1 = measure * np.asarray(f1(nodes), dtype=float)
     c2 = measure * np.asarray(f2(nodes), dtype=float)
     _check_finite(c1, nodes)
     _check_finite(c2, nodes)
 
-    out1 = np.empty(v.shape, dtype=complex)
-    out2 = np.empty(v.shape, dtype=complex)
-    for start in range(0, v.size, block):
-        vb = v[start:start + block]
-        phase = np.exp(1j * np.outer(vb, nodes))
-        out1[start:start + block] = phase @ c1
-        out2[start:start + block] = phase @ c2
-    return out1, out2
+    block = math.isqrt(max(n - 1, 0)) + 1
+    table = np.exp(1j * np.outer(h * np.arange(block), nodes))
+    shift = np.exp(1j * np.outer(nodes, v[::block]))
+    samples = table @ np.hstack([c1[:, None] * shift, c2[:, None] * shift])
+    # column b of each half holds v_{bB} .. v_{bB+B-1}
+    return tuple(part.T.ravel()[:n] for part in np.hsplit(samples, 2))
 
 
 # -- characteristic-function inversion --------------------------------------

@@ -124,14 +124,15 @@ def chi2(v: complex, spec: SystemSpec,
     return 1.0 - 0.5 * _integrate(f, spec, pair, grid, complex_valued=True)
 
 
-def chi2_at_i_beta(spec: SystemSpec,
+def i_beta_deficit(spec: SystemSpec,
                    grid: Optional[FrequencyGrid] = None) -> float:
-    """chi2 continued to v = i*beta, the detailed-balance deficit probe.
+    """The detailed-balance deficit 1 - chi2(i beta), integrated directly.
 
-    Equals 1 for the pure thermal bath (both channels are evaluated and
-    the integrand cancels pointwise to roundoff; no identity is assumed).
-    All exponentials act on the windowed frequency, so the evaluation
-    stays in range for beta up to ~1e3 at the default drive.
+    Zero for the pure thermal bath up to quadrature rounding (both
+    channels are evaluated and the integrand cancels pointwise; no
+    identity is assumed), so it carries the margin that 1 - deficit
+    rounds away.  All exponentials act on the windowed frequency, so the
+    evaluation stays in range for beta up to ~1e3 at the default drive.
     """
     require_valid(spec)
     pair = green_pair(spec)
@@ -143,7 +144,18 @@ def chi2_at_i_beta(spec: SystemSpec,
 
     if grid is None:
         grid = default_i_beta_grid(spec)
-    value = 1.0 - 0.5 * _integrate(f, spec, pair, grid)
+    return 0.5 * _integrate(f, spec, pair, grid)
+
+
+def chi2_at_i_beta(spec: SystemSpec,
+                   grid: Optional[FrequencyGrid] = None) -> float:
+    """chi2 continued to v = i*beta, 1 - :func:`i_beta_deficit`.
+
+    Equals 1 for the pure thermal bath; raises
+    :class:`PerturbativeBreakdownError` when it is not positive, because
+    its log is then undefined.
+    """
+    value = 1.0 - i_beta_deficit(spec, grid)
     if value <= 0.0:
         raise PerturbativeBreakdownError(
             f"perturbative breakdown: chi2(i beta) = {value:g} <= 0, "
@@ -332,27 +344,34 @@ class ChiField:
 
 def chi2_field(spec: SystemSpec, v: np.ndarray,
                grid: Optional[FrequencyGrid] = None) -> ChiField:
-    """Sample chi2 on an arbitrary v grid via one Gauss-Legendre node set.
+    """Sample chi2 on an evenly spaced v grid whose lattice holds 0.
 
-    Both drive-weighted channel transforms share the same nodes, v = 0 is
-    always part of the sampled set, and v < 0 values come from the
-    conjugate symmetry of real densities; chi2(0) = 1 therefore holds on
-    the field to within one rounding of p0 + T(0).
+    Every v_j must be k_j h for an integer k_j, where h is the grid
+    spacing; ``InversionPlan.v_grid()`` and ``linspace(0, v_max, n)`` both
+    are.  Any other grid raises ValueError.  chi2 is sampled once per
+    lattice index 0..max k_j by ``quadrature.oscillatory_pair`` (both
+    drive-weighted channel transforms share its nodes), and v < 0 takes
+    the complex conjugate, so mirrored samples are exact conjugates and
+    chi2(0) = 1 holds on the field to within one rounding of p0 + T(0).
     """
     require_valid(spec)
     v = np.asarray(v, dtype=float)
     pair = green_pair(spec)
-    u, inverse = np.unique(np.abs(v), return_inverse=True)
-    if u.size == 0 or u[0] != 0.0:
-        u = np.concatenate([[0.0], u])
-        inverse = inverse + 1
+    v_abs = np.abs(v)
+    v_abs_max = float(v_abs.max(initial=0.0))
+    h = abs(v[-1] - v[0]) / (v.size - 1) if v.size > 1 else v_abs_max or 1.0
+    if not (h > 0.0 and np.all(np.abs(v_abs - np.rint(v_abs / h) * h)
+                               <= quadrature.GRID_RTOL * v_abs_max)):
+        raise ValueError("v must be an evenly spaced grid on the lattice "
+                         "v_j = k_j h with integer k_j")
+    k = np.rint(v_abs / h).astype(np.intp)
     a_mp, a_pm = quadrature.oscillatory_pair(
-        pair.g_mp, pair.g_pm, u, spec.source, _grid_for(spec, grid),
+        pair.g_mp, pair.g_pm, h * np.arange(k.max(initial=0) + 1),
+        spec.source, _grid_for(spec, grid),
         breakpoints=pair.edges, singular_exponent=pair.singular_exponent)
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)
     # T(v) = (A_mp(v) + conj(A_pm(v)))/2 for v >= 0, conjugate below
-    tail_u = 0.5 * (a_mp + np.conj(a_pm))
-    tail = tail_u[inverse]
+    tail = 0.5 * (a_mp + np.conj(a_pm))[k]
     negative = v < 0.0
     tail[negative] = np.conj(tail[negative])
     return ChiField(v_grid=v, p0=p0, tail=tail)

@@ -6,9 +6,10 @@ import pytest
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, integrate_lambda,
                         invert_characteristic, invert_samples, lambda_weight,
-                        oscillatory_pair)
+                        green_pair, oscillatory_pair)
+from drivenbath.quadrature import _build_panels, _gl_nodes_weights
 
-from conftest import DEFAULT_SOURCE
+from conftest import DEFAULT_SOURCE, make_spec
 
 
 def adaptive_grid(source=DEFAULT_SOURCE):
@@ -96,14 +97,27 @@ class TestIntegrateLambda:
             integrate_lambda(bad, DEFAULT_SOURCE, adaptive_grid())
 
 
+def dense_phase_sum(f1, f2, v, source, grid, breakpoints=(),
+                    singular_exponent=None, rows=2048):
+    """The same sums as oscillatory_pair, one e^{i w v} per (v, node)."""
+    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    nodes, weights = _gl_nodes_weights(panels, float(np.max(np.abs(v))))
+    measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
+    c = np.stack([measure * f1(nodes), measure * f2(nodes)], axis=1)
+    out = np.concatenate([np.exp(1j * np.outer(v[i:i + rows], nodes)) @ c
+                          for i in range(0, v.size, rows)])
+    return out[:, 0], out[:, 1]
+
+
 class TestOscillatoryPair:
     def test_matches_direct_integral(self):
         f1 = lambda w: np.where(w > 0, w, 0.0)  # noqa: E731
         f2 = lambda w: np.exp(-np.abs(w))  # noqa: E731
-        v = np.array([0.0, 13.0, 500.0, 6400.0])
+        v = np.arange(0.0, 6401.0)
         a1, a2 = oscillatory_pair(f1, f2, v, DEFAULT_SOURCE, adaptive_grid(),
                                   breakpoints=(0.0,))
-        for k, vv in enumerate(v):
+        for vv in (0.0, 13.0, 500.0, 6400.0):
+            k = int(vv)
             direct1 = integrate_lambda(
                 lambda w: f1(w) * np.exp(1j * w * vv), DEFAULT_SOURCE,
                 adaptive_grid(), breakpoints=(0.0,), complex_valued=True)
@@ -114,6 +128,72 @@ class TestOscillatoryPair:
             # below the integrand mass); agreement is conditioning-limited
             assert a1[k] == pytest.approx(direct1, rel=1e-8, abs=1e-16)
             assert a2[k] == pytest.approx(direct2, rel=1e-8, abs=1e-16)
+
+    @pytest.mark.parametrize("n, h", [(1, 32.0), (2, 32.0), (201, 32.0),
+                                      (225, 32.0), (32769, 0.1953125)])
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    def test_matches_dense_phase_sum(self, alpha, coupling, n, h):
+        # 225 = 15^2 fills its blocks; 2, 201 and 32769 leave the last
+        # block short.  The 32769-sample plan grid is checked against the
+        # dense sum on every 11th sample and the last one (whose |v| sets
+        # the node set), which still meets every block and every in-block
+        # offset (11 is coprime to the 182-row table).
+        spec = make_spec(alpha=alpha, coupling=coupling, p=0.8)
+        pair = green_pair(spec)
+        v = h * np.arange(n)
+        kwargs = dict(breakpoints=pair.edges,
+                      singular_exponent=pair.singular_exponent)
+        a_mp, a_pm = oscillatory_pair(pair.g_mp, pair.g_pm, v, spec.source,
+                                      adaptive_grid(), **kwargs)
+        rows = np.unique(np.r_[np.arange(0, n, 11), n - 1])
+        d_mp, d_pm = dense_phase_sum(pair.g_mp, pair.g_pm, v[rows],
+                                     spec.source, adaptive_grid(), **kwargs)
+        tail = 0.5 * (a_mp[rows] + np.conj(a_pm[rows]))
+        dense_tail = 0.5 * (d_mp + np.conj(d_pm))
+        scale = np.max(np.abs(dense_tail))
+        assert np.max(np.abs(tail - dense_tail)) <= 1e-12 * scale
+        for got, want in ((a_mp[rows], d_mp), (a_pm[rows], d_pm)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("start", [-3200.0, -3217.5, 1000.25])
+    def test_offset_grid_matches_dense_phase_sum(self, start):
+        spec = make_spec(alpha=0.5, coupling="spin", p=0.8)
+        pair = green_pair(spec)
+        v = start + 32.0 * np.arange(201)
+        kwargs = dict(breakpoints=pair.edges,
+                      singular_exponent=pair.singular_exponent)
+        a_mp, a_pm = oscillatory_pair(pair.g_mp, pair.g_pm, v, spec.source,
+                                      adaptive_grid(), **kwargs)
+        # v = 0 is added to the reference only for the scale: far from it
+        # the samples are cancelled many orders below the integrand mass
+        d_mp, d_pm = dense_phase_sum(pair.g_mp, pair.g_pm, np.r_[0.0, v],
+                                     spec.source, adaptive_grid(), **kwargs)
+        for got, want in ((a_mp, d_mp), (a_pm, d_pm)):
+            assert np.max(np.abs(got - want[1:])) <= \
+                1e-12 * np.max(np.abs(want))
+
+    def test_integrands_evaluated_once_on_the_nodes(self):
+        calls = []
+
+        def f1(w):
+            calls.append(np.size(w))
+            return np.exp(-np.abs(w))
+
+        oscillatory_pair(f1, f1, np.linspace(0.0, 6400.0, 201),
+                         DEFAULT_SOURCE, adaptive_grid())
+        assert len(calls) == 2 and calls[0] == calls[1] > 201
+
+    @pytest.mark.parametrize("v", [[0.0, 13.0, 500.0, 6400.0],
+                                   [-120.0, -3.0, 0.0, 17.0, 640.0],
+                                   [0.0, 1.0, 2.0 + 1e-9, 3.0],
+                                   [0.0, np.nan, 2.0]])
+    def test_uneven_grid_rejected(self, v):
+        f = lambda w: np.exp(-np.abs(w))  # noqa: E731
+        with pytest.raises(ValueError, match="evenly spaced"):
+            oscillatory_pair(f, f, np.asarray(v), DEFAULT_SOURCE,
+                             adaptive_grid())
 
 
 class TestInversionPlan:

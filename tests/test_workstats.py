@@ -11,6 +11,8 @@ from drivenbath import (ConstraintError, DrivenSource, PerturbativeBreakdownErro
                         default_w_grid, green_pair, invert_characteristic,
                         lambda_weight, mean_work_finite_difference,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
+from drivenbath import verify
+from drivenbath.workstats import i_beta_deficit
 
 from conftest import dense_drive_integral, make_spec
 
@@ -42,12 +44,52 @@ class TestChi2:
 
     def test_field_matches_scalar_calls(self):
         spec = make_spec(beta=0.5, alpha=2.0, coupling="spin", p=0.8)
-        v = np.array([-120.0, -3.0, 0.0, 17.0, 640.0])
+        v = np.arange(-120.0, 641.0)
         field = chi2_field(spec, v)
         values = field.chi2_values()
-        assert values[2] == 1.0 + 0.0j
+        assert values[120] == 1.0 + 0.0j
+        for vv in (-120.0, -3.0, 0.0, 17.0, 640.0):
+            assert values[int(vv) + 120] == pytest.approx(
+                chi2(vv, spec), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("t_int", [37.3, 12.345])
+    def test_plan_grid_samples_each_lattice_point_once(self, monkeypatch,
+                                                       t_int):
+        # dv = 2 v_max / n is not a binary fraction here, so mirrored
+        # |v| differ in the last bit; each must still map to one sample
+        import drivenbath.quadrature as quadrature
+        original = quadrature.oscillatory_pair
+        sizes = []
+
+        def counted(f1, f2, v, *args, **kwargs):
+            sizes.append(np.size(v))
+            return original(f1, f2, v, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "oscillatory_pair", counted)
+        spec = make_spec(t_int=t_int)
+        plan = default_plan(spec.source)
+        n = plan.n_fft
+        tail = chi2_field(spec, plan.v_grid()).tail
+        assert sizes == [n // 2 + 1]
+        mirrored = np.conj(tail[n // 2 - 1:0:-1])
+        assert np.array_equal(tail[n // 2 + 1:].view(float),
+                              mirrored.view(float))
+
+    @pytest.mark.parametrize("v", [[0.0, 13.0, 500.0, 6400.0],
+                                   [-120.0, -3.0, 0.0, 17.0, 640.0],
+                                   np.arange(0.5, 10.0), [2.0, 2.0]])
+    def test_field_rejects_grids_off_an_even_lattice(self, v):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            chi2_field(make_spec(), np.asarray(v))
+
+    @pytest.mark.parametrize("v", [[], [0.0], [37.0], [0.0, 37.0],
+                                   [-64.0, -32.0, 0.0]])
+    def test_field_on_short_grids(self, v):
+        spec = make_spec(coupling="fermion", p=0.4)
+        values = chi2_field(spec, np.asarray(v)).chi2_values()
+        assert values.shape == (len(v),)
         for k, vv in enumerate(v):
-            assert values[k] == pytest.approx(chi2(float(vv), spec),
+            assert values[k] == pytest.approx(chi2(vv, spec),
                                               rel=1e-12, abs=1e-15)
 
 
@@ -103,6 +145,13 @@ class TestChi2AtImaginaryBeta:
         value = chi2_at_i_beta(spec)
         assert value == pytest.approx(oracle, rel=1e-8)
         assert abs(value - 1.0) > 1e-11  # detailed balance genuinely broken
+
+    def test_jarzynski_check_reports_the_deficit(self):
+        # the margin is the deficit itself, not 1 - deficit rounded to 1
+        result = verify.check_jarzynski_pure_bath()
+        assert 0.0 < result.worst <= 1e-8
+        spec = make_spec(coupling="spin", omega_gap=0.05, p=1.0)
+        assert chi2_at_i_beta(spec) == 1.0 - i_beta_deficit(spec)
 
     def test_breakdown_raises(self):
         # huge drive amplitude pushes chi2(i beta) negative
