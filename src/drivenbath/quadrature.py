@@ -175,9 +175,14 @@ def _adaptive_panel(g, panel: _Panel, complex_valued: bool):
             [mid[:, None] + half[:, None] * _X_LOW[None, :],
              mid[:, None] + half[:, None] * _X_HIGH[None, :]], axis=1)
         flat = t_nodes.ravel()
-        flat_vals = np.asarray(g(panel.omega(flat)) * panel.jacobian(flat),
-                               dtype=float)
-        _check_finite(flat_vals, panel.omega(flat))
+        omegas = panel.omega(flat)
+        flat_vals = g(omegas)
+        if panel.power != 1.0:
+            flat_vals = flat_vals * panel.jacobian(flat)
+        # contiguous: np.real/np.imag give strided views, and the GEMVs
+        # below round differently on strided input
+        flat_vals = np.ascontiguousarray(flat_vals, dtype=float)
+        _check_finite(flat_vals, omegas)
         vals = flat_vals.reshape(t_nodes.shape)
         i_low = (vals[:, :15] @ _W_LOW) * half
         i_high = (vals[:, 15:] @ _W_HIGH) * half

@@ -47,13 +47,14 @@ def ohmic_density(omega: ArrayLike, spec: OhmicSpectrum) -> ArrayLike:
     Zero for w <= 0.  Used for both the bosonic and the fermionic
     quasiparticle channel; its peak sits at sqrt(a/2)/l_c.
     """
+    return _on_support(omega, lambda w: _ohmic_positive(w, spec))
+
+
+def _ohmic_positive(w: np.ndarray, spec: OhmicSpectrum) -> np.ndarray:
+    """:func:`ohmic_density` on an array already restricted to w > 0."""
+    x = spec.l_c * w
     norm = 2.0 * spec.l_c / math.gamma((1.0 + spec.alpha) / 2.0)
-
-    def positive(w):
-        x = spec.l_c * w
-        return norm * x ** spec.alpha * np.exp(-x * x)
-
-    return _on_support(omega, positive)
+    return norm * x ** spec.alpha * np.exp(-x * x)
 
 
 def bose_occupation(x: ArrayLike) -> ArrayLike:
@@ -91,7 +92,7 @@ def bosonic_wightman(omega: ArrayLike, beta: float,
     that endpoint by substitution, the density itself is not clipped).
     """
     def positive(w):
-        return ohmic_density(w, spec) / (-np.expm1(-beta * w))
+        return _ohmic_positive(w, spec) / (-np.expm1(-beta * w))
 
     return _on_support(omega, positive)
 
@@ -100,7 +101,7 @@ def bosonic_wightman_damped(omega: ArrayLike, beta: float,
                             spec: OhmicSpectrum) -> ArrayLike:
     """Absorption-weighted density e^{-bw} S_b(w) = n_BE(w) S(w), w > 0."""
     def positive(w):
-        return ohmic_density(w, spec) / np.expm1(beta * w)
+        return _ohmic_positive(w, spec) / np.expm1(beta * w)
 
     return _on_support(omega, positive)
 
@@ -138,17 +139,17 @@ def wightman_pair(spec: SystemSpec) -> WightmanPair:
     if kind is Coupling.FERMION:
         def s_particle(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum)
+                w, lambda x: _ohmic_positive(x, spectrum)
                 * _logistic(-beta * x))
 
         def s_hole(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum)
+                w, lambda x: _ohmic_positive(x, spectrum)
                 * _logistic(beta * x))
         return WightmanPair(s1=s_particle, s2=s_hole)
 
     def s_majorana(w):
-        return _on_support(w, lambda x: 0.5 * ohmic_density(x, spectrum))
+        return _on_support(w, lambda x: 0.5 * _ohmic_positive(x, spectrum))
     return WightmanPair(s1=s_majorana, s2=s_majorana)
 
 
@@ -173,17 +174,17 @@ def damped_wightman_pair(spec: SystemSpec) -> WightmanPair:
         # e^{-bx} n_FD(x) = e^{-2bx}/(1+e^{-bx});  e^{-bx} e^{bx} n_FD = n_FD
         def s1_damped(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum)
+                w, lambda x: _ohmic_positive(x, spectrum)
                 * np.exp(-2.0 * beta * x) / (1.0 + np.exp(-beta * x)))
 
         def s2_damped(w):
             return _on_support(
-                w, lambda x: ohmic_density(x, spectrum)
+                w, lambda x: _ohmic_positive(x, spectrum)
                 * _logistic(-beta * x))
         return WightmanPair(s1=s1_damped, s2=s2_damped)
 
     def s_damped(w):
         return _on_support(
-            w, lambda x: 0.5 * ohmic_density(x, spectrum)
+            w, lambda x: 0.5 * _ohmic_positive(x, spectrum)
             * np.exp(-beta * x))
     return WightmanPair(s1=s_damped, s2=s_damped)

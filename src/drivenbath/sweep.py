@@ -1,10 +1,14 @@
 """Two-dimensional parameter sweeps, zero contours and marker lines.
 
-Grid cells are independent pure evaluations assembled by index, so
-reruns are bit-identical.  Contours are marching-squares polylines in the
-axis scale space (log axes interpolate geometrically); saddle cells are
-disambiguated by evaluating the true function at the cell center, not
-the bilinear interpolant.
+Every cell value is a pure function of the plan, evaluated in a fixed
+order, so reruns are bit-identical.  A p axis is not integrated cell by
+cell: the mean work and the chi2(i beta) deficit are affine in p, so each
+column (one value of the other axis) is integrated at p = 0 and p = 1 and
+its cells are blended from those two values.  Sweeps without a p axis
+integrate every cell and match the library calls bit for bit.  Contours
+are marching-squares polylines in the axis scale space (log axes
+interpolate geometrically); saddle cells are disambiguated by evaluating
+the true function at the cell center, not the bilinear interpolant.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FrequencyGrid, SystemSpec, with_param
+from .model import FrequencyGrid, SystemSpec, require_valid, with_param
 from .quadrature import QuadratureError
-from .thermo import engine_report, entropy_production
-from .workstats import (PerturbativeBreakdownError, chi2_at_i_beta, w_ext2)
+from .thermo import _engine_report, _entropy_production, _temperatures
+from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
+                        i_beta_deficit, w_ext2)
 
 SWEEP_PARAMETERS = ("p", "beta", "omega_gap", "alpha")
 
@@ -112,15 +117,88 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _cell_value(spec: SystemSpec, quantity: Quantity,
-                grid: Optional[FrequencyGrid]) -> float:
+def _cell_value(spec: SystemSpec, quantity: Quantity, w_bar: float,
+                deficit: float) -> float:
+    """``quantity`` at ``spec`` from its mean work and i-beta deficit.
+
+    Every cell, blended or integrated, goes through here, so each keeps
+    the refusals its direct evaluation raises: an invalid spec, the
+    engine guards, the breakdown of chi2(i beta) and the degenerate heat
+    split.  A quantity ignores the integral it does not use (NaN).
+    """
+    if quantity is Quantity.FIGURE_OF_MERIT:
+        # the engine guards come first, as in engine_report
+        return _engine_report(spec, w_bar, deficit).figure_of_merit
+    require_valid(spec)
     if quantity is Quantity.W_EXT:
-        return w_ext2(spec, grid)
+        return -w_bar
     if quantity is Quantity.CHI_I_BETA:
-        return chi2_at_i_beta(spec, grid)
-    if quantity is Quantity.DELTA_S:
-        return entropy_production(spec, grid)
-    return engine_report(spec, grid).figure_of_merit
+        return chi2_from_deficit(deficit)
+    return _entropy_production(spec, w_bar, deficit)
+
+
+class _CellEvaluator:
+    """Quantity at one point of a plan, counting the integrals it takes.
+
+    Without a p axis every point integrates its own mean work and
+    deficit.  With one, W_bar and the deficit are affine in p (green_qubit
+    builds both channels as p (...) + (1 - p) (...)), so each column, one
+    value of the other axis, is integrated once at p = 0 and p = 1, and a
+    point at p gets (1 - p) I_0 + p I_1, exact at both endpoints.
+    Columns are cached by axis value, so saddle centres reuse them.
+    """
+
+    def __init__(self, plan: SweepPlan, quantity: Quantity,
+                 grid: Optional[FrequencyGrid]):
+        self.plan, self.quantity, self.grid = plan, quantity, grid
+        self.integrals = 0
+        self._columns: dict = {}
+
+    def __call__(self, x: float, y: float) -> float:
+        plan = self.plan
+        spec = with_param(with_param(plan.fixed, plan.x.name, x),
+                          plan.y.name, y)
+        if plan.x.name == "p":
+            ends = self._column(y, spec)
+        elif plan.y.name == "p":
+            ends = self._column(x, spec)
+        else:
+            if self.quantity is Quantity.FIGURE_OF_MERIT:
+                _temperatures(spec)  # refuse before integrating
+            return _cell_value(spec, self.quantity, *self._integrals(spec))
+        p = spec.qubit.p_ground
+        (w0, d0), (w1, d1) = ends
+        return _cell_value(spec, self.quantity, (1.0 - p) * w0 + p * w1,
+                           (1.0 - p) * d0 + p * d1)
+
+    def _integrals(self, spec: SystemSpec) -> tuple[float, float]:
+        """(W_bar, deficit) at ``spec``; NaN for the one not needed."""
+        w_bar = deficit = math.nan
+        if self.quantity is not Quantity.CHI_I_BETA:
+            self.integrals += 1
+            w_bar = -w_ext2(spec, self.grid)
+        if self.quantity is not Quantity.W_EXT:
+            self.integrals += 1
+            deficit = i_beta_deficit(spec, self.grid)
+        return w_bar, deficit
+
+    def _column(self, key: float, spec: SystemSpec) -> tuple:
+        """Integrals at p = 0 and p = 1 of the column through ``spec``.
+
+        An error they raise is kept and raised again for every point of
+        the column.
+        """
+        if key not in self._columns:
+            try:
+                self._columns[key] = tuple(
+                    self._integrals(with_param(spec, "p", p))
+                    for p in (0.0, 1.0))
+            except CELL_ERRORS as exc:
+                self._columns[key] = exc
+        ends = self._columns[key]
+        if isinstance(ends, Exception):
+            raise ends
+        return ends
 
 
 def run_sweep(plan: SweepPlan, quantity: Quantity,
@@ -131,16 +209,16 @@ def run_sweep(plan: SweepPlan, quantity: Quantity,
     MAX_FAILED_FRACTION of them aborts with the cell list.  A saddle cell
     whose center evaluation fails falls back to the corner mean and is
     listed too, with the message prefixed by "center: ".
+    ``metadata["integrals"]`` counts the drive-weighted integrals taken.
     """
     xs, ys = plan.x.values(), plan.y.values()
     values = np.full((plan.x.n, plan.y.n), np.nan)
     failures: list[tuple[int, int, str]] = []
+    value_at = _CellEvaluator(plan, quantity, grid)
 
     def evaluate(i: int, j: int, x: float, y: float, tag: str = "") -> float:
-        spec = with_param(with_param(plan.fixed, plan.x.name, x),
-                          plan.y.name, y)
         try:
-            return _cell_value(spec, quantity, grid)
+            return value_at(x, y)
         except CELL_ERRORS as exc:
             failures.append((i, j, tag + str(exc)))
             return math.nan
@@ -165,7 +243,7 @@ def run_sweep(plan: SweepPlan, quantity: Quantity,
     result.failures = tuple(failures)
     result.metadata = {
         "x": plan.x.name, "y": plan.y.name, "quantity": quantity.value,
-        "failed_cells": len(failures),
+        "failed_cells": len(failures), "integrals": value_at.integrals,
     }
     return result
 

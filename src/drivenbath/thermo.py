@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .model import FrequencyGrid, SystemSpec, beta_q
-from .workstats import chi2_at_i_beta, w_ext2
+from .workstats import chi2_from_deficit, i_beta_deficit, w_ext2
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -55,21 +55,24 @@ def default_mode_tol(spec: SystemSpec) -> float:
 
 
 def entropy_production(spec: SystemSpec,
-                       grid: Optional[FrequencyGrid] = None,
-                       *,
-                       w_bar: Optional[float] = None,
-                       chi_ib: Optional[float] = None) -> float:
+                       grid: Optional[FrequencyGrid] = None) -> float:
     """Mean entropy production beta * W_mean + ln chi2(i beta).
 
     Nonnegative up to O(lambda^4) roundoff: the linearized integrand is
-    pointwise nonnegative.  Precomputed ``w_bar``/``chi_ib`` values may
-    be passed to avoid duplicate integrals.
+    pointwise nonnegative.
     """
-    if w_bar is None:
-        w_bar = -w_ext2(spec, grid)
-    if chi_ib is None:
-        chi_ib = chi2_at_i_beta(spec, grid)
-    return spec.beta * w_bar + math.log(chi_ib)
+    return _entropy_production(spec, -w_ext2(spec, grid),
+                               i_beta_deficit(spec, grid))
+
+
+def _entropy_production(spec: SystemSpec, w_bar: float,
+                        deficit: float) -> float:
+    """:func:`entropy_production` from the mean work and the i-beta deficit.
+
+    Raises :class:`PerturbativeBreakdownError` when chi2(i beta) =
+    1 - deficit is not positive.
+    """
+    return spec.beta * w_bar + math.log(chi2_from_deficit(deficit))
 
 
 def heat_flows(w_bar: float, delta_s: float, t_b: float, t_q: float,
@@ -107,21 +110,35 @@ def engine_report(spec: SystemSpec,
     the work into both baths and is reported as DISSIPATOR with a NaN
     figure of merit.
     """
+    _temperatures(spec)  # refuse before integrating
+    return _engine_report(spec, -w_ext2(spec, grid),
+                          i_beta_deficit(spec, grid), mode_tol)
+
+
+def _temperatures(spec: SystemSpec) -> tuple[float, float]:
+    """(T_B, T_Q) of an engine operating point, or ValueError if it is none."""
     if spec.qubit is None:
         raise ValueError("engine analysis requires a qubit")
     if not spec.qubit.p_ground > 0.5:
         raise ValueError(
             "population-inverted or infinite-temperature qubit excluded "
             "from engine analysis (requires p > 1/2)")
+    bq = beta_q(spec.qubit)
+    return 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
+
+
+def _engine_report(spec: SystemSpec, w_bar: float, deficit: float,
+                   mode_tol: Optional[float] = None) -> EngineReport:
+    """First-law and mode bookkeeping of :func:`engine_report`.
+
+    Takes the mean work and the i-beta deficit instead of integrating
+    them, so a caller that already holds both (a p-collapsed sweep) gets
+    the same report and the same refusals, which are checked here.
+    """
+    t_b, t_q = _temperatures(spec)
     if mode_tol is None:
         mode_tol = default_mode_tol(spec)
-
-    bq = beta_q(spec.qubit)
-    t_b = 1.0 / spec.beta
-    t_q = 0.0 if math.isinf(bq) else 1.0 / bq
-    w_bar = -w_ext2(spec, grid)
-    chi_ib = chi2_at_i_beta(spec, grid)
-    delta_s = entropy_production(spec, grid, w_bar=w_bar, chi_ib=chi_ib)
+    delta_s = _entropy_production(spec, w_bar, deficit)
     q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
     t_h, t_l = max(t_b, t_q), min(t_b, t_q)
     r = t_l / t_h

@@ -71,17 +71,23 @@ def _grid_for(spec: SystemSpec,
     return grid if grid is not None else FrequencyGrid.for_source(spec.source)
 
 
-def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
-    """Window for the detailed-balance probe at v = i beta.
+def _widened_grid(spec: SystemSpec, im_v: float) -> FrequencyGrid:
+    """Drive window for e^{i w v} with Im v = ``im_v``.
 
-    That integrand grows like e^{beta |w|} before the drive envelope cuts
-    it, so its Gaussian peak is shifted by beta/(4 t_int^2); the window is
-    widened by that amount to keep the truncated tail below tail_eps of
-    the peak (drive-only sizing misses a ~1e-11 tail at beta ~ 1e3).
+    That factor grows like e^{|Im v| |w|} before the drive envelope cuts
+    it, so the Gaussian peak of the integrand is shifted by
+    |Im v|/(4 t_int^2); the window is widened by that amount to keep the
+    truncated tail below tail_eps of the peak (drive-only sizing misses a
+    ~1e-11 tail at |Im v| ~ 1e3).  Real v keeps the drive-only window.
     """
     base = FrequencyGrid.for_source(spec.source)
-    shift = spec.beta / (4.0 * spec.source.t_int ** 2)
+    shift = abs(im_v) / (4.0 * spec.source.t_int ** 2)
     return replace(base, omega_max=base.omega_max + shift)
+
+
+def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
+    """Window for the detailed-balance probe at v = i beta."""
+    return _widened_grid(spec, spec.beta)
 
 
 def _integrate(f, spec: SystemSpec, pair: GreenPair,
@@ -110,10 +116,14 @@ def chi2(v: complex, spec: SystemSpec,
     """Second-order characteristic function at transform variable v.
 
     chi2(0) = 1 identically (the integrand vanishes), and for real v the
-    value at -v is the complex conjugate.
+    value at -v is the complex conjugate.  At complex v the default
+    window is widened for the growth of e^{i w v} (see
+    :func:`default_i_beta_grid`).
     """
     require_valid(spec)
     pair = green_pair(spec)
+    if grid is None:
+        grid = _widened_grid(spec, complex(v).imag)
 
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
     # difference is rounding noise that adaptive refinement would chase
@@ -155,7 +165,13 @@ def chi2_at_i_beta(spec: SystemSpec,
     :class:`PerturbativeBreakdownError` when it is not positive, because
     its log is then undefined.
     """
-    value = 1.0 - i_beta_deficit(spec, grid)
+    return chi2_from_deficit(i_beta_deficit(spec, grid))
+
+
+def chi2_from_deficit(deficit: float) -> float:
+    """chi2(i beta) = 1 - ``deficit``; the breakdown guard of
+    :func:`chi2_at_i_beta` for callers that hold the deficit."""
+    value = 1.0 - deficit
     if value <= 0.0:
         raise PerturbativeBreakdownError(
             f"perturbative breakdown: chi2(i beta) = {value:g} <= 0, "

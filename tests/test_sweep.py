@@ -5,17 +5,72 @@ import pytest
 
 import drivenbath.sweep as sweepmod
 from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
-                        SweepPlan, beta_q_marker, extract_zero_contour,
-                        run_sweep, w_ext2, with_param)
-from drivenbath.sweep import SweepResult
+                        SweepPlan, beta_q_marker, chi2_at_i_beta,
+                        engine_report, entropy_production,
+                        extract_zero_contour, run_sweep, w_ext2, with_param)
+from drivenbath.sweep import CELL_ERRORS, SweepResult
 
 from conftest import make_spec
+
+#: what a cell of each quantity evaluates when integrated on its own
+DIRECT = {
+    Quantity.W_EXT: w_ext2,
+    Quantity.CHI_I_BETA: chi2_at_i_beta,
+    Quantity.DELTA_S: entropy_production,
+    Quantity.FIGURE_OF_MERIT: lambda spec: engine_report(spec).figure_of_merit,
+}
 
 
 def w_ext_scan(parameter, values, fixed):
     """W_ext along one parameter with the others held at ``fixed``."""
     return np.array([w_ext2(with_param(fixed, parameter, float(v)))
                      for v in values])
+
+
+def cell_spec(plan, x, y):
+    return with_param(with_param(plan.fixed, plan.x.name, float(x)),
+                      plan.y.name, float(y))
+
+
+def direct_cells(plan, quantity):
+    """Per-cell direct values, and the message of each cell that raises."""
+    fn = DIRECT[quantity]
+    values = np.full((plan.x.n, plan.y.n), np.nan)
+    failures = {}
+    for i, x in enumerate(plan.x.values()):
+        for j, y in enumerate(plan.y.values()):
+            try:
+                values[i, j] = fn(cell_spec(plan, x, y))
+            except CELL_ERRORS as exc:
+                failures[(i, j)] = str(exc)
+    return values, failures
+
+
+def assert_matches_direct(result):
+    """Each cell within 1e-12 of its column's max |value| of the direct
+    per-cell evaluation; a column holds the non-p coordinate fixed."""
+    expected, _ = direct_cells(result.plan, result.quantity)
+    got = result.grid
+    if result.plan.x.name == "p":
+        expected, got = expected.T, got.T
+    for want, have in zip(expected, got):
+        assert np.array_equal(np.isnan(want), np.isnan(have))
+        scale = np.nanmax(np.abs(want))
+        assert np.nanmax(np.abs(have - want)) <= 1e-12 * scale
+
+
+def spin_gap_plan(p_range=(0.0, 1.0)):
+    fixed = make_spec(beta=2.0, alpha=5.0, coupling="spin", p=0.9)
+    return SweepPlan(x=Axis("p", *p_range, n=16),
+                     y=Axis("omega_gap", 0.01, 5.0, n=16, scale="log"),
+                     fixed=fixed)
+
+
+def alpha_p_plan(p_range=(0.05, 0.95)):
+    fixed = make_spec(beta=1.0, coupling="topological", omega_gap=0.5,
+                      p=0.9)
+    return SweepPlan(x=Axis("alpha", 0.5, 6.0, n=16),
+                     y=Axis("p", *p_range, n=16), fixed=fixed)
 
 
 def spin_plan(nx=16, ny=16, p_range=(0.0, 1.0), beta_range=(0.1, 100.0)):
@@ -61,21 +116,69 @@ class TestRunSweep:
         assert np.array_equal(first.grid, second.grid)
 
     def test_affine_in_population(self):
-        result = run_sweep(spin_plan(), Quantity.W_EXT)
-        for j in range(result.ys.size):
-            col = result.grid[:, j]
-            blend = result.xs * col[-1] + (1.0 - result.xs) * col[0]
-            assert np.max(np.abs(col - blend)) <= \
-                1e-12 * np.max(np.abs(col))
+        # p-axis cells are blended from p = 0 and p = 1 column integrals;
+        # each must still match its own direct integral
+        assert_matches_direct(run_sweep(spin_plan(), Quantity.W_EXT))
 
     def test_chi_i_beta_affine_in_population(self):
         plan = spin_plan(ny=16, beta_range=(0.5, 5.0))
-        result = run_sweep(plan, Quantity.CHI_I_BETA)
-        for j in range(result.ys.size):
-            col = result.grid[:, j]
-            blend = result.xs * col[-1] + (1.0 - result.xs) * col[0]
-            assert np.max(np.abs(col - blend)) <= \
-                1e-12 * np.max(np.abs(col))
+        assert_matches_direct(run_sweep(plan, Quantity.CHI_I_BETA))
+
+    @pytest.mark.parametrize("quantity", [Quantity.DELTA_S,
+                                          Quantity.FIGURE_OF_MERIT])
+    @pytest.mark.parametrize("make_plan", [spin_plan, spin_gap_plan,
+                                           alpha_p_plan])
+    def test_blended_cells_match_direct_evaluation(self, quantity,
+                                                   make_plan):
+        # figure-of-merit cells need p > 1/2
+        p_range = (0.55, 1.0) if quantity is Quantity.FIGURE_OF_MERIT \
+            else (0.0, 1.0)
+        result = run_sweep(make_plan(p_range=p_range), quantity)
+        assert result.failures == ()
+        assert_matches_direct(result)
+
+    def test_cells_without_a_population_axis_are_engine_reports(self):
+        # integrated per cell: bit for bit engine_report, NaN for NaN
+        fixed = make_spec(alpha=5.0, coupling="fermion", omega_gap=0.05,
+                          p=0.9)
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                         y=Axis("beta", 0.1, 100.0, n=16, scale="log"),
+                         fixed=fixed)
+        result = run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        expected, failures = direct_cells(plan, Quantity.FIGURE_OF_MERIT)
+        assert failures == {}
+        assert np.array_equal(result.grid, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("plan, quantity", [
+        (spin_plan(p_range=(-0.2, 1.0)), Quantity.W_EXT),
+        (spin_plan(p_range=(0.3, 0.9)), Quantity.FIGURE_OF_MERIT),
+        (spin_gap_plan(p_range=(-0.1, 1.1)), Quantity.DELTA_S),
+        (SweepPlan(x=Axis("p", 0.0, 1.0, n=16),
+                   y=Axis("beta", 1.0, 100.0, n=16, scale="log"),
+                   fixed=make_spec(alpha=2.0, lambda0=50.0, coupling="spin",
+                                   omega_gap=0.02)),
+         Quantity.CHI_I_BETA),
+    ])
+    def test_blended_cells_keep_their_refusals(self, monkeypatch, plan,
+                                               quantity):
+        # out-of-range p, the engine guard and the chi2(i beta) breakdown
+        # fail the same cells with the same messages as direct calls
+        monkeypatch.setattr(sweepmod, "MAX_FAILED_FRACTION", 1.0)
+        result = run_sweep(plan, quantity)
+        _, expected = direct_cells(plan, quantity)
+        assert expected
+        assert {(i, j): m for i, j, m in result.failures} == expected
+
+    def test_counts_integrals(self):
+        # two endpoint integrals per column, against nx * ny per cell
+        result = run_sweep(spin_plan(nx=64, ny=64), Quantity.W_EXT)
+        assert result.metadata["integrals"] == 128
+        chi = run_sweep(spin_plan(), Quantity.CHI_I_BETA)
+        assert chi.metadata["integrals"] == 32
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                         y=Axis("beta", 0.1, 10.0, n=16, scale="log"),
+                         fixed=spin_plan().fixed)
+        assert run_sweep(plan, Quantity.DELTA_S).metadata["integrals"] == 512
 
     def test_high_temperature_antisymmetry(self):
         # W_ext(p) = -W_ext(1-p) as beta -> 0 for the spin coupling
@@ -113,10 +216,10 @@ class TestRunSweep:
     def test_quadrature_failure_is_recorded_per_cell(self, monkeypatch):
         original = sweepmod._cell_value
 
-        def flaky(spec, quantity, grid):
+        def flaky(spec, quantity, w_bar, deficit):
             if spec.qubit.p_ground == 0.0 and spec.beta == 0.1:
                 raise QuadratureError("non-finite integrand")
-            return original(spec, quantity, grid)
+            return original(spec, quantity, w_bar, deficit)
 
         monkeypatch.setattr(sweepmod, "_cell_value", flaky)
         result = run_sweep(spin_plan(), Quantity.W_EXT)
@@ -129,7 +232,7 @@ class TestRunSweep:
         plan = spin_plan()
         xs = plan.x.values()
 
-        def saddle(spec, quantity, grid):
+        def saddle(spec, quantity, w_bar, deficit):
             p = spec.qubit.p_ground
             if p not in xs:
                 raise QuadratureError("stalled")
@@ -144,6 +247,27 @@ class TestRunSweep:
         assert len(result.zero_contour) == len(mean_rule)
         for line, expected in zip(result.zero_contour, mean_rule):
             assert np.array_equal(line, expected)
+
+    def test_failed_endpoint_integral_fails_its_column(self, monkeypatch):
+        plan = spin_plan()
+        beta = plan.y.values()[3]
+        original = sweepmod.w_ext2
+
+        def flaky(spec, grid=None):
+            if spec.beta == beta:
+                raise QuadratureError("non-finite integrand")
+            return original(spec, grid)
+
+        monkeypatch.setattr(sweepmod, "w_ext2", flaky)
+        column = tuple((i, 3, "non-finite integrand") for i in range(16))
+        with pytest.raises(SweepError) as info:
+            run_sweep(plan, Quantity.W_EXT)
+        assert info.value.failures == column
+        monkeypatch.setattr(sweepmod, "MAX_FAILED_FRACTION", 0.1)
+        result = run_sweep(plan, Quantity.W_EXT)
+        assert result.failures == column
+        assert np.all(np.isnan(result.grid[:, 3]))
+        assert np.isfinite(result.grid).sum() == 15 * 16
 
     def test_metadata_and_failures_empty_on_clean_run(self):
         result = run_sweep(spin_plan(), Quantity.W_EXT)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivenbath import (ConstraintError, DrivenSource, PerturbativeBreakdownError,
+from drivenbath import (ConstraintError, DrivenSource, FrequencyGrid,
+                        PerturbativeBreakdownError,
                         atom_weight2, bosonic_wightman, channel_sum_integral,
                         chi2, chi2_at_i_beta, chi2_field, chi_nonperturbative,
                         correction_field, crooks_ratio, default_plan,
@@ -152,6 +153,28 @@ class TestChi2AtImaginaryBeta:
         assert 0.0 < result.worst <= 1e-8
         spec = make_spec(coupling="spin", omega_gap=0.05, p=1.0)
         assert chi2_at_i_beta(spec) == 1.0 - i_beta_deficit(spec)
+
+    @pytest.mark.parametrize("beta, alpha, coupling, gap, p", [
+        (100.0, 0.5, "spin", 0.05, 0.8),
+        (10.0, 1.0, "fermion", 1.0, 0.3),
+        (1000.0, 2.0, "topological", 5.0, 0.9),
+    ])
+    def test_chi2_at_imaginary_v_matches_the_probe(self, beta, alpha,
+                                                   coupling, gap, p):
+        # chi2's default window widens with |Im v| as the probe's does;
+        # on the drive-only window the topological case misses 2e-4
+        spec = make_spec(beta=beta, alpha=alpha, coupling=coupling,
+                         omega_gap=gap, p=p)
+        deficit = i_beta_deficit(spec)
+        assert abs(chi2(1j * beta, spec) - chi2_at_i_beta(spec)) <= \
+            1e-6 * abs(deficit)
+
+    def test_real_v_keeps_the_drive_window(self):
+        spec = make_spec(beta=10.0, alpha=1.0, coupling="fermion",
+                         omega_gap=1.0, p=0.3)
+        drive = FrequencyGrid.for_source(spec.source)
+        for v in (-37.7, 1.0, 250.0):
+            assert chi2(v, spec) == chi2(v, spec, drive)
 
     def test_breakdown_raises(self):
         # huge drive amplitude pushes chi2(i beta) negative
