@@ -2,22 +2,29 @@
 
 The two channels (i G~^{+-}, i G~^{-+}) are returned as evaluable closures
 rather than sampled arrays: the qubit couplings shift their argument by
-the level spacing, and closures avoid any per-gap regridding.  Both
-channels are real, nonnegative, and built from the stable occupation
-forms in :mod:`drivenbath.spectral`; growing exponentials only ever
-appear multiplied into densities evaluated at positive argument.
+the level spacing, and closures avoid any per-gap regridding.
+
+Every channel is a sum of terms weight * S(w - shift) * occ(beta (w - shift))
+over one Ohmic density S.  The couplings differ only in the quantum
+statistics of the occupations, kept in one table.  Each term is exactly
+zero for w - shift <= 0 (stability support of the bath), and no growing
+exponential is ever evaluated: the overflow-prone textbook forms
+e^{bx} n_BE(x) and e^{bx} n_FD(x) are written as 1/(1-e^{-bx}) and
+1/(1+e^{-bx}).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import spectral
-from .model import SystemSpec
-from .spectral import ArrayLike, DensityFn
+from .model import Coupling, SystemSpec
+
+ArrayLike = Union[float, np.ndarray]
+DensityFn = Callable[[ArrayLike], ArrayLike]
 
 
 @dataclass(frozen=True)
@@ -36,66 +43,100 @@ class GreenPair:
     singular_exponent: Optional[float] = None
 
 
-def _edge_exponent(spec: SystemSpec) -> Optional[float]:
-    a = spec.spectrum.alpha
-    return a - 1.0 if a < 1.0 else None
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1/(1 + e^{-x}); where e^{-x} overflows the result is exactly 0."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def green_pure_bath(spec: SystemSpec) -> GreenPair:
-    """Thermal-bath pair: g_mp = S_b, g_pm = e^{-bw} S_b = n_BE S.
-
-    The two channels satisfy detailed balance g_mp = e^{bw} g_pm on the
-    support w > 0 and vanish identically for w <= 0.
-    """
-    if spec.qubit is not None:
-        raise ValueError("green_pure_bath requires a spec without qubit")
-    beta, spectrum = spec.beta, spec.spectrum
-
-    def g_mp(w: ArrayLike) -> ArrayLike:
-        return spectral.bosonic_wightman(w, beta, spectrum)
-
-    def g_pm(w: ArrayLike) -> ArrayLike:
-        return spectral.bosonic_wightman_damped(w, beta, spectrum)
-
-    return GreenPair(g_pm=g_pm, g_mp=g_mp, edges=(0.0,),
-                     singular_exponent=_edge_exponent(spec))
+def _emission(s, bx):
+    return s / (-np.expm1(-bx))
 
 
-def green_qubit(spec: SystemSpec) -> GreenPair:
-    """Qubit-coupled pair in the unified shifted-channel form.
+def _absorption(s, bx):
+    return s / np.expm1(bx)
 
-    With the channel densities s1/s2 and their damped counterparts
-    d1/d2 (= e^{-bx} s1/2(x), folded before any shift):
 
-        g_mp(w) = p s1(w - gap) + (1-p) s2(w + gap)
-        g_pm(w) = p d1(w + gap) + (1-p) d2(w - gap)
+def _particle(s, bx):
+    return s * _logistic(-bx)
+
+
+def _majorana(s, bx):
+    return 0.5 * s
+
+
+def _majorana_damped(s, bx):
+    return 0.5 * s * np.exp(-bx)
+
+
+#: occupation of each channel term, as (density S, beta x) -> weighted
+#: density at x = w - shift > 0, for the channel densities (s1, s2) of
+#: g_mp and their damped forms (d1, d2) = e^{-bx} (s1, s2) of g_pm.  Spin
+#: is Bose emission/absorption; fermion splits S into quasiparticle
+#: (n_FD) and quasihole (1 - n_FD) parts; topological is half of S at
+#: every temperature.  The bare bath is bosonic: it takes the spin s1/d1.
+_OCCUPATIONS = {
+    Coupling.SPIN: (_emission, _emission, _absorption, _absorption),
+    Coupling.FERMION: (
+        _particle,
+        lambda s, bx: s * _logistic(bx),
+        # e^{-bx} n_FD(x) = e^{-2bx}/(1+e^{-bx})
+        lambda s, bx: s * np.exp(-2.0 * bx) / (1.0 + np.exp(-bx)),
+        _particle),
+    Coupling.TOPOLOGICAL: (_majorana, _majorana, _majorana_damped,
+                           _majorana_damped),
+}
+
+
+def green_pair(spec: SystemSpec) -> GreenPair:
+    """The channel pair of the bath, alone or coupled to the spec's qubit.
+
+    Bare bath: g_mp = S_b(w) = S(w)/(1 - e^{-bw}) and g_pm = e^{-bw} S_b(w),
+    which satisfy detailed balance g_mp = e^{bw} g_pm on w > 0.  With a
+    qubit at gap D and ground population p, from the table's (s1, s2,
+    d1, d2):
+
+        g_mp(w) = p s1(w - D) + (1-p) s2(w + D)
+        g_pm(w) = p d1(w + D) + (1-p) d2(w - D)
 
     Both are affine in p with coefficients evaluated identically, so the
     p-mixture identity holds to the bit level.
     """
-    if spec.qubit is None:
-        raise ValueError("green_qubit requires a qubit in the spec")
-    pair = spectral.wightman_pair(spec)
-    damped = spectral.damped_wightman_pair(spec)
-    p = spec.qubit.p_ground
-    gap = spec.qubit.omega_gap
+    beta = spec.beta
+    alpha, l_c = spec.spectrum.alpha, spec.spectrum.l_c
+    norm = 2.0 * l_c / math.gamma((1.0 + alpha) / 2.0)
+    qubit = spec.qubit
+    if qubit is None:
+        s1, _, d1, _ = _OCCUPATIONS[Coupling.SPIN]
+        mp_terms, pm_terms = [(1.0, 0.0, s1)], [(1.0, 0.0, d1)]
+        edges = (0.0,)
+    else:
+        s1, s2, d1, d2 = _OCCUPATIONS[qubit.coupling]
+        p, gap = qubit.p_ground, qubit.omega_gap
+        mp_terms = [(p, gap, s1), (1.0 - p, -gap, s2)]
+        pm_terms = [(p, -gap, d1), (1.0 - p, gap, d2)]
+        edges = (0.0,) if gap == 0.0 else (-gap, gap)
 
-    def g_mp(w: ArrayLike) -> ArrayLike:
-        w = np.asarray(w, dtype=float)
-        return p * pair.s1(w - gap) + (1.0 - p) * pair.s2(w + gap)
+    def channel(terms) -> DensityFn:
+        def g(omega: ArrayLike) -> ArrayLike:
+            w = np.atleast_1d(np.asarray(omega, dtype=float))
+            total = None
+            # an occupation overflowing at huge beta x takes its intended
+            # limit (s/inf -> 0); the support mask keeps beta x positive
+            with np.errstate(over="ignore", under="ignore"):
+                for weight, shift, occupation in terms:
+                    x = w - shift
+                    on = x > 0.0
+                    x = x[on]
+                    # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
+                    lx = l_c * x
+                    term = np.zeros(w.shape)
+                    term[on] = occupation(norm * lx ** alpha
+                                          * np.exp(-lx * lx), beta * x)
+                    term = weight * term
+                    total = term if total is None else total + term
+            return float(total[0]) if np.ndim(omega) == 0 else total
+        return g
 
-    def g_pm(w: ArrayLike) -> ArrayLike:
-        w = np.asarray(w, dtype=float)
-        return p * damped.s1(w + gap) + (1.0 - p) * damped.s2(w - gap)
-
-    edges = (0.0,) if gap == 0.0 else (-gap, gap)
-    return GreenPair(g_pm=g_pm, g_mp=g_mp, edges=edges,
-                     singular_exponent=_edge_exponent(spec))
-
-
-def green_pair(spec: SystemSpec) -> GreenPair:
-    """Dispatch on whether the spec carries a qubit."""
-    if spec.qubit is None:
-        return green_pure_bath(spec)
-    return green_qubit(spec)
-
+    return GreenPair(g_pm=channel(pm_terms), g_mp=channel(mp_terms),
+                     edges=edges,
+                     singular_exponent=alpha - 1.0 if alpha < 1.0 else None)

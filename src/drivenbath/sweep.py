@@ -141,10 +141,11 @@ class _CellEvaluator:
     """Quantity at one point of a plan, counting the integrals it takes.
 
     Without a p axis every point integrates its own mean work and
-    deficit.  With one, W_bar and the deficit are affine in p (green_qubit
-    builds both channels as p (...) + (1 - p) (...)), so each column, one
-    value of the other axis, is integrated once at p = 0 and p = 1, and a
-    point at p gets (1 - p) I_0 + p I_1, exact at both endpoints.
+    deficit.  With one, W_bar and the deficit are affine in p (green_pair
+    builds both qubit channels as p (...) + (1 - p) (...)), so each
+    column, one value of the other axis, is integrated once at p = 0 and
+    p = 1, and a point at p gets (1 - p) I_0 + p I_1, exact at both
+    endpoints.
     Columns are cached by axis value, so saddle centres reuse them.
     """
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sweep as sweepmod
 from . import workstats as ws
-from .green import green_pure_bath, green_qubit
+from .green import green_pair
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec)
 from .quadrature import default_plan
@@ -101,8 +101,8 @@ def check_gapless_reduction() -> CheckResult:
     bare = _spec(beta, alpha)
     gapless = _spec(beta, alpha,
                     QubitSpec(Coupling.SPIN, omega_gap=0.0, p_ground=0.3))
-    pair_bare = green_pure_bath(bare)
-    pair_gapless = green_qubit(gapless)
+    pair_bare = green_pair(bare)
+    pair_gapless = green_pair(gapless)
     w = np.linspace(-0.06, 0.06, 241)
     worst = 0.0
     for channel in ("g_mp", "g_pm"):

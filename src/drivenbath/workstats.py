@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -328,17 +328,6 @@ def require_pure_bath(spec: SystemSpec) -> None:
             "pure thermal bath")
 
 
-def chi_nonperturbative(v: complex, spec: SystemSpec,
-                        grid: Optional[FrequencyGrid] = None) -> complex:
-    """All-order characteristic function e^{chi2(v) - 1}, pure bath only.
-
-    No closed resummation exists once a qubit is attached (the coupling
-    is quadratic in the channel basis), so that case is refused.
-    """
-    require_pure_bath(spec)
-    return complex(np.exp(chi2(v, spec, grid) - 1.0))
-
-
 # -- sampled fields and inversion -------------------------------------------
 
 @dataclass(frozen=True)
@@ -413,24 +402,6 @@ def _distribution_from_residual(residual: np.ndarray, atom: float,
         raise InversionError(
             f"inversion window too small: normalization off by {defect:.3e}")
     return dist
-
-
-def invert_characteristic(chi: Callable[[np.ndarray], np.ndarray],
-                          plan: InversionPlan) -> WorkDistribution:
-    """Recover the distribution behind a characteristic function.
-
-    ``chi`` must accept the full v grid of the plan as an array and
-    satisfy chi(0) = 1 to 1e-10; ``plan.atom_weight`` is subtracted
-    before the transform and re-added as the explicit atom.
-    """
-    v = plan.v_grid()
-    values = np.asarray(chi(v), dtype=complex)
-    v0 = plan.n_fft // 2
-    if abs(values[v0] - 1.0) > 1e-10:
-        raise ValueError(
-            f"chi(0) = {values[v0]:g} differs from 1 beyond 1e-10")
-    return _distribution_from_residual(values - plan.atom_weight,
-                                       plan.atom_weight, plan)
 
 
 def wdf_nonperturbative(spec: SystemSpec,

@@ -226,15 +226,16 @@ class TestVerifyCommand:
         assert "maxima" in capsys.readouterr().out
 
     def test_broken_detailed_balance_is_caught(self, monkeypatch, capsys):
-        # mutate the emission density by a smooth factor: the pure-bath
+        # mutate the emission occupation by a smooth factor: the pure-bath
         # detailed-balance cancellation must break and the check must fail
-        import drivenbath.spectral as spectral
-        original = spectral.bosonic_wightman
+        from drivenbath import Coupling, green
+        emission, *rest = green._OCCUPATIONS[Coupling.SPIN]
 
-        def warped(omega, beta, spec):
-            return original(omega, beta, spec) * 1.05
+        def warped(s, bx):
+            return emission(s, bx) * 1.05
 
-        monkeypatch.setattr(spectral, "bosonic_wightman", warped)
+        monkeypatch.setitem(green._OCCUPATIONS, Coupling.SPIN,
+                            (warped, *rest))
         code = run(["verify", "--checks", "jarzynski-pure-bath"])
         assert code == 1
         assert "FAIL jarzynski-pure-bath" in capsys.readouterr().out

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
-                        QuadratureError, Rule, integrate_lambda,
-                        invert_characteristic, invert_samples, lambda_weight,
-                        green_pair, oscillatory_pair)
+                        QuadratureError, Rule, green_pair, integrate_lambda,
+                        invert_samples, lambda_weight, oscillatory_pair)
 from drivenbath.quadrature import _build_panels, _gl_nodes_weights
 
 from conftest import DEFAULT_SOURCE, make_spec
@@ -212,27 +211,27 @@ class TestInversionPlan:
 
 class TestInversion:
     def test_constant_chi_is_pure_atom(self):
-        plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=1.0)
-        dist = invert_characteristic(lambda v: np.ones(v.size, complex), plan)
-        assert dist.atom_weight == 1.0
-        assert np.max(np.abs(dist.density)) < 1e-15
-        assert dist.normalization == pytest.approx(1.0, abs=1e-12)
+        # an atom left in the samples inverts to unit mass in the W = 0 bin
+        plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
+        w, density = invert_samples(np.ones(plan.n_fft, complex), plan)
+        zero = plan.n_fft // 2
+        assert w[zero] == 0.0
+        assert density[zero] * plan.dw == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(np.delete(density, zero))) < 1e-12
 
     def test_shift_theorem_concentrates_mass(self):
         # e^{i w0 v} inverts to a single-bin spike at w0
         plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
         w0 = 64.0 * plan.dw
-        dist = invert_characteristic(
-            lambda v: np.exp(1j * w0 * v), plan)
-        peak = int(np.argmax(dist.density))
-        assert dist.w_grid[peak] == pytest.approx(w0, abs=1e-12)
-        assert dist.density[peak] * plan.dw == pytest.approx(1.0, rel=1e-10)
+        w, density = invert_samples(np.exp(1j * w0 * plan.v_grid()), plan)
+        peak = int(np.argmax(density.real))
+        assert w[peak] == pytest.approx(w0, abs=1e-12)
+        assert density[peak].real * plan.dw == pytest.approx(1.0, rel=1e-10)
 
-    def test_chi_zero_must_be_one(self):
+    def test_samples_off_the_plan_grid_rejected(self):
         plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
-        with pytest.raises(ValueError, match="chi\\(0\\)"):
-            invert_characteristic(
-                lambda v: np.full(v.size, 0.5, complex), plan)
+        with pytest.raises(ValueError, match="plan.v_grid"):
+            invert_samples(np.ones(plan.n_fft // 2, complex), plan)
 
     def test_round_trip_reproduces_samples(self):
         plan = InversionPlan(v_max=150.0, n_fft=1 << 12, atom_weight=0.0)
@@ -247,9 +246,9 @@ class TestInversion:
     def test_gaussian_pair_matches_analytic_density(self):
         sigma_w = 0.05
         plan = InversionPlan(v_max=400.0, n_fft=1 << 13, atom_weight=0.0)
-        dist = invert_characteristic(
-            lambda v: np.exp(-0.5 * (sigma_w * v) ** 2).astype(complex),
-            plan)
-        expected = np.exp(-0.5 * (dist.w_grid / sigma_w) ** 2) / \
+        v = plan.v_grid()
+        w, density = invert_samples(
+            np.exp(-0.5 * (sigma_w * v) ** 2).astype(complex), plan)
+        expected = np.exp(-0.5 * (w / sigma_w) ** 2) / \
             (sigma_w * math.sqrt(2.0 * math.pi))
-        assert np.max(np.abs(dist.density - expected)) < 1e-9
+        assert np.max(np.abs(density.real - expected)) < 1e-9

@@ -6,11 +6,11 @@ import pytest
 
 from drivenbath import (ConstraintError, DrivenSource, FrequencyGrid,
                         PerturbativeBreakdownError,
-                        atom_weight2, bosonic_wightman, channel_sum_integral,
-                        chi2, chi2_at_i_beta, chi2_field, chi_nonperturbative,
-                        correction_field, crooks_ratio, default_plan,
-                        default_w_grid, green_pair, invert_characteristic,
-                        lambda_weight, mean_work_finite_difference,
+                        atom_weight2, channel_sum_integral, chi2,
+                        chi2_at_i_beta, chi2_field, correction_field,
+                        crooks_ratio, default_plan, default_w_grid,
+                        green_pair, invert_samples, lambda_weight,
+                        mean_work_finite_difference,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
 from drivenbath import verify
 from drivenbath.workstats import i_beta_deficit
@@ -134,10 +134,11 @@ class TestChi2AtImaginaryBeta:
         # shifted emission densities and bare e^{+-beta gap} prefactors
         beta, gap, p = 1.0, 0.05, 1.0
         spec = make_spec(beta=beta, coupling="spin", omega_gap=gap, p=p)
+        emission = green_pair(make_spec(beta=beta)).g_mp
 
         def integrand(w):
-            s_minus = bosonic_wightman(w - gap, beta, spec.spectrum)
-            s_plus = bosonic_wightman(w + gap, beta, spec.spectrum)
+            s_minus = emission(w - gap)
+            s_plus = emission(w + gap)
             return -np.expm1(-beta * w) * (
                 (p - (1.0 - p) * math.exp(beta * gap)) * s_minus
                 + (1.0 - p - p * math.exp(-beta * gap)) * s_plus)
@@ -283,11 +284,11 @@ class TestWorkExtraction:
         # W_mean(p=1) = (1/2) int_lam w [S_b(w-gap) - e^{-b(w+gap)} S_b(w+gap)]
         beta, gap = 1.0, 0.05
         spec = make_spec(beta=beta, coupling="spin", omega_gap=gap, p=1.0)
+        emission = green_pair(make_spec(beta=beta)).g_mp
 
         def integrand(w):
-            return w * (bosonic_wightman(w - gap, beta, spec.spectrum)
-                        - np.exp(-beta * (w + gap))
-                        * bosonic_wightman(w + gap, beta, spec.spectrum))
+            return w * (emission(w - gap)
+                        - np.exp(-beta * (w + gap)) * emission(w + gap))
 
         oracle = 0.5 * dense_drive_integral(integrand, spec.source)
         assert -w_ext2(spec) == pytest.approx(oracle, rel=1e-8)
@@ -299,21 +300,29 @@ class TestWorkExtraction:
         assert fd == pytest.approx(-w_ext2(spec), rel=1e-6)
 
 
+def chi_all_orders(v, spec):
+    """All-order characteristic function e^{chi2(v) - 1} of the pure bath."""
+    return complex(np.exp(chi2(v, spec) - 1.0))
+
+
 class TestNonperturbative:
     def test_unity_at_origin(self):
-        assert chi_nonperturbative(0.0, make_spec()) == 1.0 + 0.0j
+        assert chi_all_orders(0.0, make_spec()) == 1.0 + 0.0j
 
     def test_qubit_refused(self):
         with pytest.raises(ValueError, match="pure thermal bath"):
-            chi_nonperturbative(1.0, make_spec(coupling="spin"))
+            correction_field(make_spec(coupling="spin"))
         with pytest.raises(ValueError, match="pure thermal bath"):
             wdf_nonperturbative(make_spec(coupling="spin"))
 
     def test_exponential_resummation_identity(self):
+        # the all-order transform is built as atom + atom expm1(T(v))
         spec = make_spec(beta=1.0, alpha=5.0)
         v = 37.0
-        assert chi_nonperturbative(v, spec) == pytest.approx(
-            np.exp(chi2(v, spec) - 1.0), rel=1e-14)
+        field = chi2_field(spec, np.array([0.0, v]))
+        atom = math.exp(field.p0 - 1.0)
+        assert atom + atom * np.expm1(field.tail[1]) == pytest.approx(
+            chi_all_orders(v, spec), rel=1e-12)
 
     def test_jarzynski_to_all_orders(self):
         for alpha in (0.5, 1.0, 2.0, 5.0):
@@ -332,14 +341,12 @@ class TestNonperturbative:
         spec = make_spec(beta=1.0, alpha=5.0)
         plan = default_plan(spec.source)
         field = chi2_field(spec, plan.v_grid())
-        via_fft = invert_characteristic(lambda v: field.chi2_values(),
-                                        replace(plan, atom_weight=field.p0))
-        analytic = wdf2(spec, w_grid=via_fft.w_grid)
-        mask = np.abs(via_fft.w_grid) < 0.06
-        assert np.max(np.abs(via_fft.density[mask]
+        w, density = invert_samples(field.tail, plan)
+        analytic = wdf2(spec, w_grid=w)
+        mask = np.abs(w) < 0.06
+        assert np.max(np.abs(density.real[mask]
                              - analytic.density[mask])) < 1e-6
-        assert via_fft.atom_weight == pytest.approx(analytic.atom_weight,
-                                                    abs=1e-12)
+        assert field.p0 == pytest.approx(analytic.atom_weight, abs=1e-12)
 
     def test_lambda_fourth_scaling(self):
         plan = default_plan(DrivenSource(0.01, 100.0))
@@ -354,10 +361,8 @@ class TestNonperturbative:
         # -i d(chi)/dv at 0 equals the second-order mean work
         spec = make_spec(beta=1.0, alpha=5.0)
         h = 1e-4
-        d1 = (chi_nonperturbative(h, spec)
-              - chi_nonperturbative(-h, spec)) / (2 * h)
-        d2 = (chi_nonperturbative(h / 2, spec)
-              - chi_nonperturbative(-h / 2, spec)) / h
+        d1 = (chi_all_orders(h, spec) - chi_all_orders(-h, spec)) / (2 * h)
+        d2 = (chi_all_orders(h / 2, spec) - chi_all_orders(-h / 2, spec)) / h
         derivative = (4.0 * d2 - d1) / 3.0
         assert float((-1j * derivative).real) == \
             pytest.approx(-w_ext2(spec), rel=1e-6)
