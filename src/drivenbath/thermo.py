@@ -70,9 +70,12 @@ def _entropy_production(spec: SystemSpec, w_bar: float,
     """:func:`entropy_production` from the mean work and the i-beta deficit.
 
     Raises :class:`PerturbativeBreakdownError` when chi2(i beta) =
-    1 - deficit is not positive.
+    1 - deficit is not positive.  The log is taken as log1p(-deficit):
+    at deficits near 1e-15 (small-gap fermion cells) forming 1 - deficit
+    first would round away the whole entropy production.
     """
-    return spec.beta * w_bar + math.log(chi2_from_deficit(deficit))
+    chi2_from_deficit(deficit)
+    return spec.beta * w_bar + math.log1p(-deficit)
 
 
 def heat_flows(w_bar: float, delta_s: float, t_b: float, t_q: float,

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drivenbath import (EngineMode, chi2_at_i_beta, engine_report,
@@ -74,6 +74,27 @@ class TestEntropyProduction:
 
 
 class TestEngineReport:
+    @given(st.floats(4.0, 6.0), st.floats(0.01, 0.07), st.floats(-1.0, 2.0),
+           st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    @example(6.0, 0.014, math.log10(0.4489251258218605), 0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_small_gap_fermion_cells_obey_second_law_and_carnot(
+            self, alpha, gap, log_beta, p):
+        # |W| and the i-beta deficit sit near 1e-15 here, where 1 - deficit
+        # rounds away the whole entropy production unless ln uses log1p
+        report = engine_report(make_spec(beta=10.0 ** log_beta, alpha=alpha,
+                                         coupling="fermion", omega_gap=gap,
+                                         p=p))
+        assert report.delta_s >= 0.0
+        assert abs(report.q_b + report.q_q - report.w_bar) <= 1e-10
+        if report.mode is EngineMode.HEAT_ENGINE:
+            carnot = 1.0 - report.r
+        elif report.mode is EngineMode.REFRIGERATOR:
+            carnot = report.r / (1.0 - report.r)
+        else:
+            return
+        assert -1e-10 <= report.figure_of_merit <= carnot + 1e-10
+
     def test_requires_qubit_and_honest_population(self):
         with pytest.raises(ValueError, match="requires a qubit"):
             engine_report(make_spec())
