@@ -28,6 +28,7 @@ ROOT_8PI = math.sqrt(8.0 * math.pi)
 #: integrand scale discovered during refinement
 _EPSREL = 1e-12
 _MAX_INTERVALS = 4096
+_MAX_STEPS = 40
 
 #: max phase advance of e^{i w v} per Gauss-Legendre subpanel
 _GL_PHASE = 20.0
@@ -168,7 +169,7 @@ def _adaptive_panel(g, panel: _Panel, complex_valued: bool):
     if total_len == 0.0:
         return done
 
-    for _ in range(40):
+    for step in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         t_nodes = np.concatenate(
@@ -195,15 +196,15 @@ def _adaptive_panel(g, panel: _Panel, complex_valued: bool):
         ok = err <= budget * frac
         done += i_high[ok].sum()
         done_abs += float(np.sum(np.abs(i_high[ok])))
-        if ok.all() or lo.size > _MAX_INTERVALS:
+        if ok.all() or lo.size > _MAX_INTERVALS or step == _MAX_STEPS - 1:
+            # converged, or refinement stalled: the intervals still open
+            # keep their 31-point estimates
             done += i_high[~ok].sum()
             return done
         bad_lo, bad_hi = lo[~ok], hi[~ok]
         mids = 0.5 * (bad_lo + bad_hi)
         lo = np.concatenate([bad_lo, mids])
         hi = np.concatenate([mids, bad_hi])
-    # refinement stalled: best current estimate
-    return done
 
 
 def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],

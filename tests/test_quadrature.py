@@ -54,6 +54,19 @@ class TestIntegrateLambda:
                                  adaptive_grid(), breakpoints=(0.0,))
         assert abs(value) < 1e-20
 
+    def test_unresolved_jump_keeps_its_open_intervals(self):
+        # without a breakpoint the jump is never resolved: refinement runs
+        # all its steps, and the intervals still open must still count
+        edge = 0.01 / math.sqrt(2.0)
+
+        def step(w):
+            return (w > edge).astype(float)
+
+        blind = integrate_lambda(step, DEFAULT_SOURCE, adaptive_grid())
+        split = integrate_lambda(step, DEFAULT_SOURCE, adaptive_grid(),
+                                 breakpoints=(edge,))
+        assert abs(blind - split) <= 1e-12 * abs(split)
+
     def test_rules_agree_on_singular_integrand(self):
         # |w|^{-1/2} endpoint handled by the power substitution
         def f(w):
