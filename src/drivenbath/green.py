@@ -126,14 +126,25 @@ def green_pair(spec: SystemSpec) -> GreenPair:
                 for weight, shift, occupation in terms:
                     x = w - shift
                     on = x > 0.0
-                    x = x[on]
+                    if not on.any():
+                        continue
+                    # quadrature panels end at the support edges, so a
+                    # term is mostly on or off for a whole call
+                    partial = not on.all()
+                    if partial:
+                        x = x[on]
                     # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
                     lx = l_c * x
-                    term = np.zeros(w.shape)
-                    term[on] = occupation(norm * lx ** alpha
-                                          * np.exp(-lx * lx), beta * x)
+                    term = occupation(norm * lx ** alpha * np.exp(-lx * lx),
+                                      beta * x)
+                    if partial:
+                        full = np.zeros(w.shape)
+                        full[on] = term
+                        term = full
                     term = weight * term
                     total = term if total is None else total + term
+            if total is None:
+                total = np.zeros(w.shape)
             return float(total[0]) if np.ndim(omega) == 0 else total
         return g
 
