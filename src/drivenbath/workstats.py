@@ -382,26 +382,11 @@ def chi2_field(spec: SystemSpec, v: np.ndarray,
     return ChiField(v_grid=v, p0=p0, tail=tail)
 
 
-NORMALIZATION_WARN = 1e-6
 NORMALIZATION_ABORT = 1e-4
 
 
 class InversionError(RuntimeError):
     """The FFT window failed to capture the distribution."""
-
-
-def _distribution_from_residual(residual: np.ndarray, atom: float,
-                                plan: InversionPlan) -> WorkDistribution:
-    w, complex_density = quadrature.invert_samples(residual, plan)
-    imag_residue = float(np.max(np.abs(complex_density.imag), initial=0.0))
-    density, clipped = _clip_density(complex_density.real.copy())
-    dist = WorkDistribution(atom_weight=atom, w_grid=w, density=density,
-                            imag_residue=imag_residue, clipped=clipped)
-    defect = abs(dist.normalization - 1.0)
-    if defect > NORMALIZATION_ABORT:
-        raise InversionError(
-            f"inversion window too small: normalization off by {defect:.3e}")
-    return dist
 
 
 def wdf_nonperturbative(spec: SystemSpec,
@@ -412,18 +397,26 @@ def wdf_nonperturbative(spec: SystemSpec,
 
     The atom is e^{p0 - 1} and the transform residual is evaluated as
     atom * expm1(T(v)), which keeps the full relative accuracy of the
-    tail; the caller's plan atom, if any, is overridden by that value.
-    Against the second-order density this resummation carries the small
-    oscillatory corrections (self-convolutions of the tail).
+    tail; the plan's own ``atom_weight`` is not used.  Against the
+    second-order density this resummation carries the small oscillatory
+    corrections (self-convolutions of the tail).
     """
     require_pure_bath(spec)
     if plan is None:
         plan = default_plan(spec.source)
     field = chi2_field(spec, plan.v_grid(), grid)
     atom = math.exp(field.p0 - 1.0)
-    residual = atom * np.expm1(field.tail)
-    plan = replace(plan, atom_weight=atom)
-    return _distribution_from_residual(residual, atom, plan)
+    w, complex_density = quadrature.invert_samples(
+        atom * np.expm1(field.tail), plan)
+    imag_residue = float(np.max(np.abs(complex_density.imag), initial=0.0))
+    density, clipped = _clip_density(complex_density.real.copy())
+    dist = WorkDistribution(atom_weight=atom, w_grid=w, density=density,
+                            imag_residue=imag_residue, clipped=clipped)
+    defect = abs(dist.normalization - 1.0)
+    if defect > NORMALIZATION_ABORT:
+        raise InversionError(
+            f"inversion window too small: normalization off by {defect:.3e}")
+    return dist
 
 
 def correction_field(spec: SystemSpec,
