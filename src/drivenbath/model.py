@@ -18,6 +18,12 @@ ADIABATIC_RATIO_MIN = 10.0
 #: largest supported Ohmic exponent (gamma-function accuracy degrades beyond)
 ALPHA_MAX = 50.0
 
+#: smallest supported Ohmic exponent.  The sub-Ohmic endpoint substitution
+#: w = t^(2/alpha) gives a subnormal w at alpha = 0.02, where w^(alpha-1)
+#: overflows; from alpha = 0.1 on, the smallest node the adaptive rule's
+#: step cap allows on any panel wider than 1e-15 still maps to a normal w.
+ALPHA_MIN = 0.1
+
 
 class Coupling(Enum):
     """Qubit-bath coupling channel."""
@@ -140,8 +146,8 @@ def validate(spec: SystemSpec) -> ValidationReport:
 
     if not spec.beta > 0:
         errors.append("beta must be > 0")
-    if not spec.spectrum.alpha > 0:
-        errors.append("alpha must be > 0")
+    if not spec.spectrum.alpha >= ALPHA_MIN:
+        errors.append(f"alpha must be >= {ALPHA_MIN:g}")
     elif spec.spectrum.alpha > ALPHA_MAX:
         errors.append(f"alpha must be <= {ALPHA_MAX:g}")
     if not spec.spectrum.l_c > 0:

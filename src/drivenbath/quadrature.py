@@ -8,6 +8,19 @@ edges (kinks) and, for sub-Ohmic spectra, an integrable power singularity
 |w - e|^(a-1); panels are split at the edges and singular endpoints are
 regularized by the substitution w = e +/- t^(2/a), whose exponent is known
 analytically, instead of extrapolation.
+
+An integrand returns one array or a pair (a, b) of arrays whose sum is
+what is integrated.  The pair carries the two uncancelled terms of a
+small difference (W_ext and the chi2(i beta) deficit are differences of
+the two Green channels, and for the pure bath the deficit cancels
+pointwise), and both rules integrate a + b.  The adaptive rule runs one
+refinement loop per integral over the intervals of all its panels, with
+one tolerance, tol = max(1e-14 int(|a| + |b|), 1e-12 |I|): the first
+term is the floor that the rounding of the terms sets, below which
+refinement would chase noise.  It stops when the summed error estimate
+of all intervals is at most tol.  A lone array is the pair (a, 0).
+Refinement that runs out of steps or intervals above tol stalls: it
+returns its current estimate, the open intervals included.
 """
 
 from __future__ import annotations
@@ -24,9 +37,10 @@ ArrayLike = Union[float, np.ndarray]
 
 ROOT_8PI = math.sqrt(8.0 * math.pi)
 
-#: adaptive-rule relative target; the absolute floor follows the
-#: integrand scale discovered during refinement
+#: adaptive-rule tolerance of one integral, relative to its value and,
+#: as a floor, to the L1 norm of its uncancelled terms
 _EPSREL = 1e-12
+_EPS_L1 = 1e-14
 _MAX_INTERVALS = 4096
 _MAX_STEPS = 40
 
@@ -116,10 +130,19 @@ def _build_panels(omega_max: float,
     return panels
 
 
-def _weighted(f: Callable[[np.ndarray], np.ndarray],
-              source: DrivenSource) -> Callable[[np.ndarray], np.ndarray]:
-    def g(w: np.ndarray) -> np.ndarray:
-        return lambda_weight(w, source) * f(w) / (2.0 * math.pi)
+def _sum_and_l1(out):
+    """a + b and |a| + |b| of an integrand pair (a, b); a lone array is a."""
+    if isinstance(out, tuple):
+        a, b = out
+        return a + b, np.abs(a) + np.abs(b)
+    return out, np.abs(out)
+
+
+def _part(f, part):
+    """The real or imaginary part of an integrand array or of each term."""
+    def g(w):
+        out = f(w)
+        return tuple(map(part, out)) if isinstance(out, tuple) else part(out)
     return g
 
 
@@ -131,80 +154,109 @@ def _check_finite(values: np.ndarray, omegas: np.ndarray) -> None:
             f"integrand evaluation failed at omega = {where:.6g}")
 
 
-def _trapezoid_panel(g, panel: _Panel, n: int, complex_valued: bool):
+def _trapezoid_panel(f, source: DrivenSource, panel: _Panel, n: int,
+                     complex_valued: bool):
     t = np.linspace(0.0, panel.length, n)
     om = panel.omega(t)
-    vals = np.asarray(g(om), dtype=complex if complex_valued else float)
+    total = _sum_and_l1(f(om))[0]
+    vals = np.asarray(lambda_weight(om, source) * total / (2.0 * math.pi),
+                      dtype=complex if complex_valued else float)
     _check_finite(vals, om)
     return np.trapezoid(vals * panel.jacobian(t), t)
 
 
 _X_LOW, _W_LOW = np.polynomial.legendre.leggauss(15)
 _X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(31)
+_X_BOTH = np.concatenate([_X_LOW, _X_HIGH])
+
+#: an interval's row holds m (a + b) at its 15 and 31 nodes, then
+#: m (|a| + |b|) at the 31 nodes, m being |lam|^2 times the Jacobian; the
+#: columns turn it into G31, G31 - G15 and the G31 of |a| + |b| per unit
+#: half-width.  The measure's 1/2pi is applied once, to the final sum.
+_RULES = np.zeros((77, 3))
+_RULES[15:46, 0] = _W_HIGH
+_RULES[:15, 1] = -_W_LOW
+_RULES[15:46, 1] = _W_HIGH
+_RULES[46:, 2] = _W_HIGH
 
 
-def _adaptive_panel(g, panel: _Panel, complex_valued: bool):
-    """Globally adaptive embedded Gauss pair (15/31 nodes) on one panel.
+def _adaptive(f, source: DrivenSource, panels: list[_Panel]) -> float:
+    """Globally adaptive embedded Gauss pair (15/31 nodes) on all panels.
 
-    The whole refinement queue is evaluated in a single vectorized call
-    per sweep; the 31-point result is kept and |G31 - G15| drives the
-    splits.  Interval error budgets are allocated proportionally to
-    length against both an absolute floor set by the integrand scale and
-    the relative target.
-
-    Complex integrands are integrated component by component so each
-    part converges relative to its own magnitude (the imaginary part of
-    a characteristic function can sit ten orders below the real part).
+    One refinement loop runs over the open intervals of every panel and
+    evaluates ``f`` once per panel per step, on all of that panel's
+    nodes.  With tol = max(_EPS_L1 int(|a| + |b|), _EPSREL |I|) it stops
+    when the summed |G31 - G15| of all intervals, open and retired, is at
+    most tol.  Otherwise it bisects the intervals whose error exceeds
+    their length share of tol and retires the others with their 31-point
+    estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS open intervals,
+    or with nothing left to bisect, it stalls: it returns with the open
+    intervals' 31-point estimates.
     """
-    if complex_valued:
-        real = _adaptive_panel(lambda w: np.real(g(w)), panel, False)
-        imag = _adaptive_panel(lambda w: np.imag(g(w)), panel, False)
-        return real + 1j * imag
-
-    lo = np.array([0.0])
-    hi = np.array([panel.length])
-    done = 0.0
-    done_abs = 0.0
-    total_len = panel.length
-    if total_len == 0.0:
-        return done
+    panels = [p for p in panels if p.length > 0.0]
+    if not panels:
+        return 0.0
+    total_len = sum(p.length for p in panels)
+    lo = np.zeros(len(panels))
+    half = 0.5 * np.array([p.length for p in panels])
+    # open intervals per panel; the intervals stay grouped by panel
+    counts = [1] * len(panels)
+    done = done_err = done_l1 = 0.0
 
     for step in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t_nodes = np.concatenate(
-            [mid[:, None] + half[:, None] * _X_LOW[None, :],
-             mid[:, None] + half[:, None] * _X_HIGH[None, :]], axis=1)
-        flat = t_nodes.ravel()
-        omegas = panel.omega(flat)
-        flat_vals = g(omegas)
-        if panel.power != 1.0:
-            flat_vals = flat_vals * panel.jacobian(flat)
-        # contiguous: np.real/np.imag give strided views, and the GEMVs
-        # below round differently on strided input
-        flat_vals = np.ascontiguousarray(flat_vals, dtype=float)
-        _check_finite(flat_vals, omegas)
-        vals = flat_vals.reshape(t_nodes.shape)
-        i_low = (vals[:, :15] @ _W_LOW) * half
-        i_high = (vals[:, 15:] @ _W_HIGH) * half
-        err = np.abs(i_high - i_low)
+        t_nodes = (lo + half)[:, None] + half[:, None] * _X_BOTH
+        vals = np.empty((lo.size, 77))
+        start = 0
+        for panel, count in zip(panels, counts):
+            if not count:
+                continue
+            stop = start + count
+            t = t_nodes[start:stop].ravel()
+            om = panel.omega(t)
+            total, norm = _sum_and_l1(f(om))
+            measure = lambda_weight(om, source)
+            if panel.power != 1.0:
+                measure = measure * panel.jacobian(t)
+            measure = measure.reshape(count, 46)
+            np.multiply(total.reshape(count, 46), measure,
+                        out=vals[start:stop, :46])
+            np.multiply(norm.reshape(count, 46)[:, 15:], measure[:, 15:],
+                        out=vals[start:stop, 46:])
+            start = stop
+        rules = vals @ _RULES
+        rules *= half[:, None]
+        err = np.abs(rules[:, 1], out=rules[:, 1])
+        i_high, err_sum, l1 = rules.sum(axis=0).tolist()
+        if not math.isfinite(i_high + err_sum + l1):
+            i, j = np.argwhere(~np.isfinite(vals[:, :46]))[0]
+            panel = panels[int(np.searchsorted(np.cumsum(counts), i,
+                                               side="right"))]
+            _check_finite(vals[i, j], panel.omega(t_nodes[i, j]))
 
-        estimate = done + i_high.sum()
-        scale_abs = done_abs + float(np.sum(np.abs(i_high)))
-        budget = max(scale_abs * 1e-15, abs(estimate) * _EPSREL)
-        frac = (hi - lo) / total_len
-        ok = err <= budget * frac
-        done += i_high[ok].sum()
-        done_abs += float(np.sum(np.abs(i_high[ok])))
-        if ok.all() or lo.size > _MAX_INTERVALS or step == _MAX_STEPS - 1:
-            # converged, or refinement stalled: the intervals still open
-            # keep their 31-point estimates
-            done += i_high[~ok].sum()
-            return done
-        bad_lo, bad_hi = lo[~ok], hi[~ok]
-        mids = 0.5 * (bad_lo + bad_hi)
-        lo = np.concatenate([bad_lo, mids])
-        hi = np.concatenate([mids, bad_hi])
+        estimate = done + i_high
+        tol = max(_EPS_L1 * (done_l1 + l1), _EPSREL * abs(estimate))
+        if done_err + err_sum <= tol:
+            return estimate / (2.0 * math.pi)
+        split = err > (2.0 * tol / total_len) * half
+        if (not split.any() or lo.size > _MAX_INTERVALS
+                or step == _MAX_STEPS - 1):
+            # stalled above tol
+            return estimate / (2.0 * math.pi)
+        retired, retired_err, retired_l1 = \
+            rules[~split].sum(axis=0).tolist()
+        done += retired
+        done_err += retired_err
+        done_l1 += retired_l1
+        # an interval's two halves stay next to each other, and so the
+        # intervals stay grouped by panel
+        start = 0
+        for k, count in enumerate(counts):
+            counts[k] = 2 * np.count_nonzero(split[start:start + count])
+            start += count
+        half = half[split]
+        lo = lo[split].repeat(2)
+        lo[1::2] += half
+        half = (0.5 * half).repeat(2)
 
 
 def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
@@ -216,20 +268,33 @@ def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
                      complex_valued: bool = False):
     """Integral of f against the drive measure dw/2pi |lam(w)|^2.
 
-    ``f`` must accept numpy arrays.  ``breakpoints`` mark support edges of
-    f inside the window; with ``singular_exponent`` in (-1, 0) each edge is
-    additionally treated as an integrable |w - e|^exponent endpoint via the
-    power substitution.  Raises :class:`QuadratureError` when f produces a
-    non-finite sample.
+    ``f`` must accept numpy arrays and return either one array or a pair
+    (a, b) of arrays whose sum is the integrand.  A pair hands the rules
+    the two uncancelled terms of a difference, for example w g_mp and
+    -w g_pm; a lone array is the pair (a, 0).  Both rules integrate
+    a + b.  The adaptive rule has one tolerance per integral,
+    tol = max(1e-14 int(|a| + |b|), 1e-12 |I|), whose first term is the
+    floor that the rounding of the terms sets; it stops when the summed
+    |G31 - G15| of all intervals of all panels is at most tol, and
+    bisects only the intervals above their length share of tol.  When it
+    runs out of steps or intervals above tol, it stalls and returns its
+    estimate with the open intervals included.  ``breakpoints`` mark
+    support edges of f inside the window; with ``singular_exponent`` in
+    (-1, 0) each edge is additionally treated as an integrable
+    |w - e|^exponent endpoint via the power substitution.  With
+    ``complex_valued`` the real and imaginary parts are integrated
+    separately, each against its own tolerance.  Raises
+    :class:`QuadratureError` when f produces a non-finite sample.
     """
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
-    g = _weighted(f, source)
     if grid.rule is Rule.TRAPEZOID:
-        parts = [_trapezoid_panel(g, p, grid.n_points, complex_valued)
-                 for p in panels]
+        total = sum(_trapezoid_panel(f, source, p, grid.n_points,
+                                     complex_valued) for p in panels)
+    elif complex_valued:
+        total = (_adaptive(_part(f, np.real), source, panels)
+                 + 1j * _adaptive(_part(f, np.imag), source, panels))
     else:
-        parts = [_adaptive_panel(g, p, complex_valued) for p in panels]
-    total = sum(parts)
+        total = _adaptive(f, source, panels)
     return complex(total) if complex_valued else float(total)
 
 

@@ -128,8 +128,8 @@ def chi2(v: complex, spec: SystemSpec,
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
     # difference is rounding noise that adaptive refinement would chase
     def f(w):
-        return (-np.expm1(1j * w * v) * pair.g_mp(w)
-                - np.expm1(-1j * w * v) * pair.g_pm(w))
+        return (-np.expm1(1j * w * v) * pair.g_mp(w),
+                -np.expm1(-1j * w * v) * pair.g_pm(w))
 
     return 1.0 - 0.5 * _integrate(f, spec, pair, grid, complex_valued=True)
 
@@ -149,8 +149,8 @@ def i_beta_deficit(spec: SystemSpec,
     beta = spec.beta
 
     def f(w):
-        return (-np.expm1(-beta * w) * pair.g_mp(w)
-                - np.expm1(beta * w) * pair.g_pm(w))
+        return (-np.expm1(-beta * w) * pair.g_mp(w),
+                -np.expm1(beta * w) * pair.g_pm(w))
 
     if grid is None:
         grid = default_i_beta_grid(spec)
@@ -256,7 +256,7 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
     require_valid(spec)
     pair = green_pair(spec)
     return -0.5 * _integrate(
-        lambda w: w * (pair.g_mp(w) - pair.g_pm(w)), spec, pair, grid)
+        lambda w: (w * pair.g_mp(w), -w * pair.g_pm(w)), spec, pair, grid)
 
 
 def mean_work_finite_difference(spec: SystemSpec, h: float = 1e-4,

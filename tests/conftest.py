@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,30 @@ def source():
 @pytest.fixture
 def pure_bath():
     return make_spec()
+
+
+@pytest.fixture
+def count_points(monkeypatch):
+    """Integrand points of the workstats integrals run in the test.
+
+    Every workstats integrand evaluates the g_mp channel once on its
+    whole node array, so counting those nodes counts integrand points.
+    Returns a function that reads the count so far.
+    """
+    import drivenbath.workstats as ws
+    points = [0]
+    build = ws.green_pair
+
+    def counted(spec):
+        pair = build(spec)
+
+        def g_mp(w):
+            points[0] += np.size(w)
+            return pair.g_mp(w)
+        return replace(pair, g_mp=g_mp)
+
+    monkeypatch.setattr(ws, "green_pair", counted)
+    return lambda: points[0]
 
 
 def dense_drive_integral(f, source, half_width=0.06, n=(1 << 18) + 1):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenbath import (Coupling, FrequencyGrid, QubitSpec, beta_q, validate,
-                        with_param)
+                        w_ext2, with_param)
+from drivenbath.model import ALPHA_MIN
 
 from conftest import make_spec
 
@@ -57,6 +58,16 @@ class TestValidate:
     def test_zero_alpha_is_error(self):
         report = validate(make_spec(alpha=0.0))
         assert any("alpha" in e for e in report.errors)
+
+    def test_alpha_below_minimum_is_refused(self):
+        # at alpha = 0.02 the endpoint substitution w = t^(2/alpha) gives
+        # a subnormal w and the integrand overflows
+        for alpha in (0.02, 0.5 * ALPHA_MIN, math.nextafter(ALPHA_MIN, 0.0)):
+            report = validate(make_spec(alpha=alpha))
+            assert report.errors == (f"alpha must be >= {ALPHA_MIN:g}",)
+        assert validate(make_spec(alpha=ALPHA_MIN)).is_valid
+        with pytest.raises(ValueError, match="alpha must be >="):
+            w_ext2(make_spec(alpha=0.02))
 
     def test_fast_drive_warns_non_adiabatic(self):
         report = validate(make_spec(t_int=1.0, lc=1.0))

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, green_pair, integrate_lambda,
-                        invert_samples, lambda_weight, oscillatory_pair)
+                        invert_samples, lambda_weight, oscillatory_pair,
+                        w_ext2)
 from drivenbath.quadrature import _build_panels, _gl_nodes_weights
+from drivenbath.workstats import default_i_beta_grid, i_beta_deficit
 
 from conftest import DEFAULT_SOURCE, make_spec
 
@@ -67,6 +70,32 @@ class TestIntegrateLambda:
                                  breakpoints=(edge,))
         assert abs(blind - split) <= 1e-12 * abs(split)
 
+    def test_pair_resolves_cancellation_down_to_its_floor(self):
+        # a and delta - a cancel to delta = cos(3w), whose integral is
+        # lam0^2 t_int e^{-9/(8 t_int^2)}; both rules integrate the pair
+        def f(w):
+            a = 1e12 * w * w
+            return a, np.cos(3.0 * w) - a
+
+        def l1(w):
+            return sum(np.abs(term) for term in f(w))
+
+        adaptive = integrate_lambda(f, DEFAULT_SOURCE, adaptive_grid())
+        trapezoid = integrate_lambda(f, DEFAULT_SOURCE,
+                                     trapezoid_grid(n=1 << 18))
+        norm = integrate_lambda(l1, DEFAULT_SOURCE, trapezoid_grid())
+        exact = 1e-2 * math.exp(-9.0 / 8e4)
+        assert norm > 1e7 * exact
+        assert abs(adaptive - trapezoid) <= 1e-14 * norm
+        assert abs(adaptive - exact) <= 1e-14 * norm
+
+    def test_lone_array_is_the_pair_with_zero(self):
+        f = lambda w: np.cos(3.0 * w)  # noqa: E731
+        pair = lambda w: (f(w), np.zeros_like(w))  # noqa: E731
+        for grid in (adaptive_grid(), trapezoid_grid()):
+            assert integrate_lambda(pair, DEFAULT_SOURCE, grid) == \
+                integrate_lambda(f, DEFAULT_SOURCE, grid)
+
     def test_rules_agree_on_singular_integrand(self):
         # |w|^{-1/2} endpoint handled by the power substitution
         def f(w):
@@ -107,6 +136,63 @@ class TestIntegrateLambda:
             integrate_lambda(bad, DEFAULT_SOURCE, trapezoid_grid())
         with pytest.raises(QuadratureError, match="omega"):
             integrate_lambda(bad, DEFAULT_SOURCE, adaptive_grid())
+
+
+#: spin specs of the benchmark's point evaluations on which the per-panel
+#: rule that this one replaced took 0.5-0.9 M points per integral
+RUNAWAY_SPIN = [dict(beta=40.9, alpha=0.823, coupling="spin",
+                     omega_gap=0.00455, p=0.797),
+                dict(beta=67.2, alpha=1.128, coupling="spin",
+                     omega_gap=0.0218, p=0.0)]
+
+
+class TestRunawayRefinement:
+    """Cancelling integrals stop at the floor of their uncancelled terms.
+
+    Each took 0.4-0.9 M integrand points under a per-panel rule with a
+    1e-15 floor on the summed interval magnitudes; the reference values
+    are that rule's.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.3, 5.0])
+    @pytest.mark.parametrize("beta", [0.1, 100.0])
+    def test_pure_bath_deficit(self, count_points, alpha, beta):
+        # the two terms cancel pointwise: the value is rounding noise,
+        # bounded by the floor against a 2^18-point trapezoid
+        spec = make_spec(beta=beta, alpha=alpha)
+        value = i_beta_deficit(spec)
+        assert count_points() < 20_000
+        pair = green_pair(spec)
+
+        def f(w):
+            return (-np.expm1(-beta * w) * pair.g_mp(w),
+                    -np.expm1(beta * w) * pair.g_pm(w))
+
+        grid = replace(default_i_beta_grid(spec), rule=Rule.TRAPEZOID,
+                       n_points=1 << 18)
+        kwargs = dict(breakpoints=pair.edges,
+                      singular_exponent=pair.singular_exponent)
+        reference = 0.5 * integrate_lambda(f, DEFAULT_SOURCE, grid, **kwargs)
+        l1 = 0.5 * integrate_lambda(
+            lambda w: sum(np.abs(term) for term in f(w)), DEFAULT_SOURCE,
+            grid, **kwargs)
+        assert abs(value - reference) <= 1e-14 * l1
+
+    @pytest.mark.parametrize("fn, kwargs, reference", [
+        (i_beta_deficit, dict(beta=100.0, alpha=4.0, coupling="topological",
+                              omega_gap=0.08, p=0.156),
+         1.2536197377766046e-11),
+        (w_ext2, dict(beta=2.05, alpha=6.0, coupling="fermion",
+                      omega_gap=0.05, p=0.5625), 1.4986109404090696e-17),
+        (w_ext2, RUNAWAY_SPIN[0], -4.9678779088538e-07),
+        (i_beta_deficit, RUNAWAY_SPIN[0], 8.516822803588214e-06),
+        (w_ext2, RUNAWAY_SPIN[1], -1.4164504894625604e-07),
+        (i_beta_deficit, RUNAWAY_SPIN[1], -5.022816000684557e-07),
+    ])
+    def test_qubit_cells(self, count_points, fn, kwargs, reference):
+        value = fn(make_spec(**kwargs))
+        assert count_points() < 20_000
+        assert value == pytest.approx(reference, rel=1e-12)
 
 
 def dense_phase_sum(f1, f2, v, source, grid, breakpoints=(),

@@ -1,10 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drivenbath import (ConstraintError, DrivenSource, FrequencyGrid,
+from drivenbath import (ConstraintError, Coupling, DrivenSource, FrequencyGrid,
                         PerturbativeBreakdownError,
                         atom_weight2, channel_sum_integral, chi2,
                         chi2_at_i_beta, chi2_field, correction_field,
@@ -13,6 +14,7 @@ from drivenbath import (ConstraintError, DrivenSource, FrequencyGrid,
                         mean_work_finite_difference,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
 from drivenbath import verify
+from drivenbath.model import ALPHA_MIN
 from drivenbath.workstats import i_beta_deficit
 
 from conftest import dense_drive_integral, make_spec
@@ -96,24 +98,12 @@ class TestChi2:
 
     @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
                                           "topological"])
-    def test_small_v_needs_no_deep_refinement(self, monkeypatch, coupling):
+    def test_small_v_needs_no_deep_refinement(self, count_points, coupling):
         # 1 - e^{iwv} at small v must not leave rounding noise for the
         # adaptive rule to refine on
-        import drivenbath.workstats as ws
-        points = [0]
-
-        def counted(spec):
-            pair = green_pair(spec)
-
-            def g_mp(w):
-                points[0] += np.size(w)
-                return pair.g_mp(w)
-            return replace(pair, g_mp=g_mp)
-
-        monkeypatch.setattr(ws, "green_pair", counted)
         spec = make_spec(beta=1.0, alpha=5.0, coupling=coupling, p=0.9)
         value = chi2(1e-2, spec)
-        assert points[0] < 10_000
+        assert count_points() < 10_000
         # first moment: Im chi2(v) = v * mean work to O(v^3)
         assert value.imag == pytest.approx(1e-2 * -w_ext2(spec), rel=1e-6)
 
@@ -262,6 +252,20 @@ class TestPositivity:
         assert "reduce lambda0" in report.message
         with pytest.raises(ConstraintError):
             atom_weight2(spec)
+
+
+class TestSubOhmicLimit:
+    @given(st.floats(ALPHA_MIN, 1.5 * ALPHA_MIN),
+           st.sampled_from([None, *(c.value for c in Coupling)]),
+           st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_finite_just_above_minimum(self, alpha, coupling, p):
+        spec = make_spec(beta=1e3, alpha=alpha, coupling=coupling,
+                         omega_gap=5.0, p=p)
+        values = [w_ext2(spec), i_beta_deficit(spec),
+                  channel_sum_integral(spec), chi2(37.7, spec),
+                  chi2_field(spec, np.linspace(0.0, 6400.0, 201)).p0]
+        assert np.all(np.isfinite(values))
 
 
 class TestWorkExtraction:
