@@ -283,8 +283,9 @@ def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
     (-1, 0) each edge is additionally treated as an integrable
     |w - e|^exponent endpoint via the power substitution.  With
     ``complex_valued`` the real and imaginary parts are integrated
-    separately, each against its own tolerance.  Raises
-    :class:`QuadratureError` when f produces a non-finite sample.
+    separately, each against its own tolerance: the imaginary part of a
+    characteristic function can sit ten orders below the real part.
+    Raises :class:`QuadratureError` when f produces a non-finite sample.
     """
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
     if grid.rule is Rule.TRAPEZOID:
