@@ -26,7 +26,7 @@ from . import sweep as sweepmod
 from . import thermo, verify, workstats
 from .model import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
                     SystemSpec, validate)
-from .quadrature import QuadratureError, default_plan
+from .quadrature import QuadratureError
 
 _QUANTITIES = {q.value: q for q in sweepmod.Quantity}
 
@@ -105,19 +105,29 @@ _CONFIG_KEYS = {s.key for settings in _SETTINGS.values() for s in settings}
 
 
 def _load_config(path: Optional[str]) -> dict:
-    """Flat {section.key: string} mapping; unknown keys are rejected."""
+    """Flat {section.key: string} mapping; unknown keys are rejected,
+    as are keys under [DEFAULT] and files configparser cannot parse."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {section: parser.items(section)
+                 for section in parser.sections()}
+    except configparser.Error as exc:
+        # one line: configparser spreads some messages over several
+        raise ValueError(f"malformed config file {path}: "
+                         + " ".join(str(exc).split())) from None
     if not read:
         raise ValueError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ValueError(f"unknown config section [{parser.default_section}]")
     sections = {key.split(".")[0] for key in _CONFIG_KEYS}
     values: dict[str, str] = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key, value in pairs:
             if f"{section}.{key}" not in _CONFIG_KEYS:
                 raise ValueError(
                     f"unknown key {key!r} in config section [{section}]")
@@ -216,7 +226,7 @@ def cmd_wdf(args, s: dict) -> int:
     _write_csv(out, header,
                zip(dist.w_grid.tolist(), dist.density.tolist()))
     if s["nonperturbative"]:
-        full = workstats.wdf_nonperturbative(spec, default_plan(spec.source))
+        full = workstats.wdf_nonperturbative(spec)
         header = (f"w,density,atom_weight={_fmt(full.atom_weight)},"
                   f"normalization={_fmt(full.normalization)}")
         _write_csv(_with_suffix(out, "_nonperturbative"), header,

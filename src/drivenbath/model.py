@@ -24,6 +24,9 @@ ALPHA_MAX = 50.0
 #: step cap allows on any panel wider than 1e-15 still maps to a normal w.
 ALPHA_MIN = 0.1
 
+#: drive-envelope level at the edge of the frequency window
+TAIL_EPS = 1e-16
+
 
 class Coupling(Enum):
     """Qubit-bath coupling channel."""
@@ -93,32 +96,25 @@ class FrequencyGrid:
     """Frequency-integration window and rule.
 
     ``omega_max`` truncates the drive-weighted integrals; pick it so the
-    Gaussian drive envelope is below ``tail_eps`` at the edge (see
-    :meth:`for_source`).
+    Gaussian drive envelope is below ``TAIL_EPS`` at the edge (see
+    :meth:`for_source`).  ``n_points`` is the per-panel node count of the
+    trapezoid rule; the adaptive rule ignores it.
     """
 
     omega_max: float
     n_points: int = 4097
     rule: Rule = Rule.ADAPTIVE_GK
-    tail_eps: float = 1e-16
 
     @classmethod
-    def for_source(
-        cls,
-        source: DrivenSource,
-        tail_eps: float = 1e-16,
-        n_points: int = 4097,
-        rule: Rule = Rule.ADAPTIVE_GK,
-    ) -> "FrequencyGrid":
-        """Window sized from the drive envelope alone.
+    def for_source(cls, source: DrivenSource) -> "FrequencyGrid":
+        """Adaptive-rule window sized from the drive envelope alone.
 
-        exp(-2 w^2 t_int^2) < tail_eps  =>  w_max = sqrt(ln(1/eps)/2)/t_int.
+        exp(-2 w^2 t_int^2) = TAIL_EPS  =>  w_max = sqrt(ln(1/eps)/2)/t_int.
         The envelope dominates every polynomially bounded spectral factor,
         so no other scale enters.
         """
-        omega_max = math.sqrt(math.log(1.0 / tail_eps) / 2.0) / source.t_int
-        return cls(omega_max=omega_max, n_points=n_points, rule=rule,
-                   tail_eps=tail_eps)
+        return cls(omega_max=math.sqrt(math.log(1.0 / TAIL_EPS) / 2.0)
+                   / source.t_int)
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,8 @@ class ValidationReport:
 def validate(spec: SystemSpec) -> ValidationReport:
     """Check all physical parameter ranges of ``spec``.
 
-    Range violations are errors; a drive too fast for the adiabatic
+    Range violations are errors, and beta, l_c, lambda0, t_int and the
+    gap must also be finite; a drive too fast for the adiabatic
     regime (t_int < ADIABATIC_RATIO_MIN * l_c) is only a warning, as is a
     qubit population pinned at exactly 0 or 1 (its effective temperature
     is then infinite, which engine analysis rejects).
@@ -144,20 +141,25 @@ def validate(spec: SystemSpec) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
 
-    if not spec.beta > 0:
-        errors.append("beta must be > 0")
+    def positive(name: str, value: float) -> bool:
+        """Record an error unless ``value`` is finite and > 0."""
+        if not math.isfinite(value):
+            errors.append(f"{name} must be finite")
+        elif not value > 0:
+            errors.append(f"{name} must be > 0")
+        else:
+            return True
+        return False
+
+    positive("beta", spec.beta)
     if not spec.spectrum.alpha >= ALPHA_MIN:
         errors.append(f"alpha must be >= {ALPHA_MIN:g}")
     elif spec.spectrum.alpha > ALPHA_MAX:
         errors.append(f"alpha must be <= {ALPHA_MAX:g}")
-    if not spec.spectrum.l_c > 0:
-        errors.append("l_c must be > 0")
-    if not spec.source.lambda0 > 0:
-        errors.append("lambda0 must be > 0")
-    if not spec.source.t_int > 0:
-        errors.append("t_int must be > 0")
-    elif (spec.spectrum.l_c > 0
-          and spec.source.t_int / spec.spectrum.l_c < ADIABATIC_RATIO_MIN):
+    l_c_valid = positive("l_c", spec.spectrum.l_c)
+    positive("lambda0", spec.source.lambda0)
+    if (positive("t_int", spec.source.t_int) and l_c_valid
+            and spec.source.t_int / spec.spectrum.l_c < ADIABATIC_RATIO_MIN):
         warnings.append(
             "non-adiabatic drive: t_int/l_c = "
             f"{spec.source.t_int / spec.spectrum.l_c:g} < "
@@ -167,7 +169,9 @@ def validate(spec: SystemSpec) -> ValidationReport:
     if q is not None:
         if not 0.0 <= q.p_ground <= 1.0:
             errors.append("p_ground must lie in [0, 1]")
-        if q.omega_gap < 0:
+        if not math.isfinite(q.omega_gap):
+            errors.append("omega_gap must be finite")
+        elif q.omega_gap < 0:
             errors.append("omega_gap must be >= 0")
         if q.p_ground in (0.0, 1.0):
             warnings.append(

@@ -376,14 +376,11 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
 class InversionPlan:
     """FFT window for recovering a distribution from its transform.
 
-    The resolution relation is dW = 2 pi / (2 v_max); ``atom_weight`` is
-    the constant the transform approaches at large |v| (the no-transition
-    weight), subtracted before the FFT and re-added as an explicit atom.
+    The resolution relation is dW = 2 pi / (2 v_max).
     """
 
     v_max: float
     n_fft: int = 1 << 16
-    atom_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_fft < (1 << 12) or self.n_fft & (self.n_fft - 1):
@@ -406,11 +403,9 @@ class InversionPlan:
         return self.dw * (np.arange(self.n_fft) - self.n_fft // 2)
 
 
-def default_plan(source: DrivenSource, atom_weight: float = 1.0,
-                 v_factor: float = 64.0, n_fft: int = 1 << 16) -> InversionPlan:
+def default_plan(source: DrivenSource) -> InversionPlan:
     """Window wide enough to resolve the ~1/t_int support of the density."""
-    return InversionPlan(v_max=v_factor * source.t_int, n_fft=n_fft,
-                         atom_weight=atom_weight)
+    return InversionPlan(v_max=64.0 * source.t_int)
 
 
 def invert_samples(residual: np.ndarray, plan: InversionPlan):

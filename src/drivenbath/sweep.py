@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FrequencyGrid, SystemSpec, require_valid, with_param
+from .model import SystemSpec, require_valid, with_param
 from .quadrature import QuadratureError
 from .thermo import _engine_report, _entropy_production, _temperatures
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
@@ -149,9 +149,8 @@ class _CellEvaluator:
     Columns are cached by axis value, so saddle centres reuse them.
     """
 
-    def __init__(self, plan: SweepPlan, quantity: Quantity,
-                 grid: Optional[FrequencyGrid]):
-        self.plan, self.quantity, self.grid = plan, quantity, grid
+    def __init__(self, plan: SweepPlan, quantity: Quantity):
+        self.plan, self.quantity = plan, quantity
         self.integrals = 0
         self._columns: dict = {}
 
@@ -177,10 +176,10 @@ class _CellEvaluator:
         w_bar = deficit = math.nan
         if self.quantity is not Quantity.CHI_I_BETA:
             self.integrals += 1
-            w_bar = -w_ext2(spec, self.grid)
+            w_bar = -w_ext2(spec)
         if self.quantity is not Quantity.W_EXT:
             self.integrals += 1
-            deficit = i_beta_deficit(spec, self.grid)
+            deficit = i_beta_deficit(spec)
         return w_bar, deficit
 
     def _column(self, key: float, spec: SystemSpec) -> tuple:
@@ -202,8 +201,7 @@ class _CellEvaluator:
         return ends
 
 
-def run_sweep(plan: SweepPlan, quantity: Quantity,
-              grid: Optional[FrequencyGrid] = None) -> SweepResult:
+def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     """Evaluate ``quantity`` over the plan's grid and extract contours.
 
     Cells failing with one of CELL_ERRORS are recorded as NaN; more than
@@ -215,7 +213,7 @@ def run_sweep(plan: SweepPlan, quantity: Quantity,
     xs, ys = plan.x.values(), plan.y.values()
     values = np.full((plan.x.n, plan.y.n), np.nan)
     failures: list[tuple[int, int, str]] = []
-    value_at = _CellEvaluator(plan, quantity, grid)
+    value_at = _CellEvaluator(plan, quantity)
 
     def evaluate(i: int, j: int, x: float, y: float, tag: str = "") -> float:
         try:
@@ -279,9 +277,9 @@ def _edge_key(i: int, j: int, edge: int):
 
 
 def extract_zero_contour(result: SweepResult,
-                         center_fn: Optional[Callable] = None,
-                         level: float = 0.0) -> list[np.ndarray]:
-    """Marching-squares polylines of ``grid == level`` in axis coordinates.
+                         center_fn: Optional[Callable] = None
+                         ) -> list[np.ndarray]:
+    """Marching-squares polylines of ``grid == 0`` in axis coordinates.
 
     Crossing points are linearly interpolated in scale space and computed
     once per grid edge, so adjacent cells share vertices exactly and the
@@ -294,7 +292,7 @@ def extract_zero_contour(result: SweepResult,
     """
     su = result.plan.x.scale_values()
     sv = result.plan.y.scale_values()
-    values = result.grid - level
+    values = result.grid
     nx, ny = values.shape
 
     crossings: dict = {}
@@ -340,7 +338,7 @@ def extract_zero_contour(result: SweepResult,
                 if center_fn is not None:
                     cx = result.plan.x.to_coord(0.5 * (su[i] + su[i + 1]))
                     cy = result.plan.y.to_coord(0.5 * (sv[j] + sv[j + 1]))
-                    center = center_fn(i, j, float(cx), float(cy)) - level
+                    center = center_fn(i, j, float(cx), float(cy))
                 if math.isnan(center):
                     center = float(np.mean(corner_vals))
                 positive_center = center > 0.0
@@ -416,12 +414,12 @@ def _marker_curve(xs: np.ndarray, solve) -> list[np.ndarray]:
     return [np.array(s) for s in segments if len(s) >= 2]
 
 
-def beta_q_marker(plan: SweepPlan, refine: int = 4) -> list[np.ndarray]:
+def beta_q_marker(plan: SweepPlan) -> list[np.ndarray]:
     """Polyline of the matched-temperature condition beta = beta_q.
 
-    Solved analytically per column for the first of beta, the gap and p
-    that is an axis, along the other axis; empty when the spec has no
-    qubit or the curve misses the plotted window.
+    Solved analytically for the first of beta, the gap and p that is an
+    axis, at four times the resolution of the other axis; empty when the
+    spec has no qubit or the curve misses the plotted window.
     """
     spec = plan.fixed
     if spec.qubit is None:
@@ -451,7 +449,7 @@ def beta_q_marker(plan: SweepPlan, refine: int = 4) -> list[np.ndarray]:
         return solved if lo <= solved <= hi else math.nan
 
     space = np.geomspace if along.scale == "log" else np.linspace
-    curves = _marker_curve(space(along.start, along.stop, along.n * refine),
+    curves = _marker_curve(space(along.start, along.stop, 4 * along.n),
                            solve)
     if target_axis is plan.x:
         curves = [c[:, ::-1] for c in curves]

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
-from .model import FrequencyGrid, SystemSpec, beta_q
+from .model import SystemSpec, beta_q
 from .workstats import chi2_from_deficit, i_beta_deficit, w_ext2
 
 #: relative temperature difference below which the heat split is singular
@@ -54,15 +53,13 @@ def default_mode_tol(spec: SystemSpec) -> float:
     return 1e-16 * spec.source.lambda0 ** 2 * spec.source.t_int
 
 
-def entropy_production(spec: SystemSpec,
-                       grid: Optional[FrequencyGrid] = None) -> float:
+def entropy_production(spec: SystemSpec) -> float:
     """Mean entropy production beta * W_mean + ln chi2(i beta).
 
     Nonnegative up to O(lambda^4) roundoff: the linearized integrand is
     pointwise nonnegative.
     """
-    return _entropy_production(spec, -w_ext2(spec, grid),
-                               i_beta_deficit(spec, grid))
+    return _entropy_production(spec, -w_ext2(spec), i_beta_deficit(spec))
 
 
 def _entropy_production(spec: SystemSpec, w_bar: float,
@@ -78,34 +75,34 @@ def _entropy_production(spec: SystemSpec, w_bar: float,
     return spec.beta * w_bar + math.log1p(-deficit)
 
 
-def heat_flows(w_bar: float, delta_s: float, t_b: float, t_q: float,
-               degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, float]:
+def heat_flows(w_bar: float, delta_s: float, t_b: float,
+               t_q: float) -> tuple[float, float]:
     """Solve the first-law pair for (Q_bath, Q_qubit).
 
     Q_b + Q_q = w_bar and Q_b/T_b + Q_q/T_q = delta_s; the solve is
     exactly linear in (w_bar, delta_s) and undefined at equal
-    temperatures.
+    temperatures (relative difference within DEGENERACY_TOL).
     """
-    if abs(t_b - t_q) <= degeneracy_tol * max(abs(t_b), abs(t_q)):
+    if abs(t_b - t_q) <= DEGENERACY_TOL * max(abs(t_b), abs(t_q)):
         raise ValueError("heat split undefined at T_B = T_Q")
     q_b = -t_b * (t_q * delta_s - w_bar) / (t_b - t_q)
     q_q = t_q * (t_b * delta_s - w_bar) / (t_b - t_q)
     return q_b, q_q
 
 
-def engine_report(spec: SystemSpec,
-                  grid: Optional[FrequencyGrid] = None,
-                  mode_tol: Optional[float] = None) -> EngineReport:
+def engine_report(spec: SystemSpec) -> EngineReport:
     """Classify one operating point and compute its figure of merit.
 
     Requires a qubit with p > 1/2 (a population-inverted qubit is held by
     external pumping, and the Carnot bounds below do not apply to it).
-    W_mean below -mode_tol is a heat engine with
+    With tol = ``default_mode_tol(spec)``, W_mean below -tol is a heat
+    engine with
 
         eta = (1 - r) / (1 + T_L dS / W_ext),    r = T_L / T_H,
 
-    above +mode_tol a refrigerator with COP = r/(1-r) (1 - T_H dS/W_mean);
-    both saturate their Carnot values exactly at dS = 0.
+    above +tol a refrigerator with COP = r/(1-r) (1 - T_H dS/W_mean);
+    both saturate their Carnot values exactly at dS = 0.  |W_mean| <= tol
+    is DEGENERATE with a NaN figure of merit.
 
     Positive mean work does not by itself make a refrigerator: when the
     entropy production is large enough that heat flows *into* the cold
@@ -114,8 +111,7 @@ def engine_report(spec: SystemSpec,
     figure of merit.
     """
     _temperatures(spec)  # refuse before integrating
-    return _engine_report(spec, -w_ext2(spec, grid),
-                          i_beta_deficit(spec, grid), mode_tol)
+    return _engine_report(spec, -w_ext2(spec), i_beta_deficit(spec))
 
 
 def _temperatures(spec: SystemSpec) -> tuple[float, float]:
@@ -130,8 +126,8 @@ def _temperatures(spec: SystemSpec) -> tuple[float, float]:
     return 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
 
 
-def _engine_report(spec: SystemSpec, w_bar: float, deficit: float,
-                   mode_tol: Optional[float] = None) -> EngineReport:
+def _engine_report(spec: SystemSpec, w_bar: float,
+                   deficit: float) -> EngineReport:
     """First-law and mode bookkeeping of :func:`engine_report`.
 
     Takes the mean work and the i-beta deficit instead of integrating
@@ -139,8 +135,7 @@ def _engine_report(spec: SystemSpec, w_bar: float, deficit: float,
     the same report and the same refusals, which are checked here.
     """
     t_b, t_q = _temperatures(spec)
-    if mode_tol is None:
-        mode_tol = default_mode_tol(spec)
+    mode_tol = default_mode_tol(spec)
     delta_s = _entropy_production(spec, w_bar, deficit)
     q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
     t_h, t_l = max(t_b, t_q), min(t_b, t_q)

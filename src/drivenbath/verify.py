@@ -19,7 +19,6 @@ from . import workstats as ws
 from .green import green_pair
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec)
-from .quadrature import default_plan
 from .thermo import EngineMode, engine_report
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
@@ -74,7 +73,7 @@ def check_crooks_pure_bath() -> CheckResult:
     for alpha, beta in ((5.0, 0.5), (5.0, 1.0), (5.0, 2.0), (0.5, 1.0),
                         (1.0, 10.0)):
         dist = ws.wdf2(_spec(beta, alpha))
-        ratio = ws.crooks_ratio(dist, beta)
+        ratio = ws.crooks_ratio(dist)
         mask = (dist.density > 1e-12 * dist.density.max()) \
             & np.isfinite(ratio.values)
         expected = np.exp(-beta * dist.w_grid[mask])
@@ -156,11 +155,10 @@ def check_half_population_mean_work() -> CheckResult:
 
 def check_lambda4_scaling() -> CheckResult:
     """max|P - P2| shrinks by 14x-18x when lambda0 is halved."""
-    plan = default_plan(DEFAULT_SOURCE)
     diffs = []
     for lam in (0.01, 0.005):
         spec = _spec(1.0, 5.0, source=DrivenSource(lam, 100.0))
-        _, diff = ws.correction_field(spec, plan)
+        _, diff = ws.correction_field(spec)
         diffs.append(float(np.max(np.abs(diff))))
     ratio = diffs[0] / diffs[1]
     passed = 14.0 <= ratio <= 18.0
@@ -318,10 +316,10 @@ def check_quadrature_oracle() -> CheckResult:
     families: list[tuple[str, Callable, Callable]] = [
         ("channel-sum", ws.channel_sum_integral,
          lambda s: FrequencyGrid.for_source(s.source)),
-        ("mean-work", lambda s, grid=None: -ws.w_ext2(s, grid),
+        ("mean-work", lambda s, grid: -ws.w_ext2(s, grid),
          lambda s: FrequencyGrid.for_source(s.source)),
         ("chi-i-beta", ws.chi2_at_i_beta, ws.default_i_beta_grid),
-        ("chi2(v=37.7)", lambda s, grid=None: ws.chi2(37.7, s, grid),
+        ("chi2(v=37.7)", lambda s, grid: ws.chi2(37.7, s, grid),
          lambda s: FrequencyGrid.for_source(s.source)),
     ]
     worst_rule, worst_window, lines = 0.0, 0.0, []

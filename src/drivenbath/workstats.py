@@ -18,7 +18,7 @@ import numpy as np
 from . import quadrature
 from .green import GreenPair, green_pair
 from .model import DrivenSource, FrequencyGrid, SystemSpec, require_valid
-from .quadrature import InversionPlan, default_plan, integrate_lambda, lambda_weight
+from .quadrature import default_plan, integrate_lambda, lambda_weight
 
 #: continuous densities this far below zero are clipped (FFT ringing);
 #: anything lower means the perturbative constraint is genuinely broken
@@ -77,7 +77,7 @@ def _widened_grid(spec: SystemSpec, im_v: float) -> FrequencyGrid:
     That factor grows like e^{|Im v| |w|} before the drive envelope cuts
     it, so the Gaussian peak of the integrand is shifted by
     |Im v|/(4 t_int^2); the window is widened by that amount to keep the
-    truncated tail below tail_eps of the peak (drive-only sizing misses a
+    truncated tail below TAIL_EPS of the peak (drive-only sizing misses a
     ~1e-11 tail at |Im v| ~ 1e3).  Real v keeps the drive-only window.
     """
     base = FrequencyGrid.for_source(spec.source)
@@ -187,15 +187,14 @@ def channel_sum_integral(spec: SystemSpec,
     return _integrate(lambda w: pair.g_mp(w) + pair.g_pm(w), spec, pair, grid)
 
 
-def positivity_check(spec: SystemSpec,
-                     grid: Optional[FrequencyGrid] = None) -> PositivityReport:
+def positivity_check(spec: SystemSpec) -> PositivityReport:
     """Whether the channel-sum integral sits strictly inside (0, 2).
 
     Outside that window the second-order distribution cannot be a
     probability (the atom weight leaves (0, 1)); the report says so
     instead of clipping anything.
     """
-    value = channel_sum_integral(spec, grid)
+    value = channel_sum_integral(spec)
     if value <= 0.0:
         return PositivityReport(value, False, "not strictly positive")
     if value >= 2.0:
@@ -206,10 +205,9 @@ def positivity_check(spec: SystemSpec,
     return PositivityReport(value, True)
 
 
-def atom_weight2(spec: SystemSpec,
-                 grid: Optional[FrequencyGrid] = None) -> float:
+def atom_weight2(spec: SystemSpec) -> float:
     """Second-order no-transition weight p0 = 1 - channel_sum/2."""
-    report = positivity_check(spec, grid)
+    report = positivity_check(spec)
     if not report.passed:
         raise ConstraintError(
             f"positivity constraint violated ({report.message}); "
@@ -217,14 +215,14 @@ def atom_weight2(spec: SystemSpec,
     return 1.0 - 0.5 * report.value
 
 
-def wdf2(spec: SystemSpec, w_grid: Optional[np.ndarray] = None,
-         grid: Optional[FrequencyGrid] = None) -> WorkDistribution:
+def wdf2(spec: SystemSpec,
+         w_grid: Optional[np.ndarray] = None) -> WorkDistribution:
     """Second-order work distribution on ``w_grid``.
 
     density(W) = |lam(W)|^2 [g_mp(W) + g_pm(-W)] / 4 pi, with the atom
     p0 carried separately.  The default grid excludes W = 0.
     """
-    atom = atom_weight2(spec, grid)
+    atom = atom_weight2(spec)
     w = default_w_grid(spec.source) if w_grid is None else \
         np.asarray(w_grid, dtype=float)
     pair = green_pair(spec)
@@ -259,8 +257,7 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
         lambda w: (w * pair.g_mp(w), -w * pair.g_pm(w)), spec, pair, grid)
 
 
-def mean_work_finite_difference(spec: SystemSpec, h: float = 1e-4,
-                                grid: Optional[FrequencyGrid] = None) -> float:
+def mean_work_finite_difference(spec: SystemSpec) -> float:
     """-i d(chi2)/dv at v = 0 by Richardson-extrapolated central steps.
 
     Test-side cross-check only; production mean work comes from the
@@ -269,8 +266,9 @@ def mean_work_finite_difference(spec: SystemSpec, h: float = 1e-4,
     occurs.
     """
     def central(step: float) -> complex:
-        return (chi2(step, spec, grid) - chi2(-step, spec, grid)) / (2 * step)
+        return (chi2(step, spec) - chi2(-step, spec)) / (2 * step)
 
+    h = 1e-4
     coarse = central(h)
     fine = central(h / 2.0)
     derivative = (4.0 * fine - coarse) / 3.0
@@ -296,14 +294,12 @@ class CrooksRatio:
         return float(self.values[idx])
 
 
-def crooks_ratio(dist: WorkDistribution, beta: float) -> CrooksRatio:
+def crooks_ratio(dist: WorkDistribution) -> CrooksRatio:
     """density(-W)/density(W) over the grid of ``dist``.
 
     Requires a sign-symmetric grid so each W has its mirror; for a pure
     thermal bath the result equals e^{-beta W} pointwise (the fluctuation
     ratio), while qubit-coupled deviations from that are the observable.
-    ``beta`` is accepted for the caller's comparison and not used in the
-    ratio itself.
     """
     w = dist.w_grid
     mirrored = np.searchsorted(w, -w)
@@ -347,8 +343,7 @@ class ChiField:
         return self.p0 + self.tail
 
 
-def chi2_field(spec: SystemSpec, v: np.ndarray,
-               grid: Optional[FrequencyGrid] = None) -> ChiField:
+def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     """Sample chi2 on an evenly spaced v grid whose lattice holds 0.
 
     Every v_j must be k_j h for an integer k_j, where h is the grid
@@ -372,7 +367,7 @@ def chi2_field(spec: SystemSpec, v: np.ndarray,
     k = np.rint(v_abs / h).astype(np.intp)
     a_mp, a_pm = quadrature.oscillatory_pair(
         pair.g_mp, pair.g_pm, h * np.arange(k.max(initial=0) + 1),
-        spec.source, _grid_for(spec, grid),
+        spec.source, FrequencyGrid.for_source(spec.source),
         breakpoints=pair.edges, singular_exponent=pair.singular_exponent)
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)
     # T(v) = (A_mp(v) + conj(A_pm(v)))/2 for v >= 0, conjugate below
@@ -389,25 +384,28 @@ class InversionError(RuntimeError):
     """The FFT window failed to capture the distribution."""
 
 
-def wdf_nonperturbative(spec: SystemSpec,
-                        plan: Optional[InversionPlan] = None,
-                        grid: Optional[FrequencyGrid] = None
-                        ) -> WorkDistribution:
+def _all_order_field(spec: SystemSpec):
+    """(default plan, atom e^{p0 - 1}, chi2 tail T) of the pure bath."""
+    require_pure_bath(spec)
+    plan = default_plan(spec.source)
+    field = chi2_field(spec, plan.v_grid())
+    return plan, math.exp(field.p0 - 1.0), field.tail
+
+
+def wdf_nonperturbative(spec: SystemSpec) -> WorkDistribution:
     """All-order work distribution of the pure bath by FFT inversion.
 
-    The atom is e^{p0 - 1} and the transform residual is evaluated as
+    Samples chi2 on the v grid of ``default_plan(spec.source)``.  The
+    atom is e^{p0 - 1} and the transform residual is evaluated as
     atom * expm1(T(v)), which keeps the full relative accuracy of the
-    tail; the plan's own ``atom_weight`` is not used.  Against the
-    second-order density this resummation carries the small oscillatory
-    corrections (self-convolutions of the tail).
+    tail.  Against the second-order density this resummation carries the
+    small oscillatory corrections (self-convolutions of the tail).
+    Raises :class:`InversionError` when the normalization is off by more
+    than NORMALIZATION_ABORT.
     """
-    require_pure_bath(spec)
-    if plan is None:
-        plan = default_plan(spec.source)
-    field = chi2_field(spec, plan.v_grid(), grid)
-    atom = math.exp(field.p0 - 1.0)
-    w, complex_density = quadrature.invert_samples(
-        atom * np.expm1(field.tail), plan)
+    plan, atom, tail = _all_order_field(spec)
+    w, complex_density = quadrature.invert_samples(atom * np.expm1(tail),
+                                                   plan)
     imag_residue = float(np.max(np.abs(complex_density.imag), initial=0.0))
     density, clipped = _clip_density(complex_density.real.copy())
     dist = WorkDistribution(atom_weight=atom, w_grid=w, density=density,
@@ -419,9 +417,7 @@ def wdf_nonperturbative(spec: SystemSpec,
     return dist
 
 
-def correction_field(spec: SystemSpec,
-                     plan: Optional[InversionPlan] = None,
-                     grid: Optional[FrequencyGrid] = None):
+def correction_field(spec: SystemSpec):
     """(w, P - P2) difference of all-order and second-order densities.
 
     Transforming the residual difference atom*expm1(T) - T in a single
@@ -429,11 +425,7 @@ def correction_field(spec: SystemSpec,
     fourth-order-and-up correction; computing the two densities
     separately and subtracting would bury it in shared artifacts.
     """
-    require_pure_bath(spec)
-    if plan is None:
-        plan = default_plan(spec.source)
-    field = chi2_field(spec, plan.v_grid(), grid)
-    atom = math.exp(field.p0 - 1.0)
-    diff = atom * np.expm1(field.tail) - field.tail
-    w, density = quadrature.invert_samples(diff, plan)
+    plan, atom, tail = _all_order_field(spec)
+    w, density = quadrature.invert_samples(atom * np.expm1(tail) - tail,
+                                           plan)
     return w, density.real

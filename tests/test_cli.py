@@ -197,6 +197,42 @@ class TestConfig:
         assert run(["wext", "--alpha", "-1"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, field", [
+        (["wext", "--qubit", "spin", "--omega", "nan"], "omega_gap"),
+        (["engine", "--qubit", "spin", "--omega", "nan", "--p", "0.9"],
+         "omega_gap"),
+        (["wext", "--qubit", "spin", "--omega", "inf"], "omega_gap"),
+        (["wext", "--tint", "inf"], "t_int"),
+        (["wext", "--beta", "inf"], "beta"),
+        (["wext", "--lambda0", "inf"], "lambda0"),
+        (["wext", "--lc", "inf"], "l_c"),
+    ], ids=["wext-omega-nan", "engine-omega-nan", "omega-inf", "tint-inf",
+            "beta-inf", "lambda0-inf", "lc-inf"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, args,
+                                             field):
+        out = tmp_path / "out"
+        assert run(args + ["--out", out / "x.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be finite\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("beta = 5\n", "bad.ini"),
+        ("[bath]\nbeta = 5\nbeta = 6\n", "bad.ini"),
+        ("[bath]\nbeta\n", "bad.ini"),
+        ("[DEFAULT]\nbeta = 5\n", "unknown config section [DEFAULT]"),
+    ], ids=["no-section-header", "repeated-key", "no-equals",
+            "default-section"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text,
+                                             reason):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["wext", "--config", cfg, "--out", out / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and not out.exists()
+
     @pytest.mark.parametrize("command", ["wcf", "wdf"])
     def test_nonperturbative_qubit_refused_before_writing(
             self, tmp_path, capsys, command):

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -170,6 +172,38 @@ class TestPublicApi:
             "wdf_nonperturbative", "with_param"])
         assert len(drivenbath.__all__) == 45
         assert all(hasattr(drivenbath, name) for name in drivenbath.__all__)
+
+    def test_defaulted_options_pinned(self):
+        # defaulted parameters of every public function and classmethod,
+        # and defaulted dataclass fields: a new setting shows up here
+        options = []
+        for name in drivenbath.__all__:
+            obj = getattr(drivenbath, name)
+            functions = {name: obj} if inspect.isfunction(obj) else {
+                f"{name}.{attr}": member.__func__
+                for attr, member in vars(obj).items()
+                if isinstance(member, classmethod)}
+            for label, fn in functions.items():
+                options += [f"{label}({p.name})"
+                            for p in inspect.signature(fn).parameters.values()
+                            if p.default is not p.empty]
+            if dataclasses.is_dataclass(obj):
+                options += [f"{name}.{f.name}"
+                            for f in dataclasses.fields(obj)
+                            if f.default is not dataclasses.MISSING
+                            or f.default_factory is not dataclasses.MISSING]
+        assert sorted(options) == sorted([
+            "Axis.n", "Axis.scale", "FrequencyGrid.n_points",
+            "FrequencyGrid.rule", "InversionPlan.n_fft", "OhmicSpectrum.l_c",
+            "SystemSpec.qubit", "channel_sum_integral(grid)", "chi2(grid)",
+            "chi2_at_i_beta(grid)", "default_w_grid(n)",
+            "extract_zero_contour(center_fn)",
+            "integrate_lambda(breakpoints)",
+            "integrate_lambda(singular_exponent)",
+            "integrate_lambda(complex_valued)",
+            "oscillatory_pair(breakpoints)",
+            "oscillatory_pair(singular_exponent)", "w_ext2(grid)",
+            "wdf2(w_grid)"])
 
     def test_no_spectral_module(self):
         with pytest.raises(ModuleNotFoundError):

@@ -69,6 +69,15 @@ class TestValidate:
         with pytest.raises(ValueError, match="alpha must be >="):
             w_ext2(make_spec(alpha=0.02))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, kwarg", [
+        ("beta", "beta"), ("l_c", "lc"), ("lambda0", "lambda0"),
+        ("t_int", "t_int"), ("omega_gap", "omega_gap")])
+    def test_non_finite_value_is_error(self, field, kwarg, value):
+        # a NaN gap passes "< 0" and +inf passes every "> 0"
+        report = validate(make_spec(coupling="spin", **{kwarg: value}))
+        assert report.errors == (f"{field} must be finite",)
+
     def test_fast_drive_warns_non_adiabatic(self):
         report = validate(make_spec(t_int=1.0, lc=1.0))
         assert report.is_valid
@@ -92,8 +101,8 @@ class TestValidate:
 
 class TestFrequencyGrid:
     def test_window_from_drive_tail(self):
-        grid = FrequencyGrid.for_source(make_spec().source, tail_eps=1e-16)
-        # envelope at the edge equals tail_eps
+        grid = FrequencyGrid.for_source(make_spec().source)
+        # envelope at the edge equals TAIL_EPS
         assert math.exp(-2.0 * (grid.omega_max * 100.0) ** 2) == \
             pytest.approx(1e-16, rel=1e-10)
 

@@ -19,7 +19,8 @@ def adaptive_grid(source=DEFAULT_SOURCE):
 
 
 def trapezoid_grid(source=DEFAULT_SOURCE, n=1 << 16):
-    return FrequencyGrid.for_source(source, rule=Rule.TRAPEZOID, n_points=n)
+    return replace(FrequencyGrid.for_source(source), rule=Rule.TRAPEZOID,
+                   n_points=n)
 
 
 class TestLambdaWeight:
@@ -296,7 +297,7 @@ class TestOscillatoryPair:
 
 class TestInversionPlan:
     def test_resolution_relation(self):
-        plan = InversionPlan(v_max=6400.0, n_fft=1 << 16, atom_weight=0.5)
+        plan = InversionPlan(v_max=6400.0, n_fft=1 << 16)
         assert plan.dw == pytest.approx(math.pi / 6400.0, rel=1e-15)
         assert plan.v_grid()[plan.n_fft // 2] == 0.0
         assert plan.w_grid().size == plan.n_fft
@@ -311,7 +312,7 @@ class TestInversionPlan:
 class TestInversion:
     def test_constant_chi_is_pure_atom(self):
         # an atom left in the samples inverts to unit mass in the W = 0 bin
-        plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
+        plan = InversionPlan(v_max=200.0, n_fft=1 << 12)
         w, density = invert_samples(np.ones(plan.n_fft, complex), plan)
         zero = plan.n_fft // 2
         assert w[zero] == 0.0
@@ -320,7 +321,7 @@ class TestInversion:
 
     def test_shift_theorem_concentrates_mass(self):
         # e^{i w0 v} inverts to a single-bin spike at w0
-        plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
+        plan = InversionPlan(v_max=200.0, n_fft=1 << 12)
         w0 = 64.0 * plan.dw
         w, density = invert_samples(np.exp(1j * w0 * plan.v_grid()), plan)
         peak = int(np.argmax(density.real))
@@ -328,12 +329,12 @@ class TestInversion:
         assert density[peak].real * plan.dw == pytest.approx(1.0, rel=1e-10)
 
     def test_samples_off_the_plan_grid_rejected(self):
-        plan = InversionPlan(v_max=200.0, n_fft=1 << 12, atom_weight=0.0)
+        plan = InversionPlan(v_max=200.0, n_fft=1 << 12)
         with pytest.raises(ValueError, match="plan.v_grid"):
             invert_samples(np.ones(plan.n_fft // 2, complex), plan)
 
     def test_round_trip_reproduces_samples(self):
-        plan = InversionPlan(v_max=150.0, n_fft=1 << 12, atom_weight=0.0)
+        plan = InversionPlan(v_max=150.0, n_fft=1 << 12)
         v = plan.v_grid()
         chi = np.exp(-0.5 * (v * 0.05) ** 2) * np.exp(1j * 0.3 * plan.dw * v)
         w, density = invert_samples(chi.astype(complex), plan)
@@ -344,7 +345,7 @@ class TestInversion:
 
     def test_gaussian_pair_matches_analytic_density(self):
         sigma_w = 0.05
-        plan = InversionPlan(v_max=400.0, n_fft=1 << 13, atom_weight=0.0)
+        plan = InversionPlan(v_max=400.0, n_fft=1 << 13)
         v = plan.v_grid()
         w, density = invert_samples(
             np.exp(-0.5 * (sigma_w * v) ** 2).astype(complex), plan)
