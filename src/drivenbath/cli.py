@@ -195,6 +195,8 @@ def cmd_wcf(args, s: dict) -> int:
         workstats.require_pure_bath(spec)
     v_max = 64.0 * spec.source.t_int if s["vmax"] is None else s["vmax"]
     samples = s["samples"]
+    if samples < 1:
+        raise ValueError(f"wcf needs at least 1 sample, got {samples}")
     v = np.linspace(0.0, v_max, samples)
     field = workstats.chi2_field(spec, v)
     chi = field.chi2_values()

@@ -11,17 +11,23 @@ zero for w - shift <= 0 (stability support of the bath), and no growing
 exponential is ever evaluated: the overflow-prone textbook forms
 e^{bx} n_BE(x) and e^{bx} n_FD(x) are written as 1/(1-e^{-bx}) and
 1/(1+e^{-bx}).
+
+A :class:`ChannelTable` holds beta, alpha, the gap and p of a batch of
+specs as arrays, one value per spec, and evaluates the channels of every
+line of a node array at its own spec's values; :func:`green_pair` is the
+table of one spec as closures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .model import Coupling, SystemSpec
+from .quadrature import power
 
 ArrayLike = Union[float, np.ndarray]
 DensityFn = Callable[[ArrayLike], ArrayLike]
@@ -87,13 +93,104 @@ _OCCUPATIONS = {
 }
 
 
-def green_pair(spec: SystemSpec) -> GreenPair:
-    """The channel pair of the bath, alone or coupled to the spec's qubit.
+#: rows of ``ChannelTable.params``: beta, alpha and the density's norm,
+#: then the weights and then the shifts of the channel terms
+_BETA, _ALPHA, _NORM, _TERMS = 0, 1, 2, 3
+
+
+@dataclass(frozen=True)
+class ChannelTable:
+    """The channel terms of a batch of specs, one column per spec.
+
+    The specs share the coupling (or the bare bath) and l_c; ``params``
+    holds beta, alpha, the Ohmic norm and each term's weight and shift as
+    rows with one value per spec.  Term i of the channels takes
+    ``occupations[i]``; ``mp_terms`` and ``pm_terms`` list the terms of
+    g_mp and g_pm.  ``edges`` and ``singular_exponents`` hold each spec's
+    integration metadata, as in :class:`GreenPair`.
+    """
+
+    params: np.ndarray
+    l_c: float
+    occupations: tuple
+    mp_terms: tuple[int, ...]
+    pm_terms: tuple[int, ...]
+    edges: tuple[tuple[float, ...], ...]
+    singular_exponents: tuple[Optional[float], ...]
+
+    def beta(self, rows: np.ndarray):
+        """beta of the lines of ``rows`` (ascending) as a column, or as a
+        float when they all belong to one spec."""
+        if rows[0] == rows[-1]:
+            return float(self.params[_BETA, rows[0]])
+        return self.params[_BETA, rows][:, None]
+
+    def pair(self, omega: np.ndarray,
+             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_mp, g_pm) at ``omega`` of shape (k, m), whose line i belongs
+        to spec ``rows[i]``; ``rows`` is ascending."""
+        if rows[0] == rows[-1]:
+            params = self.params[:, rows[0]].tolist()
+        else:
+            params = list(self.params[:, rows])
+            if (params[_ALPHA] == params[_ALPHA][0]).all():
+                params[_ALPHA] = float(params[_ALPHA][0])
+        # an occupation overflowing at huge beta x takes its intended
+        # limit (s/inf -> 0); the support mask keeps beta x positive
+        with np.errstate(over="ignore", under="ignore"):
+            return (self._channel(self.mp_terms, omega, params),
+                    self._channel(self.pm_terms, omega, params))
+
+    def _channel(self, terms, omega: np.ndarray, params) -> np.ndarray:
+        """One channel at ``omega`` (k, m); a row of ``params`` is a float
+        shared by all nodes or holds one value per line of ``omega``."""
+        m = omega.shape[1]
+        w = omega.reshape(-1)
+        total = None
+        n_terms = len(self.occupations)
+        for i in terms:
+            shift = params[_TERMS + n_terms + i]
+            x = w - shift if isinstance(shift, float) else \
+                (omega - shift[:, None]).reshape(-1)
+            on = x > 0.0
+            n_on = np.count_nonzero(on)
+            if not n_on:
+                continue
+            # quadrature panels end at the support edges, so a term is
+            # mostly on or off for a whole call
+            partial = n_on < x.size
+            if partial:
+                x = x[on]
+            # the term's values per node, made for it alone; floats stay
+            node = [params[_BETA], params[_ALPHA], params[_NORM],
+                    params[_TERMS + i]]
+            if not isinstance(node[0], float):
+                lines = np.flatnonzero(on) // m if partial else None
+                node = [a if isinstance(a, float) else
+                        a.repeat(m) if lines is None else a[lines]
+                        for a in node]
+            beta, alpha, norm, weight = node
+            # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
+            lx = self.l_c * x
+            term = weight * self.occupations[i](
+                norm * power(lx, alpha) * np.exp(-lx * lx), beta * x)
+            if partial:
+                full = np.zeros(w.shape)
+                full[on] = term
+                term = full
+            total = term if total is None else total + term
+        if total is None:
+            total = np.zeros(w.shape)
+        return total.reshape(omega.shape)
+
+
+def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
+    """The channel table of ``specs``, which share coupling and l_c.
 
     Bare bath: g_mp = S_b(w) = S(w)/(1 - e^{-bw}) and g_pm = e^{-bw} S_b(w),
     which satisfy detailed balance g_mp = e^{bw} g_pm on w > 0.  With a
-    qubit at gap D and ground population p, from the table's (s1, s2,
-    d1, d2):
+    qubit at gap D and ground population p, from the occupations' (s1,
+    s2, d1, d2):
 
         g_mp(w) = p s1(w - D) + (1-p) s2(w + D)
         g_pm(w) = p d1(w + D) + (1-p) d2(w - D)
@@ -101,53 +198,54 @@ def green_pair(spec: SystemSpec) -> GreenPair:
     Both are affine in p with coefficients evaluated identically, so the
     p-mixture identity holds to the bit level.
     """
-    beta = spec.beta
-    alpha, l_c = spec.spectrum.alpha, spec.spectrum.l_c
-    norm = 2.0 * l_c / math.gamma((1.0 + alpha) / 2.0)
-    qubit = spec.qubit
+    first = specs[0]
+    qubit, l_c = first.qubit, first.spectrum.l_c
+    if any((s.qubit is None) != (qubit is None) or s.spectrum.l_c != l_c
+           or (qubit is not None and s.qubit.coupling is not qubit.coupling)
+           for s in specs):
+        raise ValueError("a channel table needs one coupling and one l_c")
+    alpha = [s.spectrum.alpha for s in specs]
     if qubit is None:
         s1, _, d1, _ = _OCCUPATIONS[Coupling.SPIN]
-        mp_terms, pm_terms = [(1.0, 0.0, s1)], [(1.0, 0.0, d1)]
-        edges = (0.0,)
+        occupations, mp_terms, pm_terms = (s1, d1), (0,), (1,)
+        gaps = [0.0] * len(specs)
+        terms = [[1.0] * len(specs)] * 2 + [gaps] * 2
     else:
         s1, s2, d1, d2 = _OCCUPATIONS[qubit.coupling]
-        p, gap = qubit.p_ground, qubit.omega_gap
-        mp_terms = [(p, gap, s1), (1.0 - p, -gap, s2)]
-        pm_terms = [(p, -gap, d1), (1.0 - p, gap, d2)]
-        edges = (0.0,) if gap == 0.0 else (-gap, gap)
+        occupations, mp_terms, pm_terms = (s1, s2, d1, d2), (0, 1), (2, 3)
+        p = np.array([s.qubit.p_ground for s in specs])
+        gaps = [s.qubit.omega_gap for s in specs]
+        gap = np.array(gaps)
+        terms = [p, 1.0 - p, p, 1.0 - p, gap, -gap, -gap, gap]
+    norm = [2.0 * l_c / math.gamma((1.0 + a) / 2.0) for a in alpha]
+    return ChannelTable(
+        params=np.array([[s.beta for s in specs], alpha, norm, *terms]),
+        l_c=l_c, occupations=occupations, mp_terms=mp_terms,
+        pm_terms=pm_terms,
+        edges=tuple((0.0,) if g == 0.0 else (-g, g) for g in gaps),
+        singular_exponents=tuple(a - 1.0 if a < 1.0 else None
+                                 for a in alpha))
+
+
+def green_pair(spec: SystemSpec) -> GreenPair:
+    """The channel pair of the bath, alone or coupled to the spec's qubit.
+
+    The channels of :func:`channel_table` for ``spec`` alone, as
+    functions of frequency of any shape.
+    """
+    table = channel_table([spec])
 
     def channel(terms) -> DensityFn:
         def g(omega: ArrayLike) -> ArrayLike:
-            w = np.atleast_1d(np.asarray(omega, dtype=float))
-            total = None
-            # an occupation overflowing at huge beta x takes its intended
-            # limit (s/inf -> 0); the support mask keeps beta x positive
-            with np.errstate(over="ignore", under="ignore"):
-                for weight, shift, occupation in terms:
-                    x = w - shift
-                    on = x > 0.0
-                    if not on.any():
-                        continue
-                    # quadrature panels end at the support edges, so a
-                    # term is mostly on or off for a whole call
-                    partial = not on.all()
-                    if partial:
-                        x = x[on]
-                    # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
-                    lx = l_c * x
-                    term = occupation(norm * lx ** alpha * np.exp(-lx * lx),
-                                      beta * x)
-                    if partial:
-                        full = np.zeros(w.shape)
-                        full[on] = term
-                        term = full
-                    term = weight * term
-                    total = term if total is None else total + term
-            if total is None:
-                total = np.zeros(w.shape)
-            return float(total[0]) if np.ndim(omega) == 0 else total
+            w = np.asarray(omega, dtype=float)
+            with np.errstate(over="ignore", under="ignore"):  # as in pair
+                total = table._channel(terms, w.reshape(1, -1),
+                                       table.params[:, 0].tolist())
+            return float(total[0, 0]) if w.ndim == 0 else \
+                total.reshape(w.shape)
         return g
 
-    return GreenPair(g_pm=channel(pm_terms), g_mp=channel(mp_terms),
-                     edges=edges,
-                     singular_exponent=alpha - 1.0 if alpha < 1.0 else None)
+    return GreenPair(g_pm=channel(table.pm_terms),
+                     g_mp=channel(table.mp_terms),
+                     edges=table.edges[0],
+                     singular_exponent=table.singular_exponents[0])

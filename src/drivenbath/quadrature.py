@@ -13,18 +13,28 @@ An integrand returns one array or a pair (a, b) of arrays whose sum is
 what is integrated.  The pair carries the two uncancelled terms of a
 small difference (W_ext and the chi2(i beta) deficit are differences of
 the two Green channels, and for the pure bath the deficit cancels
-pointwise), and both rules integrate a + b.  The adaptive rule runs one
-refinement loop per integral over the intervals of all its panels, with
-one tolerance, tol = max(1e-14 int(|a| + |b|), 1e-12 |I|): the first
-term is the floor that the rounding of the terms sets, below which
-refinement would chase noise.  It stops when the summed error estimate
-of all intervals is at most tol.  A lone array is the pair (a, 0).
-Refinement that runs out of steps or intervals above tol stalls: it
-returns its current estimate, the open intervals included.
+pointwise), and both rules integrate a + b.  A lone array is the pair
+(a, 0).
+
+The adaptive rule integrates a batch of rows, one integral each, in one
+refinement loop over the intervals of every (row, panel) pair, with one
+integrand call per step on all open intervals.  Each row keeps its own
+tolerance, tol = max(1e-14 int(|a| + |b|), 1e-12 |I|): the first term
+is the floor that the rounding of the terms sets, below which refinement
+would chase noise.  A row leaves the loop when the summed error estimate
+of its intervals is at most tol.  Refinement that runs out of steps or
+intervals above tol stalls: the row leaves with its current estimate,
+the open intervals included, and is flagged.  A row's value does not
+depend on the rest of the batch, to the bit, by construction: every node
+value is an elementwise function of its own row, each interval's rule is
+its own matrix product, each row's sums run over its own intervals in a
+fixed order, and a non-finite sample fails its row alone.  A single
+integral is a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -89,6 +99,27 @@ class _Panel:
         return self.power * t ** (self.power - 1.0)
 
 
+def power(base: np.ndarray, exponent) -> np.ndarray:
+    """``base ** exponent`` with each distinct exponent taken as a float.
+
+    ``exponent`` is a float or an array that broadcasts against ``base``.
+    numpy's pow gives other last bits for an array exponent than for a
+    float (a float 0.5 or 2 even becomes sqrt or square), so every element
+    is raised exactly as it would be by a float exponent alone.
+    """
+    if not isinstance(exponent, float):
+        first = exponent.flat[0]
+        if (exponent == first).all():
+            exponent = float(first)
+    if isinstance(exponent, float):
+        return base ** exponent
+    out = np.empty_like(base)
+    for value in np.unique(exponent).tolist():
+        where = np.broadcast_to(exponent == value, base.shape)
+        out[where] = base[where] ** value
+    return out
+
+
 def _build_panels(omega_max: float,
                   breakpoints: Sequence[float],
                   singular_exponent: Optional[float]) -> list[_Panel]:
@@ -134,35 +165,55 @@ def _sum_and_l1(out):
     """a + b and |a| + |b| of an integrand pair (a, b); a lone array is a."""
     if isinstance(out, tuple):
         a, b = out
-        return a + b, np.abs(a) + np.abs(b)
+        norm = np.abs(a)
+        norm += np.abs(b)
+        return a + b, norm
     return out, np.abs(out)
 
 
-def _part(f, part):
-    """The real or imaginary part of an integrand array or of each term."""
-    def g(w):
-        out = f(w)
-        return tuple(map(part, out)) if isinstance(out, tuple) else part(out)
-    return g
+def _failure(bad: np.ndarray, omegas: np.ndarray) -> Optional[str]:
+    """The QuadratureError message for the first flagged sample, if any."""
+    if not bad.any():
+        return None
+    return f"integrand evaluation failed at omega = {omegas[bad][0]:.6g}"
 
 
-def _check_finite(values: np.ndarray, omegas: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = np.atleast_1d(omegas)[np.atleast_1d(bad)][0]
-        raise QuadratureError(
-            f"integrand evaluation failed at omega = {where:.6g}")
+@dataclass(frozen=True)
+class Integrals:
+    """What :func:`integrate_rows` returns, one entry per row.
+
+    A failed row holds NaN in ``values`` and its QuadratureError message
+    in ``errors`` (None elsewhere).  ``points`` counts the integrand
+    points each row took, and ``stalled`` flags the rows whose refinement
+    ran out of steps or intervals above their tolerance.
+    """
+
+    values: np.ndarray
+    points: np.ndarray
+    stalled: np.ndarray
+    errors: tuple[Optional[str], ...]
+
+    def value(self, row: int = 0):
+        """The value of ``row``; raises its QuadratureError if it failed."""
+        if self.errors[row] is not None:
+            raise QuadratureError(self.errors[row])
+        return self.values[row]
 
 
-def _trapezoid_panel(f, source: DrivenSource, panel: _Panel, n: int,
-                     complex_valued: bool):
-    t = np.linspace(0.0, panel.length, n)
-    om = panel.omega(t)
-    total = _sum_and_l1(f(om))[0]
-    vals = np.asarray(lambda_weight(om, source) * total / (2.0 * math.pi),
-                      dtype=complex if complex_valued else float)
-    _check_finite(vals, om)
-    return np.trapezoid(vals * panel.jacobian(t), t)
+def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
+                   n: int):
+    """(integral, error message) of one row by the trapezoid rule."""
+    total = 0.0
+    for panel in panels:
+        t = np.linspace(0.0, panel.length, n)
+        om = panel.omega(t)
+        out = _sum_and_l1(f(om[None, :], np.array([row])))[0]
+        vals = lambda_weight(om, source) * out[0] / (2.0 * math.pi)
+        message = _failure(~np.isfinite(vals), om)
+        if message is not None:
+            return math.nan, message
+        total += np.trapezoid(vals * panel.jacobian(t), t)
+    return total, None
 
 
 _X_LOW, _W_LOW = np.polynomial.legendre.leggauss(15)
@@ -171,92 +222,216 @@ _X_BOTH = np.concatenate([_X_LOW, _X_HIGH])
 
 #: an interval's row holds m (a + b) at its 15 and 31 nodes, then
 #: m (|a| + |b|) at the 31 nodes, m being |lam|^2 times the Jacobian; the
-#: columns turn it into G31, G31 - G15 and the G31 of |a| + |b| per unit
+#: columns turn it into G31 - G15, G31 and the G31 of |a| + |b| per unit
 #: half-width.  The measure's 1/2pi is applied once, to the final sum.
 _RULES = np.zeros((77, 3))
+_RULES[:15, 0] = -_W_LOW
 _RULES[15:46, 0] = _W_HIGH
-_RULES[:15, 1] = -_W_LOW
 _RULES[15:46, 1] = _W_HIGH
 _RULES[46:, 2] = _W_HIGH
 
 
-def _adaptive(f, source: DrivenSource, panels: list[_Panel]) -> float:
-    """Globally adaptive embedded Gauss pair (15/31 nodes) on all panels.
+def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
+              stalled, errors) -> None:
+    """Globally adaptive embedded Gauss pair (15/31 nodes), all rows at once.
 
-    One refinement loop runs over the open intervals of every panel and
-    evaluates ``f`` once per panel per step, on all of that panel's
-    nodes.  With tol = max(_EPS_L1 int(|a| + |b|), _EPSREL |I|) it stops
-    when the summed |G31 - G15| of all intervals, open and retired, is at
-    most tol.  Otherwise it bisects the intervals whose error exceeds
-    their length share of tol and retires the others with their 31-point
-    estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS open intervals,
-    or with nothing left to bisect, it stalls: it returns with the open
-    intervals' 31-point estimates.
+    Fills ``values``, ``points``, ``stalled`` and ``errors`` of every row
+    whose entry of ``row_panels`` is a panel list.  One refinement loop
+    runs over the open intervals of every (row, panel) pair and evaluates
+    ``f`` once per step, on all their nodes.  The intervals stay grouped
+    by row, then panel, and every sum over a row's intervals is taken over
+    its own run of them, so a row's bits do not depend on the batch.  Per
+    row, with tol = max(_EPS_L1 int(|a| + |b|), _EPSREL |I|), the row
+    leaves the loop when the summed |G31 - G15| of its intervals, open and
+    retired, is at most tol.  Otherwise it bisects its intervals whose
+    error exceeds their length share of tol and retires the others with
+    their 31-point estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS
+    open intervals, or with nothing left to bisect, the row stalls: it
+    leaves with its open intervals' 31-point estimates.  A non-finite
+    sample fails its row alone.
     """
-    panels = [p for p in panels if p.length > 0.0]
-    if not panels:
-        return 0.0
-    total_len = sum(p.length for p in panels)
-    lo = np.zeros(len(panels))
-    half = 0.5 * np.array([p.length for p in panels])
-    # open intervals per panel; the intervals stay grouped by panel
-    counts = [1] * len(panels)
-    done = done_err = done_l1 = 0.0
+    # per open row: its index, open intervals, total panel length and the
+    # summed error, value and L1 of its retired intervals
+    active, counts, total_len, done = [], [], [], []
+    prow, anchor, sign, powers, length = [], [], [], [], []
+    for row, panels in enumerate(row_panels):
+        panels = [p for p in panels or () if p.length > 0.0]
+        if not panels:
+            continue
+        active.append(row)
+        counts.append(len(panels))
+        total_len.append(sum(p.length for p in panels))
+        done.append((0.0, 0.0, 0.0))
+        for p in panels:
+            prow.append(row)
+            anchor.append(p.anchor)
+            sign.append(p.sign)
+            powers.append(p.power)
+            length.append(p.length)
+    if not active:
+        return
+    prow, anchor, sign, powers = map(np.array, (prow, anchor, sign, powers))
+    singular = bool(np.any(powers != 1.0))
+    t2 = source.t_int * source.t_int
+    peak, decay = (source.lambda0 ** 2) * ROOT_8PI * t2, -2.0 * t2
+    pid = np.arange(len(length))
+    lo = np.zeros(len(length))
+    half = 0.5 * np.array(length)
 
-    for step in range(_MAX_STEPS):
-        t_nodes = (lo + half)[:, None] + half[:, None] * _X_BOTH
-        vals = np.empty((lo.size, 77))
-        start = 0
-        for panel, count in zip(panels, counts):
-            if not count:
-                continue
-            stop = start + count
-            t = t_nodes[start:stop].ravel()
-            om = panel.omega(t)
-            total, norm = _sum_and_l1(f(om))
-            measure = lambda_weight(om, source)
-            if panel.power != 1.0:
-                measure = measure * panel.jacobian(t)
-            measure = measure.reshape(count, 46)
-            np.multiply(total.reshape(count, 46), measure,
-                        out=vals[start:stop, :46])
-            np.multiply(norm.reshape(count, 46)[:, 15:], measure[:, 15:],
-                        out=vals[start:stop, 46:])
-            start = stop
-        rules = vals @ _RULES
-        rules *= half[:, None]
-        err = np.abs(rules[:, 1], out=rules[:, 1])
-        i_high, err_sum, l1 = rules.sum(axis=0).tolist()
-        if not math.isfinite(i_high + err_sum + l1):
-            i, j = np.argwhere(~np.isfinite(vals[:, :46]))[0]
-            panel = panels[int(np.searchsorted(np.cumsum(counts), i,
-                                               side="right"))]
-            _check_finite(vals[i, j], panel.omega(t_nodes[i, j]))
+    # a non-finite sample fails its row below, so numpy's warnings about
+    # the sums it spoils would only repeat that
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(_MAX_STEPS):
+            k = lo.size
+            starts = [0, *itertools.accumulate(counts[:-1])]
+            rows = prow[pid]
+            t = (lo + half)[:, None] + half[:, None] * _X_BOTH
+            tp, jac = t, None
+            if singular:
+                # omega = anchor + sign t^power on the panels with power != 1
+                p = powers[pid]
+                sing = np.flatnonzero(p != 1.0)
+                if sing.size:
+                    ts, p = t[sing], p[sing, None]
+                    tp, jac = t.copy(), np.ones_like(t)
+                    tp[sing] = power(ts, p)
+                    jac[sing] = p * power(ts, p - 1.0)
+                    tp = sign[pid][:, None] * tp
+            om = anchor[pid][:, None] + tp
+            # lambda_weight, with its constants taken once
+            measure = np.exp(decay * om * om)
+            measure *= peak
+            if jac is not None:
+                measure *= jac
+            del t, tp, jac
+            total, norm = _sum_and_l1(f(om, rows))
+            vals = np.empty((k, 1, 77))
+            np.multiply(total, measure, out=vals[:, 0, :46])
+            np.multiply(norm[:, 15:], measure[:, 15:], out=vals[:, 0, 46:])
+            # one product per interval: BLAS picks its kernel by the shape of
+            # a product, and a (k, 77) GEMM would sum a row differently for
+            # different k
+            rules = (vals @ _RULES)[:, 0]
+            rules *= half[:, None]
+            err = np.abs(rules[:, 0], out=rules[:, 0])
 
-        estimate = done + i_high
-        tol = max(_EPS_L1 * (done_l1 + l1), _EPSREL * abs(estimate))
-        if done_err + err_sum <= tol:
-            return estimate / (2.0 * math.pi)
-        split = err > (2.0 * tol / total_len) * half
-        if (not split.any() or lo.size > _MAX_INTERVALS
-                or step == _MAX_STEPS - 1):
-            # stalled above tol
-            return estimate / (2.0 * math.pi)
-        retired, retired_err, retired_l1 = \
-            rules[~split].sum(axis=0).tolist()
-        done += retired
-        done_err += retired_err
-        done_l1 += retired_l1
-        # an interval's two halves stay next to each other, and so the
-        # intervals stay grouped by panel
-        start = 0
-        for k, count in enumerate(counts):
-            counts[k] = 2 * np.count_nonzero(split[start:start + count])
-            start += count
-        half = half[split]
-        lo = lo[split].repeat(2)
-        lo[1::2] += half
-        half = (0.5 * half).repeat(2)
+            # per row, in Python floats: summed error, estimate and L1 of the
+            # retired and open intervals, and the tolerance
+            opened = np.add.reduceat(rules, starts, axis=0).tolist()
+            sums = [(d0 + s0, d1 + s1, d2 + s2)
+                    for (d0, d1, d2), (s0, s1, s2) in zip(done, opened)]
+            tols = [max(_EPS_L1 * l1, _EPSREL * abs(value))
+                    for _, value, l1 in sums]
+            split = err > np.array(
+                [2.0 * tol / span for tol, span in zip(tols, total_len)]
+            ).repeat(counts) * half
+            n_split = np.add.reduceat(split, starts, dtype=np.intp).tolist()
+            stay = []
+            for i, (row, (err_sum, value, l1), tol) in enumerate(
+                    zip(active, sums, tols)):
+                points[row] += 46 * counts[i]
+                if not math.isfinite(err_sum + value + l1):
+                    run = slice(starts[i], starts[i] + counts[i])
+                    bad = ~np.isfinite(vals[run, 0, :46])
+                    bad[:, 15:] |= ~np.isfinite(vals[run, 0, 46:])
+                    errors[row] = _failure(bad, om[run]) or \
+                        "integrand samples overflow the integral"
+                    values[row] = math.nan
+                elif err_sum <= tol:
+                    values[row] = value / (2.0 * math.pi)
+                elif (not n_split[i] or counts[i] > _MAX_INTERVALS
+                      or step == _MAX_STEPS - 1):
+                    # stalled above tol
+                    values[row] = value / (2.0 * math.pi)
+                    stalled[row] = True
+                else:
+                    stay.append(i)
+            if not stay:
+                return
+            if len(stay) < len(active):
+                keep = np.zeros(len(active), dtype=bool)
+                keep[stay] = True
+                split &= np.repeat(keep, counts)
+            # when every interval is bisected, nothing retires and nothing
+            # is dropped (a row's sums would only gain zeros)
+            if len(stay) < len(active) or sum(n_split) < k:
+                retired = np.add.reduceat(
+                    np.where(split[:, None], 0.0, rules), starts,
+                    axis=0).tolist()
+                done = [(d0 + r0, d1 + r1, d2 + r2)
+                        for (d0, d1, d2), (r0, r1, r2) in zip(done, retired)]
+                half, pid, lo = half[split], pid[split], lo[split]
+            active = [active[i] for i in stay]
+            counts = [2 * n_split[i] for i in stay]
+            total_len = [total_len[i] for i in stay]
+            done = [done[i] for i in stay]
+            # an interval's two halves stay next to each other, and so the
+            # intervals stay grouped by row and panel
+            pid = pid.repeat(2)
+            lo = lo.repeat(2)
+            lo[1::2] += half
+            half = (0.5 * half).repeat(2)
+
+
+def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
+                   breakpoints: Sequence[Sequence[float]],
+                   singular_exponents: Sequence[Optional[float]],
+                   *, complex_valued: bool = False) -> Integrals:
+    """Integrals of a batch of integrands against the drive measure.
+
+    Row r integrates ``f`` on ``grids[r]`` with its own
+    ``breakpoints[r]`` and ``singular_exponents[r]`` (see
+    :func:`integrate_lambda`); the drive is shared.  ``f(omega, rows)``
+    gets nodes ``omega`` of shape (k, m), whose line i belongs to row
+    ``rows[i]``, and returns one array or a pair (a, b) of arrays of that
+    shape.  The adaptive rows share one refinement loop with one call of
+    ``f`` per step, and each keeps the tolerance and exits that it has
+    alone, so a row's value is the same to the bit in any batch.  With
+    ``complex_valued`` each row's real and imaginary parts are two rows of
+    the loop.  A row whose integrand gives a non-finite sample fails
+    alone; the other rows keep their values.
+    """
+    if complex_valued:
+        def part(omega, rows):
+            out = f(omega, rows // 2)
+            imag = (rows % 2 == 1)[:, None]
+
+            def pick(a):
+                return np.where(imag, a.imag, a.real)
+            return tuple(map(pick, out)) if isinstance(out, tuple) \
+                else pick(out)
+
+        def twice(seq):
+            return [item for item in seq for _ in range(2)]
+        res = integrate_rows(part, source, twice(grids), twice(breakpoints),
+                             twice(singular_exponents))
+        return Integrals(
+            values=res.values[0::2] + 1j * res.values[1::2],
+            points=res.points[0::2] + res.points[1::2],
+            stalled=res.stalled[0::2] | res.stalled[1::2],
+            errors=tuple(a or b for a, b in zip(res.errors[0::2],
+                                                res.errors[1::2])))
+
+    n = len(grids)
+    values, points = np.zeros(n), np.zeros(n, dtype=np.int64)
+    stalled, errors = np.zeros(n, dtype=bool), [None] * n
+    built: dict = {}
+    row_panels: list = []
+    for row, (grid, edges, exponent) in enumerate(
+            zip(grids, breakpoints, singular_exponents)):
+        key = (grid.omega_max, tuple(edges), exponent)
+        if key not in built:
+            built[key] = _build_panels(*key)
+        panels = built[key]
+        if grid.rule is Rule.TRAPEZOID:
+            values[row], errors[row] = _trapezoid_row(
+                f, row, source, panels, grid.n_points)
+            points[row] = grid.n_points * len(panels)
+            panels = None
+        row_panels.append(panels)
+    _adaptive(f, source, row_panels, values, points, stalled, errors)
+    return Integrals(values=values, points=points, stalled=stalled,
+                     errors=tuple(errors))
 
 
 def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
@@ -285,17 +460,12 @@ def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
     ``complex_valued`` the real and imaginary parts are integrated
     separately, each against its own tolerance: the imaginary part of a
     characteristic function can sit ten orders below the real part.
-    Raises :class:`QuadratureError` when f produces a non-finite sample.
+    This is a batch of one of :func:`integrate_rows`.  Raises
+    :class:`QuadratureError` when f produces a non-finite sample.
     """
-    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
-    if grid.rule is Rule.TRAPEZOID:
-        total = sum(_trapezoid_panel(f, source, p, grid.n_points,
-                                     complex_valued) for p in panels)
-    elif complex_valued:
-        total = (_adaptive(_part(f, np.real), source, panels)
-                 + 1j * _adaptive(_part(f, np.imag), source, panels))
-    else:
-        total = _adaptive(f, source, panels)
+    total = integrate_rows(lambda omega, rows: f(omega), source, [grid],
+                           [breakpoints], [singular_exponent],
+                           complex_valued=complex_valued).value()
     return complex(total) if complex_valued else float(total)
 
 
@@ -359,8 +529,10 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
     c1 = measure * np.asarray(f1(nodes), dtype=float)
     c2 = measure * np.asarray(f2(nodes), dtype=float)
-    _check_finite(c1, nodes)
-    _check_finite(c2, nodes)
+    for c in (c1, c2):
+        message = _failure(~np.isfinite(c), nodes)
+        if message is not None:
+            raise QuadratureError(message)
 
     block = math.isqrt(max(n - 1, 0)) + 1
     table = np.exp(1j * np.outer(h * np.arange(block), nodes))

@@ -1,11 +1,15 @@
 """Two-dimensional parameter sweeps, zero contours and marker lines.
 
 Every cell value is a pure function of the plan, evaluated in a fixed
-order, so reruns are bit-identical.  A p axis is not integrated cell by
-cell: the mean work and the chi2(i beta) deficit are affine in p, so each
-column (one value of the other axis) is integrated at p = 0 and p = 1 and
-its cells are blended from those two values.  Sweeps without a p axis
-integrate every cell and match the library calls bit for bit.  Contours
+order, so reruns are bit-identical.  Integrals are batched: one call of
+the batched adaptive rule integrates a whole set of specs in one
+refinement loop, and a row of that rule gives the same bits in any batch
+as alone.  A p axis is not integrated cell by cell: the mean work and the
+chi2(i beta) deficit are affine in p, so each column (one value of the
+other axis) is integrated at p = 0 and p = 1, all 2n endpoints in one
+call per integral, and its cells are blended from those two values.
+Sweeps without a p axis integrate one sweep row (all y at one x) per call
+and match the library calls bit for bit by construction.  Contours
 are marching-squares polylines in the axis scale space (log axes
 interpolate geometrically); saddle cells are disambiguated by evaluating
 the true function at the cell center, not the bilinear interpolant.
@@ -24,7 +28,7 @@ from .model import SystemSpec, require_valid, with_param
 from .quadrature import QuadratureError
 from .thermo import _engine_report, _entropy_production, _temperatures
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
-                        i_beta_deficit, w_ext2)
+                        work_integrals)
 
 SWEEP_PARAMETERS = ("p", "beta", "omega_gap", "alpha")
 
@@ -64,6 +68,8 @@ class Axis:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         if self.n < 16:
             raise ValueError("axis resolution must be >= 16")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("axis range must be finite")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -138,67 +144,106 @@ def _cell_value(spec: SystemSpec, quantity: Quantity, w_bar: float,
 
 
 class _CellEvaluator:
-    """Quantity at one point of a plan, counting the integrals it takes.
+    """Quantity at the points of a plan, tallying the integrals it takes.
 
-    Without a p axis every point integrates its own mean work and
-    deficit.  With one, W_bar and the deficit are affine in p (green_pair
-    builds both qubit channels as p (...) + (1 - p) (...)), so each
-    column, one value of the other axis, is integrated once at p = 0 and
-    p = 1, and a point at p gets (1 - p) I_0 + p I_1, exact at both
-    endpoints.
-    Columns are cached by axis value, so saddle centres reuse them.
+    Without a p axis a sweep row, all y at one x, is integrated in one
+    batched call per integral.  With one, W_bar and the deficit are
+    affine in p (green_pair builds both qubit channels as p (...) +
+    (1 - p) (...)), so each column, one value of the other axis, is
+    integrated once at p = 0 and p = 1, all columns of the grid in one
+    call per integral, and a point at p gets (1 - p) I_0 + p I_1, exact
+    at both endpoints.  Columns are cached by axis value, so saddle
+    centres reuse them.  A failed outcome is the error that the direct
+    evaluation of the point raises.
     """
 
     def __init__(self, plan: SweepPlan, quantity: Quantity):
         self.plan, self.quantity = plan, quantity
-        self.integrals = 0
+        self.stats = {"integrals": 0, "points": 0, "max_points": 0,
+                      "stalled": 0}
         self._columns: dict = {}
+        # with a p axis, the other axis indexes the columns
+        self._column_axis = plan.y if plan.x.name == "p" else \
+            plan.x if plan.y.name == "p" else None
+        if self._column_axis is not None:
+            self._integrate_columns(self._column_axis.values())
 
-    def __call__(self, x: float, y: float) -> float:
+    def _spec(self, x: float, y: float) -> SystemSpec:
         plan = self.plan
-        spec = with_param(with_param(plan.fixed, plan.x.name, x),
+        return with_param(with_param(plan.fixed, plan.x.name, x),
                           plan.y.name, y)
-        if plan.x.name == "p":
-            ends = self._column(y, spec)
-        elif plan.y.name == "p":
-            ends = self._column(x, spec)
-        else:
-            if self.quantity is Quantity.FIGURE_OF_MERIT:
-                _temperatures(spec)  # refuse before integrating
-            return _cell_value(spec, self.quantity, *self._integrals(spec))
-        p = spec.qubit.p_ground
-        (w0, d0), (w1, d1) = ends
-        return _cell_value(spec, self.quantity, (1.0 - p) * w0 + p * w1,
-                           (1.0 - p) * d0 + p * d1)
 
-    def _integrals(self, spec: SystemSpec) -> tuple[float, float]:
-        """(W_bar, deficit) at ``spec``; NaN for the one not needed."""
-        w_bar = deficit = math.nan
-        if self.quantity is not Quantity.CHI_I_BETA:
-            self.integrals += 1
-            w_bar = -w_ext2(spec)
-        if self.quantity is not Quantity.W_EXT:
-            self.integrals += 1
-            deficit = i_beta_deficit(spec)
-        return w_bar, deficit
+    def _integrals(self, specs: list) -> list:
+        """(W_bar, deficit) or the error of each spec; NaN where unused."""
+        entries, calls = work_integrals(
+            specs, mean_work=self.quantity is not Quantity.CHI_I_BETA,
+            deficit=self.quantity is not Quantity.W_EXT)
+        stats = self.stats
+        for res in calls:
+            stats["integrals"] += res.points.size
+            stats["points"] += int(res.points.sum())
+            stats["max_points"] = max(stats["max_points"],
+                                      int(res.points.max()))
+            stats["stalled"] += int(res.stalled.sum())
+        return entries
 
-    def _column(self, key: float, spec: SystemSpec) -> tuple:
-        """Integrals at p = 0 and p = 1 of the column through ``spec``.
+    def _integrate_columns(self, keys) -> None:
+        """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
 
-        An error they raise is kept and raised again for every point of
+        A column keeps the first error its endpoint integrals raise, in
+        the order of direct calls, and raises it again for every point of
         the column.
         """
-        if key not in self._columns:
+        name = self._column_axis.name
+        ends = [with_param(with_param(self.plan.fixed, name, key), "p", p)
+                for key in keys for p in (0.0, 1.0)]
+        entries = self._integrals(ends)
+        for c, key in enumerate(keys):
+            pair = entries[2 * c:2 * c + 2]
+            failed = [e for e in pair if isinstance(e, Exception)]
+            self._columns[key] = failed[0] if failed else tuple(pair)
+
+    def _value(self, spec: SystemSpec, entry):
+        if isinstance(entry, Exception):
+            return entry
+        try:
+            return _cell_value(spec, self.quantity, *entry)
+        except CELL_ERRORS as exc:
+            return exc
+
+    def row(self, x: float, ys) -> list:
+        """The outcome at (x, y) for every y."""
+        specs = [self._spec(x, y) for y in ys]
+        if self._column_axis is not None:
+            keys = ys if self.plan.x.name == "p" else [x] * len(ys)
+            new = [key for key in dict.fromkeys(keys)
+                   if key not in self._columns]
+            if new:
+                self._integrate_columns(new)
+            return [self._blend(spec, self._columns[key])
+                    for spec, key in zip(specs, keys)]
+        outcomes: list = [None] * len(specs)
+        todo = []
+        for j, spec in enumerate(specs):
             try:
-                self._columns[key] = tuple(
-                    self._integrals(with_param(spec, "p", p))
-                    for p in (0.0, 1.0))
+                if self.quantity is Quantity.FIGURE_OF_MERIT:
+                    _temperatures(spec)  # refuse before integrating
             except CELL_ERRORS as exc:
-                self._columns[key] = exc
-        ends = self._columns[key]
+                outcomes[j] = exc
+            else:
+                todo.append(j)
+        entries = self._integrals([specs[j] for j in todo])
+        for j, entry in zip(todo, entries):
+            outcomes[j] = self._value(specs[j], entry)
+        return outcomes
+
+    def _blend(self, spec: SystemSpec, ends):
         if isinstance(ends, Exception):
-            raise ends
-        return ends
+            return ends
+        p = spec.qubit.p_ground
+        (w0, d0), (w1, d1) = ends
+        return self._value(spec, ((1.0 - p) * w0 + p * w1,
+                                  (1.0 - p) * d0 + p * d1))
 
 
 def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
@@ -208,23 +253,25 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     MAX_FAILED_FRACTION of them aborts with the cell list.  A saddle cell
     whose center evaluation fails falls back to the corner mean and is
     listed too, with the message prefixed by "center: ".
-    ``metadata["integrals"]`` counts the drive-weighted integrals taken.
+    ``metadata["integrals"]`` counts the drive-weighted integrals taken,
+    ``"points"`` their integrand points, ``"max_points"`` the most one
+    integral took and ``"stalled"`` the integrals whose refinement
+    stalled above its tolerance.
     """
     xs, ys = plan.x.values(), plan.y.values()
     values = np.full((plan.x.n, plan.y.n), np.nan)
     failures: list[tuple[int, int, str]] = []
     value_at = _CellEvaluator(plan, quantity)
 
-    def evaluate(i: int, j: int, x: float, y: float, tag: str = "") -> float:
-        try:
-            return value_at(x, y)
-        except CELL_ERRORS as exc:
-            failures.append((i, j, tag + str(exc)))
+    def record(i: int, j: int, outcome, tag: str = "") -> float:
+        if isinstance(outcome, Exception):
+            failures.append((i, j, tag + str(outcome)))
             return math.nan
+        return outcome
 
     for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            values[i, j] = evaluate(i, j, x, y)
+        for j, outcome in enumerate(value_at.row(x, ys)):
+            values[i, j] = record(i, j, outcome)
 
     if len(failures) > MAX_FAILED_FRACTION * values.size:
         raise SweepError(
@@ -235,14 +282,15 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
                          grid=values)
 
     def center_fn(i: int, j: int, x: float, y: float) -> float:
-        return evaluate(i, j, x, y, "center: ")
+        # a saddle centre is a batch of one
+        return record(i, j, value_at.row(x, [y])[0], "center: ")
 
     result.zero_contour = extract_zero_contour(result, center_fn=center_fn)
     result.betaq_contour = beta_q_marker(plan)
     result.failures = tuple(failures)
     result.metadata = {
         "x": plan.x.name, "y": plan.y.name, "quantity": quantity.value,
-        "failed_cells": len(failures), "integrals": value_at.integrals,
+        "failed_cells": len(failures), **value_at.stats,
     }
     return result
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence, Union
 
 from .model import SystemSpec, beta_q
-from .workstats import chi2_from_deficit, i_beta_deficit, w_ext2
+from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
+                        i_beta_deficit, w_ext2, work_integrals)
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -110,8 +112,37 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     the work into both baths and is reported as DISSIPATOR with a NaN
     figure of merit.
     """
-    _temperatures(spec)  # refuse before integrating
-    return _engine_report(spec, -w_ext2(spec), i_beta_deficit(spec))
+    (report,) = engine_reports([spec])
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def engine_reports(specs: Sequence[SystemSpec]
+                   ) -> list[Union[EngineReport, Exception]]:
+    """:func:`engine_report` of each spec, from one batched call per integral.
+
+    The specs share coupling, l_c and drive.  Where engine_report raises
+    for a spec, its entry is the error instead of a report.
+    """
+    reports: list = [None] * len(specs)
+    todo = []
+    for k, spec in enumerate(specs):
+        try:
+            _temperatures(spec)  # refuse before integrating
+        except ValueError as exc:
+            reports[k] = exc
+        else:
+            todo.append(k)
+    entries, _ = work_integrals([specs[k] for k in todo])
+    for k, entry in zip(todo, entries):
+        if not isinstance(entry, Exception):
+            try:
+                entry = _engine_report(specs[k], *entry)
+            except (ValueError, PerturbativeBreakdownError) as exc:
+                entry = exc
+        reports[k] = entry
+    return reports
 
 
 def _temperatures(spec: SystemSpec) -> tuple[float, float]:

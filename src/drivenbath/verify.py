@@ -19,7 +19,7 @@ from . import workstats as ws
 from .green import green_pair
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec)
-from .thermo import EngineMode, engine_report
+from .thermo import EngineMode, engine_reports
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -273,13 +273,15 @@ def check_engine_bounds() -> CheckResult:
     counts = {mode: 0 for mode in EngineMode}
     for coupling in Coupling:
         for p in ps:
-            for beta in betas:
-                spec = _spec(float(beta), 5.0,
-                             QubitSpec(coupling, 0.05, float(p)))
-                try:
-                    report = engine_report(spec)
-                except ValueError:
+            # one batched call per integral for each row of the map
+            for report in engine_reports([
+                    _spec(float(beta), 5.0,
+                          QubitSpec(coupling, 0.05, float(p)))
+                    for beta in betas]):
+                if isinstance(report, ValueError):
                     continue  # degenerate temperatures
+                if isinstance(report, Exception):
+                    raise report
                 counts[report.mode] += 1
                 worst_ds = max(worst_ds, -report.delta_s)
                 worst_first = max(worst_first, abs(

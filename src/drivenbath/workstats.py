@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import quadrature
-from .green import GreenPair, green_pair
+from .green import channel_table, green_pair
 from .model import DrivenSource, FrequencyGrid, SystemSpec, require_valid
-from .quadrature import default_plan, integrate_lambda, lambda_weight
+from .quadrature import (Integrals, QuadratureError, default_plan,
+                         integrate_rows, lambda_weight)
 
 #: continuous densities this far below zero are clipped (FFT ringing);
 #: anything lower means the perturbative constraint is genuinely broken
@@ -90,12 +91,17 @@ def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
     return _widened_grid(spec, spec.beta)
 
 
-def _integrate(f, spec: SystemSpec, pair: GreenPair,
-               grid: Optional[FrequencyGrid], complex_valued=False):
-    return integrate_lambda(
-        f, spec.source, _grid_for(spec, grid),
-        breakpoints=pair.edges,
-        singular_exponent=pair.singular_exponent,
+def _rows(integrand, specs: Sequence[SystemSpec],
+          grids: Sequence[FrequencyGrid], complex_valued=False) -> Integrals:
+    """Integrals of ``integrand(table, omega, rows)`` for a batch of specs.
+
+    The specs must be valid and share coupling, l_c and drive; row r
+    integrates on ``grids[r]`` with the support edges of spec r.
+    """
+    table = channel_table(specs)
+    return integrate_rows(
+        lambda omega, rows: integrand(table, omega, rows), specs[0].source,
+        grids, table.edges, table.singular_exponents,
         complex_valued=complex_valued)
 
 
@@ -105,6 +111,8 @@ def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
     Even ``n`` keeps 0 off the grid so the continuous part never double
     counts the atom.
     """
+    if n < 2:
+        raise ValueError(f"a work grid needs at least 2 samples, got {n}")
     if n % 2:
         raise ValueError("n must be even to keep W = 0 off the grid")
     w_max = FrequencyGrid.for_source(source).omega_max
@@ -121,17 +129,17 @@ def chi2(v: complex, spec: SystemSpec,
     :func:`default_i_beta_grid`).
     """
     require_valid(spec)
-    pair = green_pair(spec)
     if grid is None:
         grid = _widened_grid(spec, complex(v).imag)
 
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
     # difference is rounding noise that adaptive refinement would chase
-    def f(w):
-        return (-np.expm1(1j * w * v) * pair.g_mp(w),
-                -np.expm1(-1j * w * v) * pair.g_pm(w))
+    def f(table, w, rows):
+        g_mp, g_pm = table.pair(w, rows)
+        return (-np.expm1(1j * w * v) * g_mp, -np.expm1(-1j * w * v) * g_pm)
 
-    return 1.0 - 0.5 * _integrate(f, spec, pair, grid, complex_valued=True)
+    return 1.0 - 0.5 * complex(
+        _rows(f, [spec], [grid], complex_valued=True).value())
 
 
 def i_beta_deficit(spec: SystemSpec,
@@ -145,16 +153,24 @@ def i_beta_deficit(spec: SystemSpec,
     evaluation stays in range for beta up to ~1e3 at the default drive.
     """
     require_valid(spec)
-    pair = green_pair(spec)
-    beta = spec.beta
+    return float(i_beta_deficit_rows([spec], grid).value())
 
-    def f(w):
-        return (-np.expm1(-beta * w) * pair.g_mp(w),
-                -np.expm1(beta * w) * pair.g_pm(w))
 
-    if grid is None:
-        grid = default_i_beta_grid(spec)
-    return 0.5 * _integrate(f, spec, pair, grid)
+def i_beta_deficit_rows(specs: Sequence[SystemSpec],
+                        grid: Optional[FrequencyGrid] = None) -> Integrals:
+    """:func:`i_beta_deficit` of each of ``specs`` in one batched call.
+
+    The specs must be valid and share coupling, l_c and drive; without
+    ``grid`` each row takes its own :func:`default_i_beta_grid`.
+    """
+    def f(table, w, rows):
+        g_mp, g_pm = table.pair(w, rows)
+        beta = table.beta(rows)
+        return (-np.expm1(-beta * w) * g_mp, -np.expm1(beta * w) * g_pm)
+
+    grids = [default_i_beta_grid(s) if grid is None else grid for s in specs]
+    out = _rows(f, specs, grids)
+    return replace(out, values=0.5 * out.values)
 
 
 def chi2_at_i_beta(spec: SystemSpec,
@@ -183,8 +199,12 @@ def channel_sum_integral(spec: SystemSpec,
                          grid: Optional[FrequencyGrid] = None) -> float:
     """The integral of g_mp + g_pm against the drive measure (= 2(1 - p0))."""
     require_valid(spec)
-    pair = green_pair(spec)
-    return _integrate(lambda w: pair.g_mp(w) + pair.g_pm(w), spec, pair, grid)
+
+    def f(table, w, rows):
+        g_mp, g_pm = table.pair(w, rows)
+        return g_mp + g_pm
+
+    return float(_rows(f, [spec], [_grid_for(spec, grid)]).value())
 
 
 def positivity_check(spec: SystemSpec) -> PositivityReport:
@@ -252,9 +272,55 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
     (passivity), either sign once a qubit breaks detailed balance.
     """
     require_valid(spec)
-    pair = green_pair(spec)
-    return -0.5 * _integrate(
-        lambda w: (w * pair.g_mp(w), -w * pair.g_pm(w)), spec, pair, grid)
+    return float(w_ext2_rows([spec], grid).value())
+
+
+def w_ext2_rows(specs: Sequence[SystemSpec],
+                grid: Optional[FrequencyGrid] = None) -> Integrals:
+    """:func:`w_ext2` of each of ``specs`` in one batched call.
+
+    The specs must be valid and share coupling, l_c and drive.
+    """
+    def f(table, w, rows):
+        g_mp, g_pm = table.pair(w, rows)
+        return w * g_mp, -w * g_pm
+
+    out = _rows(f, specs, [_grid_for(s, grid) for s in specs])
+    return replace(out, values=-0.5 * out.values)
+
+
+def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
+                   deficit: bool = True) -> tuple[list, list[Integrals]]:
+    """(W_bar, i-beta deficit) of each spec, one batched call per integral.
+
+    The specs share coupling, l_c and drive; an integral not asked for is
+    NaN.  Where the direct calls (-:func:`w_ext2`, then
+    :func:`i_beta_deficit`) raise, the entry is the error they raise
+    first: the ValueError of an invalid spec, else the QuadratureError of
+    the mean work, then of the deficit.  Also returns the calls'
+    :class:`Integrals`, which carry points and stalls.
+    """
+    entries: list = [None] * len(specs)
+    valid = []
+    for k, spec in enumerate(specs):
+        try:
+            require_valid(spec)
+        except ValueError as exc:
+            entries[k] = exc
+        else:
+            valid.append(k)
+    if not valid:
+        return entries, []
+    batch = [specs[k] for k in valid]
+    w_ext = w_ext2_rows(batch) if mean_work else None
+    probe = i_beta_deficit_rows(batch) if deficit else None
+    calls = [res for res in (w_ext, probe) if res is not None]
+    for pos, k in enumerate(valid):
+        failed = [res.errors[pos] for res in calls if res.errors[pos]]
+        entries[k] = QuadratureError(failed[0]) if failed else (
+            -float(w_ext.values[pos]) if mean_work else math.nan,
+            float(probe.values[pos]) if deficit else math.nan)
+    return entries, calls
 
 
 def mean_work_finite_difference(spec: SystemSpec) -> float:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -34,23 +32,20 @@ def pure_bath():
 def count_points(monkeypatch):
     """Integrand points of the workstats integrals run in the test.
 
-    Every workstats integrand evaluates the g_mp channel once on its
-    whole node array, so counting those nodes counts integrand points.
-    Returns a function that reads the count so far.
+    Every workstats integral is a call of the batched rule, which reports
+    the integrand points of each of its rows; this sums them.  Returns a
+    function that reads the count so far.
     """
     import drivenbath.workstats as ws
     points = [0]
-    build = ws.green_pair
+    integrate = ws.integrate_rows
 
-    def counted(spec):
-        pair = build(spec)
+    def counted(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        points[0] += int(result.points.sum())
+        return result
 
-        def g_mp(w):
-            points[0] += np.size(w)
-            return pair.g_mp(w)
-        return replace(pair, g_mp=g_mp)
-
-    monkeypatch.setattr(ws, "green_pair", counted)
+    monkeypatch.setattr(ws, "integrate_rows", counted)
     return lambda: points[0]
 
 

@@ -47,7 +47,27 @@ class TestWcf:
         assert len(rows) == 16
 
 
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_empty_sample_count_is_usage_error(self, tmp_path, capsys,
+                                               samples):
+        out = tmp_path / "wcf.csv"
+        assert run(["wcf", "--samples", samples, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: wcf needs at least 1 sample, got {samples}\n"
+        assert not out.exists()
+
+
 class TestWdf:
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_empty_sample_count_is_usage_error(self, tmp_path, capsys,
+                                               samples):
+        out = tmp_path / "wdf.csv"
+        assert run(["wdf", "--samples", samples, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: a work grid needs at least 2 samples, "
+                       f"got {samples}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_carries_atom_and_normalization(self, tmp_path):
         out = tmp_path / "wdf.csv"
         assert run(["wdf", "--qubit", "none", "--alpha", "5", "--beta", "1",
@@ -159,6 +179,26 @@ class TestSweep:
     def test_missing_axes_is_usage_error(self, tmp_path, capsys):
         assert run(["sweep", "--qubit", "spin",
                     "--out", tmp_path / "d"]) == 2
+
+    @pytest.mark.parametrize("axis", [
+        ["--x-range", "0,1", "--y-range", "1,inf"],
+        ["--x-range", "0,nan", "--y-range", "1,10"],
+    ], ids=["y-inf", "x-nan"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch, axis):
+        import drivenbath.sweep as sweepmod
+
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("integrated before refusing the range")
+
+        monkeypatch.setattr(sweepmod, "work_integrals", no_integrals)
+        out = tmp_path / "sweep"
+        code = run(["sweep", "--qubit", "spin", "--p", "0.9",
+                    "--sweep-x", "p", "--sweep-y", "beta", *axis,
+                    "--nx", "16", "--ny", "16", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "error: axis range must be finite\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["wdf", "--qubit", "none", "--alpha", "2", "--beta", "1"]

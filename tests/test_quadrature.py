@@ -8,8 +8,10 @@ from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, green_pair, integrate_lambda,
                         invert_samples, lambda_weight, oscillatory_pair,
                         w_ext2)
+from drivenbath.green import ChannelTable
 from drivenbath.quadrature import _build_panels, _gl_nodes_weights
-from drivenbath.workstats import default_i_beta_grid, i_beta_deficit
+from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
+                                  i_beta_deficit_rows, w_ext2_rows)
 
 from conftest import DEFAULT_SOURCE, make_spec
 
@@ -352,3 +354,100 @@ class TestInversion:
         expected = np.exp(-0.5 * (w / sigma_w) ** 2) / \
             (sigma_w * math.sqrt(2.0 * math.pi))
         assert np.max(np.abs(density.real - expected)) < 1e-9
+
+
+def _batch_specs(seed):
+    """Seeded specs in groups that share coupling and drive.
+
+    Every coupling and the pure bath, alpha log-uniform on [0.1, 6],
+    beta on [0.1, 1e3], gaps on [0.003, 5] and p at 0, 1 or inside;
+    then the two cells that ran away before the L1 floor, and the spin
+    cell that stalls (alpha 0.5, beta 100, gap 0.02, lambda0 50).
+    """
+    rng = np.random.default_rng(seed)
+    groups = []
+    for coupling in (None, "spin", "fermion", "topological"):
+        specs = []
+        for k in range(50):
+            p = (0.0, 1.0, float(rng.uniform()))[k % 3]
+            specs.append(make_spec(
+                alpha=float(np.exp(rng.uniform(math.log(0.1), math.log(6)))),
+                beta=float(np.exp(rng.uniform(math.log(0.1),
+                                              math.log(1e3)))),
+                coupling=coupling,
+                omega_gap=float(np.exp(rng.uniform(math.log(0.003),
+                                                   math.log(5)))),
+                p=p))
+        groups.append(specs)
+    groups[2].append(make_spec(beta=2.05, alpha=6.0, coupling="fermion",
+                               omega_gap=0.05, p=0.5625))
+    groups[3].append(make_spec(beta=100.0, alpha=4.0, coupling="topological",
+                               omega_gap=0.08, p=0.156))
+    groups[1] += [make_spec(**cell) for cell in RUNAWAY_SPIN]
+    stalling = dict(alpha=0.5, beta=100.0, coupling="spin", omega_gap=0.02,
+                    lambda0=50.0)
+    groups.append([make_spec(p=p, **stalling) for p in (0.0, 0.3, 1.0)])
+    return groups
+
+
+class TestBatchedRule:
+    """A row of the batched rule does not depend on the rest of its batch."""
+
+    @staticmethod
+    def assert_rows_equal(batch, i, single):
+        assert np.array_equal(batch.values[i:i + 1], single.values,
+                              equal_nan=True)
+        assert batch.points[i] == single.points[0]
+        assert batch.stalled[i] == single.stalled[0]
+        assert batch.errors[i] == single.errors[0]
+
+    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
+    def test_batch_equals_singletons_bit_for_bit(self, rows):
+        groups = _batch_specs(20251018)
+        assert sum(map(len, groups)) >= 200
+        rng = np.random.default_rng(1)
+        stalled = 0
+        for specs in groups:
+            order = rng.permutation(len(specs))
+            batch = rows([specs[i] for i in order])
+            for pos, i in enumerate(order):
+                self.assert_rows_equal(batch, pos, rows([specs[i]]))
+            stalled += int(batch.stalled.sum())
+        if rows is i_beta_deficit_rows:
+            assert stalled > 0  # the spin cell above
+
+    def test_singletons_are_batches_of_one(self):
+        for specs in _batch_specs(7):
+            spec = specs[0]
+            assert w_ext2(spec) == w_ext2_rows([spec]).values[0]
+            assert i_beta_deficit(spec) == \
+                i_beta_deficit_rows([spec]).values[0]
+
+    def test_non_finite_sample_fails_its_row_alone(self, monkeypatch):
+        specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
+                           omega_gap=0.05, p=0.9)
+                 for beta in (0.3, 1.0, 3.0, 10.0, 30.0)]
+        clean = w_ext2_rows(specs)
+        poisoned_beta = specs[2].beta
+        pair = ChannelTable.pair
+
+        def poisoned(self, omega, rows):
+            g_mp, g_pm = pair(self, omega, rows)
+            # params row 0 is beta
+            hit = ((self.params[0, rows] == poisoned_beta)[:, None]
+                   & (omega > 0.02))
+            return np.where(hit, np.nan, g_mp), g_pm
+
+        monkeypatch.setattr(ChannelTable, "pair", poisoned)
+        batch = w_ext2_rows(specs)
+        single = w_ext2_rows([specs[2]])
+        assert single.errors[0].startswith(
+            "integrand evaluation failed at omega = 0.02")
+        assert batch.errors[2] == single.errors[0]
+        assert math.isnan(batch.values[2])
+        with pytest.raises(QuadratureError) as info:
+            w_ext2(specs[2])
+        assert str(info.value) == single.errors[0]
+        for i in (0, 1, 3, 4):
+            self.assert_rows_equal(batch, i, w_ext2_rows([specs[i]]))
+            assert batch.values[i] == clean.values[i]

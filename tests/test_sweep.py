@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import drivenbath.sweep as sweepmod
+import drivenbath.workstats as ws
 from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
                         SweepPlan, beta_q_marker, chi2_at_i_beta,
                         engine_report, entropy_production,
                         extract_zero_contour, run_sweep, w_ext2, with_param)
+from drivenbath.green import ChannelTable
 from drivenbath.sweep import CELL_ERRORS, SweepResult
 
 from conftest import make_spec
@@ -89,6 +92,9 @@ class TestAxis:
             Axis("p", 0.0, 1.0, n=8)
         with pytest.raises(ValueError, match="positive"):
             Axis("beta", -1.0, 10.0, scale="log")
+        for start, stop in ((1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Axis("beta", start, stop)
 
     def test_log_values_are_geometric(self):
         vals = Axis("beta", 0.1, 100.0, n=16, scale="log").values()
@@ -251,14 +257,19 @@ class TestRunSweep:
     def test_failed_endpoint_integral_fails_its_column(self, monkeypatch):
         plan = spin_plan()
         beta = plan.y.values()[3]
-        original = sweepmod.w_ext2
+        original = ws.w_ext2_rows
 
-        def flaky(spec, grid=None):
-            if spec.beta == beta:
-                raise QuadratureError("non-finite integrand")
-            return original(spec, grid)
+        def flaky(specs, grid=None):
+            # the batched rule fails the rows at this beta, as it fails a
+            # row with a non-finite sample
+            result = original(specs, grid)
+            hit = [spec.beta == beta for spec in specs]
+            return replace(
+                result, values=np.where(hit, np.nan, result.values),
+                errors=tuple("non-finite integrand" if h else e
+                             for h, e in zip(hit, result.errors)))
 
-        monkeypatch.setattr(sweepmod, "w_ext2", flaky)
+        monkeypatch.setattr(ws, "w_ext2_rows", flaky)
         column = tuple((i, 3, "non-finite integrand") for i in range(16))
         with pytest.raises(SweepError) as info:
             run_sweep(plan, Quantity.W_EXT)
@@ -269,10 +280,64 @@ class TestRunSweep:
         assert np.all(np.isnan(result.grid[:, 3]))
         assert np.isfinite(result.grid).sum() == 15 * 16
 
+    def test_non_finite_integrand_fails_one_cell(self, monkeypatch):
+        # a row of the batched rule that fails takes down its cell alone,
+        # with the message its direct evaluation raises
+        fixed = make_spec(alpha=5.0, coupling="fermion", omega_gap=0.05,
+                          p=0.9)
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                         y=Axis("beta", 0.1, 100.0, n=16, scale="log"),
+                         fixed=fixed)
+        clean = run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        i, j = 5, 9
+        gap, beta = plan.x.values()[i], plan.y.values()[j]
+        pair = ChannelTable.pair
+
+        def poisoned(self, omega, rows):
+            g_mp, g_pm = pair(self, omega, rows)
+            # params rows: beta first, the shift +gap of the last term last
+            hit = ((self.params[0, rows] == beta)
+                   & (self.params[-1, rows] == gap))[:, None]
+            return g_mp, np.where(hit & (omega < 0.0), np.inf, g_pm)
+
+        monkeypatch.setattr(ChannelTable, "pair", poisoned)
+        result = run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        with pytest.raises(QuadratureError) as info:
+            engine_report(cell_spec(plan, gap, beta))
+        assert result.failures == ((i, j, str(info.value)),)
+        others = np.ones(clean.grid.shape, dtype=bool)
+        others[i, j] = False
+        assert np.array_equal(result.grid[others], clean.grid[others],
+                              equal_nan=True)
+
     def test_metadata_and_failures_empty_on_clean_run(self):
         result = run_sweep(spin_plan(), Quantity.W_EXT)
         assert result.failures == ()
         assert result.metadata["quantity"] == "wext"
+
+    @pytest.mark.parametrize("plan, quantity", [
+        (spin_plan(), Quantity.DELTA_S),
+        (SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                   y=Axis("beta", 0.1, 10.0, n=16, scale="log"),
+                   fixed=spin_plan().fixed), Quantity.W_EXT),
+    ], ids=["population-axis", "cells"])
+    def test_metadata_counts_points_and_stalls(self, monkeypatch, plan,
+                                               quantity):
+        # the totals are those of the batched calls the sweep makes
+        calls = []
+        original = ws.integrate_rows
+
+        def recorded(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(ws, "integrate_rows", recorded)
+        meta = run_sweep(plan, quantity).metadata
+        points = np.concatenate([res.points for res in calls])
+        assert meta["integrals"] == points.size
+        assert meta["points"] == points.sum() > 0
+        assert meta["max_points"] == points.max()
+        assert meta["stalled"] == sum(res.stalled.sum() for res in calls)
 
 
 class TestZeroContour:
