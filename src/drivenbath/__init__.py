@@ -11,8 +11,7 @@ from .green import green_pair
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec, beta_q, validate, with_param)
 from .quadrature import (InversionPlan, QuadratureError, default_plan,
-                         integrate_lambda, invert_samples, lambda_weight,
-                         oscillatory_pair)
+                         invert_samples, lambda_weight, oscillatory_pair)
 from .sweep import (Axis, Quantity, SweepError, SweepPlan, beta_q_marker,
                     extract_zero_contour, run_sweep)
 from .thermo import EngineMode, engine_report, entropy_production, heat_flows
@@ -33,8 +32,8 @@ __all__ = [
     "beta_q_marker", "channel_sum_integral", "chi2", "chi2_at_i_beta",
     "chi2_field", "correction_field", "crooks_ratio", "default_plan",
     "default_w_grid", "engine_report", "entropy_production",
-    "extract_zero_contour", "green_pair", "heat_flows", "integrate_lambda",
-    "invert_samples", "lambda_weight", "mean_work_finite_difference",
-    "oscillatory_pair", "positivity_check", "run_sweep", "validate",
-    "w_ext2", "wdf2", "wdf_nonperturbative", "with_param",
+    "extract_zero_contour", "green_pair", "heat_flows", "invert_samples",
+    "lambda_weight", "mean_work_finite_difference", "oscillatory_pair",
+    "positivity_check", "run_sweep", "validate", "w_ext2", "wdf2",
+    "wdf_nonperturbative", "with_param",
 ]

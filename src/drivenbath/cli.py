@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,6 +198,9 @@ def cmd_wcf(args, s: dict) -> int:
     samples = s["samples"]
     if samples < 1:
         raise ValueError(f"wcf needs at least 1 sample, got {samples}")
+    if not math.isfinite(v_max) or (v_max == 0.0 and samples > 1):
+        raise ValueError(f"--vmax must be finite, and nonzero for more "
+                         f"than one sample, got {v_max:g}")
     v = np.linspace(0.0, v_max, samples)
     field = workstats.chi2_field(spec, v)
     chi = field.chi2_values()

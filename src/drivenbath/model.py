@@ -86,10 +86,6 @@ class SystemSpec:
     source: DrivenSource
     qubit: Optional[QubitSpec] = None
 
-    @property
-    def pure_bath(self) -> bool:
-        return self.qubit is None
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:

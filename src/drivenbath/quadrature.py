@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,12 +75,12 @@ def lambda_weight(omega: ArrayLike, source: DrivenSource) -> ArrayLike:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class _Panel:
+class _Panel(NamedTuple):
     """One integration panel in a transformed variable t in [0, length].
 
-    omega(t) = anchor + sign * t**power, |domega/dt| = power * t**(power-1).
-    power == 1 encodes the identity map (anchor = left edge, sign = +1).
+    See :func:`_panel_map` for omega(t); power == 1 encodes the identity
+    map (anchor = left edge, sign = +1).  As an array, a list of panels
+    has one row per panel and these fields as columns.
     """
 
     length: float
@@ -88,15 +88,22 @@ class _Panel:
     sign: float
     power: float
 
-    def omega(self, t: np.ndarray) -> np.ndarray:
-        if self.power == 1.0:
-            return self.anchor + self.sign * t
-        return self.anchor + self.sign * t ** self.power
 
-    def jacobian(self, t: np.ndarray) -> np.ndarray:
-        if self.power == 1.0:
-            return np.ones_like(t)
-        return self.power * t ** (self.power - 1.0)
+def _panel_map(t: np.ndarray, anchor: np.ndarray, sign: np.ndarray,
+               powers: np.ndarray):
+    """(omega, Jacobian) of panel nodes ``t``, shape (k, m).
+
+    Line i lies on a panel with ``anchor[i]``, ``sign[i]`` and
+    ``powers[i]``: omega = anchor + sign t^power, with Jacobian
+    |domega/dt| = power t^(power - 1).  The Jacobian is None when every
+    line has the identity map (power 1, sign +1); on the identity lines
+    of a mixed call t^1 = t and 1 t^0 = 1 hold exactly.
+    """
+    if (powers == 1.0).all():
+        return anchor[:, None] + t, None
+    p = powers[:, None]
+    return (anchor[:, None] + sign[:, None] * power(t, p),
+            p * power(t, p - 1.0))
 
 
 def power(base: np.ndarray, exponent) -> np.ndarray:
@@ -193,11 +200,11 @@ class Integrals:
     stalled: np.ndarray
     errors: tuple[Optional[str], ...]
 
-    def value(self, row: int = 0):
-        """The value of ``row``; raises its QuadratureError if it failed."""
-        if self.errors[row] is not None:
-            raise QuadratureError(self.errors[row])
-        return self.values[row]
+    def value(self):
+        """The value of a batch of one; raises its QuadratureError if any."""
+        if self.errors[0] is not None:
+            raise QuadratureError(self.errors[0])
+        return self.values[0]
 
 
 def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
@@ -206,13 +213,13 @@ def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
     total = 0.0
     for panel in panels:
         t = np.linspace(0.0, panel.length, n)
-        om = panel.omega(t)
-        out = _sum_and_l1(f(om[None, :], np.array([row])))[0]
-        vals = lambda_weight(om, source) * out[0] / (2.0 * math.pi)
+        om, jac = _panel_map(t[None, :], *np.array([panel]).T[1:])
+        out = _sum_and_l1(f(om, np.array([row])))[0]
+        vals = lambda_weight(om, source) * out / (2.0 * math.pi)
         message = _failure(~np.isfinite(vals), om)
         if message is not None:
             return math.nan, message
-        total += np.trapezoid(vals * panel.jacobian(t), t)
+        total += np.trapezoid((vals if jac is None else vals * jac)[0], t)
     return total, None
 
 
@@ -271,9 +278,6 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
     if not active:
         return
     prow, anchor, sign, powers = map(np.array, (prow, anchor, sign, powers))
-    singular = bool(np.any(powers != 1.0))
-    t2 = source.t_int * source.t_int
-    peak, decay = (source.lambda0 ** 2) * ROOT_8PI * t2, -2.0 * t2
     pid = np.arange(len(length))
     lo = np.zeros(len(length))
     half = 0.5 * np.array(length)
@@ -285,25 +289,13 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             k = lo.size
             starts = [0, *itertools.accumulate(counts[:-1])]
             rows = prow[pid]
-            t = (lo + half)[:, None] + half[:, None] * _X_BOTH
-            tp, jac = t, None
-            if singular:
-                # omega = anchor + sign t^power on the panels with power != 1
-                p = powers[pid]
-                sing = np.flatnonzero(p != 1.0)
-                if sing.size:
-                    ts, p = t[sing], p[sing, None]
-                    tp, jac = t.copy(), np.ones_like(t)
-                    tp[sing] = power(ts, p)
-                    jac[sing] = p * power(ts, p - 1.0)
-                    tp = sign[pid][:, None] * tp
-            om = anchor[pid][:, None] + tp
-            # lambda_weight, with its constants taken once
-            measure = np.exp(decay * om * om)
-            measure *= peak
+            om, jac = _panel_map(
+                (lo + half)[:, None] + half[:, None] * _X_BOTH,
+                anchor[pid], sign[pid], powers[pid])
+            measure = lambda_weight(om, source)
             if jac is not None:
                 measure *= jac
-            del t, tp, jac
+            del jac
             total, norm = _sum_and_l1(f(om, rows))
             vals = np.empty((k, 1, 77))
             np.multiply(total, measure, out=vals[:, 0, :46])
@@ -377,19 +369,23 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
                    breakpoints: Sequence[Sequence[float]],
                    singular_exponents: Sequence[Optional[float]],
                    *, complex_valued: bool = False) -> Integrals:
-    """Integrals of a batch of integrands against the drive measure.
+    """Integrals of a batch of integrands against dw/2pi |lam(w)|^2.
 
-    Row r integrates ``f`` on ``grids[r]`` with its own
-    ``breakpoints[r]`` and ``singular_exponents[r]`` (see
-    :func:`integrate_lambda`); the drive is shared.  ``f(omega, rows)``
-    gets nodes ``omega`` of shape (k, m), whose line i belongs to row
-    ``rows[i]``, and returns one array or a pair (a, b) of arrays of that
-    shape.  The adaptive rows share one refinement loop with one call of
-    ``f`` per step, and each keeps the tolerance and exits that it has
-    alone, so a row's value is the same to the bit in any batch.  With
-    ``complex_valued`` each row's real and imaginary parts are two rows of
-    the loop.  A row whose integrand gives a non-finite sample fails
-    alone; the other rows keep their values.
+    Row r integrates ``f`` on ``grids[r]``; the drive is shared.
+    ``f(omega, rows)`` gets nodes ``omega`` of shape (k, m), whose line i
+    belongs to row ``rows[i]``, and returns one array or a pair (a, b) of
+    arrays of that shape (see the module docstring).  ``breakpoints[r]``
+    mark support edges of row r's integrand inside the window; with
+    ``singular_exponents[r]`` in (-1, 0) each edge is additionally
+    treated as an integrable |w - e|^exponent endpoint via the power
+    substitution.  The adaptive rows share one refinement loop with one
+    call of ``f`` per step, and each keeps the tolerance and exits that it
+    has alone, so a row's value is the same to the bit in any batch.
+    With ``complex_valued`` each row's real and imaginary parts are two
+    rows of the loop, each against its own tolerance: the imaginary part
+    of a characteristic function can sit ten orders below the real part.
+    A row whose integrand gives a non-finite sample fails alone; the
+    other rows keep their values.
     """
     if complex_valued:
         def part(omega, rows):
@@ -434,41 +430,6 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
                      errors=tuple(errors))
 
 
-def integrate_lambda(f: Callable[[np.ndarray], np.ndarray],
-                     source: DrivenSource,
-                     grid: FrequencyGrid,
-                     *,
-                     breakpoints: Sequence[float] = (),
-                     singular_exponent: Optional[float] = None,
-                     complex_valued: bool = False):
-    """Integral of f against the drive measure dw/2pi |lam(w)|^2.
-
-    ``f`` must accept numpy arrays and return either one array or a pair
-    (a, b) of arrays whose sum is the integrand.  A pair hands the rules
-    the two uncancelled terms of a difference, for example w g_mp and
-    -w g_pm; a lone array is the pair (a, 0).  Both rules integrate
-    a + b.  The adaptive rule has one tolerance per integral,
-    tol = max(1e-14 int(|a| + |b|), 1e-12 |I|), whose first term is the
-    floor that the rounding of the terms sets; it stops when the summed
-    |G31 - G15| of all intervals of all panels is at most tol, and
-    bisects only the intervals above their length share of tol.  When it
-    runs out of steps or intervals above tol, it stalls and returns its
-    estimate with the open intervals included.  ``breakpoints`` mark
-    support edges of f inside the window; with ``singular_exponent`` in
-    (-1, 0) each edge is additionally treated as an integrable
-    |w - e|^exponent endpoint via the power substitution.  With
-    ``complex_valued`` the real and imaginary parts are integrated
-    separately, each against its own tolerance: the imaginary part of a
-    characteristic function can sit ten orders below the real part.
-    This is a batch of one of :func:`integrate_rows`.  Raises
-    :class:`QuadratureError` when f produces a non-finite sample.
-    """
-    total = integrate_rows(lambda omega, rows: f(omega), source, [grid],
-                           [breakpoints], [singular_exponent],
-                           complex_valued=complex_valued).value()
-    return complex(total) if complex_valued else float(total)
-
-
 # -- oscillatory sampling ---------------------------------------------------
 
 def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
@@ -479,22 +440,28 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
     endpoint transform.
     """
     base_x, base_w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    all_nodes, all_weights = [], []
-    for panel in panels:
-        width_omega = abs(panel.omega(np.array(panel.length))
-                          - panel.omega(np.array(0.0)))
+    _, *params = np.array(panels).T
+    ends = _panel_map(np.array([[0.0, p.length] for p in panels]), *params)[0]
+    # one line of nodes per subpanel: its panel, lower edge and half-width
+    line_panel, lo, half = [], [], []
+    for k, (panel, width_omega) in enumerate(
+            zip(panels, np.abs(ends[:, 1] - ends[:, 0]))):
         n_sub = max(1, int(math.ceil(width_omega * max(v_abs_max, 1.0)
                                      / _GL_PHASE)))
         # equal omega increments mapped back to the transformed variable
         om_frac = np.linspace(0.0, 1.0, n_sub + 1)
         t_edges = (om_frac * width_omega) ** (1.0 / panel.power) \
             if panel.power != 1.0 else om_frac * panel.length
-        for lo, hi in zip(t_edges[:-1], t_edges[1:]):
-            half = 0.5 * (hi - lo)
-            t = lo + half * (base_x + 1.0)
-            all_nodes.append(panel.omega(t))
-            all_weights.append(half * base_w * panel.jacobian(t))
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
+        line_panel += [k] * n_sub
+        lo.append(t_edges[:-1])
+        half.append(0.5 * (t_edges[1:] - t_edges[:-1]))
+    lo, half = np.concatenate(lo)[:, None], np.concatenate(half)[:, None]
+    nodes, jac = _panel_map(lo + half * (base_x + 1.0),
+                            *(a[line_panel] for a in params))
+    weights = half * base_w
+    if jac is not None:
+        weights *= jac
+    return nodes.ravel(), weights.ravel()
 
 
 def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
@@ -557,6 +524,8 @@ class InversionPlan:
     def __post_init__(self) -> None:
         if self.n_fft < (1 << 12) or self.n_fft & (self.n_fft - 1):
             raise ValueError("n_fft must be a power of two >= 4096")
+        if not math.isfinite(self.v_max):
+            raise ValueError("v_max must be finite")
         if not self.v_max > 0:
             raise ValueError("v_max must be > 0")
 

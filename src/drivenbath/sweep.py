@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import SystemSpec, require_valid, with_param
 from .quadrature import QuadratureError
-from .thermo import _engine_report, _entropy_production, _temperatures
+from .thermo import _engine_report, _entropy_production, engine_reports
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         work_integrals)
 
@@ -178,6 +178,11 @@ class _CellEvaluator:
         entries, calls = work_integrals(
             specs, mean_work=self.quantity is not Quantity.CHI_I_BETA,
             deficit=self.quantity is not Quantity.W_EXT)
+        self._tally(calls)
+        return entries
+
+    def _tally(self, calls) -> None:
+        """Add the integrals, points and stalls of batched calls."""
         stats = self.stats
         for res in calls:
             stats["integrals"] += res.points.size
@@ -185,7 +190,6 @@ class _CellEvaluator:
             stats["max_points"] = max(stats["max_points"],
                                       int(res.points.max()))
             stats["stalled"] += int(res.stalled.sum())
-        return entries
 
     def _integrate_columns(self, keys) -> None:
         """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
@@ -222,20 +226,13 @@ class _CellEvaluator:
                 self._integrate_columns(new)
             return [self._blend(spec, self._columns[key])
                     for spec, key in zip(specs, keys)]
-        outcomes: list = [None] * len(specs)
-        todo = []
-        for j, spec in enumerate(specs):
-            try:
-                if self.quantity is Quantity.FIGURE_OF_MERIT:
-                    _temperatures(spec)  # refuse before integrating
-            except CELL_ERRORS as exc:
-                outcomes[j] = exc
-            else:
-                todo.append(j)
-        entries = self._integrals([specs[j] for j in todo])
-        for j, entry in zip(todo, entries):
-            outcomes[j] = self._value(specs[j], entry)
-        return outcomes
+        if self.quantity is Quantity.FIGURE_OF_MERIT:
+            reports, calls = engine_reports(specs)
+            self._tally(calls)
+            return [report if isinstance(report, Exception)
+                    else report.figure_of_merit for report in reports]
+        return [self._value(spec, entry)
+                for spec, entry in zip(specs, self._integrals(specs))]
 
     def _blend(self, spec: SystemSpec, ends):
         if isinstance(ends, Exception):
@@ -313,15 +310,13 @@ _SEGMENTS = {
 }
 
 
-def _edge_key(i: int, j: int, edge: int):
-    """Unique identifier of a grid edge, shared by the two adjacent cells."""
-    if edge == 0:
-        return ("v", i, j)        # (i,j)-(i+1,j)
-    if edge == 1:
-        return ("h", i + 1, j)    # (i+1,j)-(i+1,j+1)
-    if edge == 2:
-        return ("v", i, j + 1)    # (i,j+1)-(i+1,j+1)
-    return ("h", i, j)            # (i,j)-(i,j+1)
+def _edge_key(i: int, j: int, edge: int) -> tuple:
+    """Edge ``edge`` of cell (i, j) as its two grid nodes, lower first.
+
+    The two cells that share an edge give it the same key.
+    """
+    (a, b), (c, d) = _CORNERS[edge], _CORNERS[(edge + 1) % 4]
+    return tuple(sorted(((i + a, j + b), (i + c, j + d))))
 
 
 def extract_zero_contour(result: SweepResult,
@@ -345,33 +340,18 @@ def extract_zero_contour(result: SweepResult,
 
     crossings: dict = {}
 
-    def crossing(kind: str, i: int, j: int) -> Optional[tuple]:
-        key = (kind, i, j)
-        if key in crossings:
-            return crossings[key]
-        if kind == "v":
-            a, b = values[i, j], values[i + 1, j]
-            pa = (su[i], sv[j])
-            pb = (su[i + 1], sv[j])
-        else:
-            a, b = values[i, j], values[i, j + 1]
-            pa = (su[i], sv[j])
-            pb = (su[i], sv[j + 1])
-        if (a > 0.0) == (b > 0.0):
+    def crossing(key: tuple) -> Optional[tuple]:
+        if key not in crossings:
+            (ia, ja), (ib, jb) = key
+            a, b = values[ia, ja], values[ib, jb]
             crossings[key] = None
-            return None
-        t = a / (a - b)
-        point = (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-        crossings[key] = point
-        return point
+            if (a > 0.0) != (b > 0.0):
+                t = a / (a - b)
+                crossings[key] = (su[ia] + t * (su[ib] - su[ia]),
+                                  sv[ja] + t * (sv[jb] - sv[ja]))
+        return crossings[key]
 
     adjacency: dict = {}
-
-    def link(k1, k2) -> None:
-        adjacency.setdefault(k1, []).append(k2)
-        adjacency.setdefault(k2, []).append(k1)
-
-    points: dict = {}
     for i in range(nx - 1):
         for j in range(ny - 1):
             corner_vals = [values[i + di, j + dj] for di, dj in _CORNERS]
@@ -397,18 +377,15 @@ def extract_zero_contour(result: SweepResult,
                     segments = [(3, 0), (1, 2)]
             for e1, e2 in segments:
                 k1, k2 = _edge_key(i, j, e1), _edge_key(i, j, e2)
-                p1 = crossing(*k1)
-                p2 = crossing(*k2)
-                if p1 is None or p2 is None:
-                    continue
-                points[k1], points[k2] = p1, p2
-                link(k1, k2)
+                if crossing(k1) is not None and crossing(k2) is not None:
+                    adjacency.setdefault(k1, []).append(k2)
+                    adjacency.setdefault(k2, []).append(k1)
 
     chains = _assemble_chains(adjacency)
     polylines = []
     x_axis, y_axis = result.plan.x, result.plan.y
     for chain in chains:
-        coords = np.array([points[k] for k in chain])
+        coords = np.array([crossings[k] for k in chain])
         coords[:, 0] = x_axis.to_coord(coords[:, 0])
         coords[:, 1] = y_axis.to_coord(coords[:, 1])
         polylines.append(coords)

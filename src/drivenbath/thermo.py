@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .model import SystemSpec, beta_q
+from .quadrature import Integrals
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         i_beta_deficit, w_ext2, work_integrals)
 
@@ -112,29 +113,31 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     the work into both baths and is reported as DISSIPATOR with a NaN
     figure of merit.
     """
-    (report,) = engine_reports([spec])
+    (report,), _ = engine_reports([spec])
     if isinstance(report, Exception):
         raise report
     return report
 
 
 def engine_reports(specs: Sequence[SystemSpec]
-                   ) -> list[Union[EngineReport, Exception]]:
+                   ) -> tuple[list[Union[EngineReport, Exception]],
+                              list[Integrals]]:
     """:func:`engine_report` of each spec, from one batched call per integral.
 
     The specs share coupling, l_c and drive.  Where engine_report raises
-    for a spec, its entry is the error instead of a report.
+    for a spec, its entry is the error instead of a report.  Also returns
+    the calls' :class:`Integrals`, which carry points and stalls.
     """
     reports: list = [None] * len(specs)
     todo = []
     for k, spec in enumerate(specs):
         try:
-            _temperatures(spec)  # refuse before integrating
+            _engine_guard(spec)  # refuse before integrating
         except ValueError as exc:
             reports[k] = exc
         else:
             todo.append(k)
-    entries, _ = work_integrals([specs[k] for k in todo])
+    entries, calls = work_integrals([specs[k] for k in todo])
     for k, entry in zip(todo, entries):
         if not isinstance(entry, Exception):
             try:
@@ -142,19 +145,21 @@ def engine_reports(specs: Sequence[SystemSpec]
             except (ValueError, PerturbativeBreakdownError) as exc:
                 entry = exc
         reports[k] = entry
-    return reports
+    return reports, calls
 
 
-def _temperatures(spec: SystemSpec) -> tuple[float, float]:
-    """(T_B, T_Q) of an engine operating point, or ValueError if it is none."""
+def _engine_guard(spec: SystemSpec) -> float:
+    """beta_q of an engine operating point, or ValueError if it is none.
+
+    Safe before validation: it divides by nothing but a nonzero gap.
+    """
     if spec.qubit is None:
         raise ValueError("engine analysis requires a qubit")
     if not spec.qubit.p_ground > 0.5:
         raise ValueError(
             "population-inverted or infinite-temperature qubit excluded "
             "from engine analysis (requires p > 1/2)")
-    bq = beta_q(spec.qubit)
-    return 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
+    return beta_q(spec.qubit)
 
 
 def _engine_report(spec: SystemSpec, w_bar: float,
@@ -163,9 +168,11 @@ def _engine_report(spec: SystemSpec, w_bar: float,
 
     Takes the mean work and the i-beta deficit instead of integrating
     them, so a caller that already holds both (a p-collapsed sweep) gets
-    the same report and the same refusals, which are checked here.
+    the same report and the same refusals, which are checked here.  The
+    spec must be valid, as it is wherever its integrals were taken.
     """
-    t_b, t_q = _temperatures(spec)
+    bq = _engine_guard(spec)
+    t_b, t_q = 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
     mode_tol = default_mode_tol(spec)
     delta_s = _entropy_production(spec, w_bar, deficit)
     q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)

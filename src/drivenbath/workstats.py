@@ -4,7 +4,7 @@ Second-order quantities (characteristic function, work density, mean
 work, no-transition weight) are frequency integrals of the Green-function
 channels against the drive measure; the all-order characteristic function
 of the pure bath is their exponential resummation.  Everything here is a
-pure function of the spec, so grid-parallel evaluation is safe.
+pure function of the spec.
 """
 
 from __future__ import annotations

@@ -56,6 +56,16 @@ class TestWcf:
         assert err == f"error: wcf needs at least 1 sample, got {samples}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("vmax", ["0", "nan", "inf"])
+    def test_degenerate_window_is_usage_error(self, tmp_path, capsys, vmax):
+        # refused before chi2_field sees the grid, and before numpy warns
+        out = tmp_path / "wcf.csv"
+        assert run(["wcf", "--vmax", vmax, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --vmax must be finite, and nonzero for more "
+                       f"than one sample, got {float(vmax):g}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWdf:
     @pytest.mark.parametrize("samples", ["0", "-4"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import drivenbath
 from drivenbath import green_pair
+from drivenbath.green import channel_table
 
 from conftest import make_spec
 
@@ -153,6 +154,45 @@ class TestCausalSpectral:
         assert retarded_im(make_spec(alpha=1.0))(-1.0) == 0.0
 
 
+#: (beta, alpha, gap, p) of the specs of one channel table: alpha mixes
+#: sub-Ohmic, Ohmic and super-Ohmic values, the gaps include 0
+TABLE_SPECS = [(0.5, 0.3, 0.05, 0.9), (10.0, 0.75, 0.2, 0.0),
+               (1.0, 1.0, 0.0, 1.0), (300.0, 2.5, 1.0, 0.5),
+               (3.0, 5.0, 0.05, 0.3), (1000.0, 0.15, 0.01, 0.7),
+               (0.1, 6.0, 5.0, 0.95)]
+
+
+class TestChannelTableRows:
+    """The multi-spec path of ChannelTable.pair, line by line.
+
+    green_pair takes the one-spec path (every parameter a float); a table
+    of several specs holds them per line, as repeated arrays where a term
+    is on for every node of the call and indexed by line where it is on
+    for some.  Each line must give its own spec's channels to the bit.
+    """
+
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    def test_lines_equal_their_green_pair(self, coupling):
+        specs = [make_spec(beta=b, alpha=a, coupling=coupling, omega_gap=g,
+                           p=p) for b, a, g, p in TABLE_SPECS]
+        table = channel_table(specs)
+        rows = np.array([0, 0, 1, 2, 2, 2, 3, 4, 5, 5, 6])
+        gaps = np.array([g for _, _, g, _ in TABLE_SPECS])[rows]
+        offsets = 1e-3 * np.arange(rows.size)[:, None]
+        # lines across -gap, 0 and gap (terms partly on), then lines above
+        # every edge of the table (every term on at every node)
+        straddle = np.linspace(-1.5, 1.5, 13) * (gaps[:, None] + 0.02) \
+            + offsets
+        above = np.linspace(5.1, 5.4, 13) + offsets
+        for omega in (straddle, above):
+            g_mp, g_pm = table.pair(omega, rows)
+            for line, row in enumerate(rows):
+                pair = green_pair(specs[row])
+                assert np.array_equal(g_mp[line], pair.g_mp(omega[line]))
+                assert np.array_equal(g_pm[line], pair.g_pm(omega[line]))
+
+
 class TestPublicApi:
     def test_all_names_pinned(self):
         assert sorted(drivenbath.__all__) == sorted([
@@ -165,12 +205,11 @@ class TestPublicApi:
             "chi2_at_i_beta", "chi2_field", "correction_field",
             "crooks_ratio", "default_plan", "default_w_grid",
             "engine_report", "entropy_production", "extract_zero_contour",
-            "green_pair", "heat_flows", "integrate_lambda",
-            "invert_samples", "lambda_weight",
+            "green_pair", "heat_flows", "invert_samples", "lambda_weight",
             "mean_work_finite_difference", "oscillatory_pair",
             "positivity_check", "run_sweep", "validate", "w_ext2", "wdf2",
             "wdf_nonperturbative", "with_param"])
-        assert len(drivenbath.__all__) == 45
+        assert len(drivenbath.__all__) == 44
         assert all(hasattr(drivenbath, name) for name in drivenbath.__all__)
 
     def test_defaulted_options_pinned(self):
@@ -198,9 +237,6 @@ class TestPublicApi:
             "SystemSpec.qubit", "channel_sum_integral(grid)", "chi2(grid)",
             "chi2_at_i_beta(grid)", "default_w_grid(n)",
             "extract_zero_contour(center_fn)",
-            "integrate_lambda(breakpoints)",
-            "integrate_lambda(singular_exponent)",
-            "integrate_lambda(complex_valued)",
             "oscillatory_pair(breakpoints)",
             "oscillatory_pair(singular_exponent)", "w_ext2(grid)",
             "wdf2(w_grid)"])

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
-                        QuadratureError, Rule, green_pair, integrate_lambda,
-                        invert_samples, lambda_weight, oscillatory_pair,
-                        w_ext2)
+                        QuadratureError, Rule, green_pair, invert_samples,
+                        lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable
-from drivenbath.quadrature import _build_panels, _gl_nodes_weights
+from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
+                                   integrate_rows)
 from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
                                   i_beta_deficit_rows, w_ext2_rows)
 
@@ -23,6 +23,18 @@ def adaptive_grid(source=DEFAULT_SOURCE):
 def trapezoid_grid(source=DEFAULT_SOURCE, n=1 << 16):
     return replace(FrequencyGrid.for_source(source), rule=Rule.TRAPEZOID,
                    n_points=n)
+
+
+def integrate_one(f, grid, breakpoints=(), singular_exponent=None,
+                  complex_valued=False):
+    """The integral of ``f(omega)`` against the default drive measure.
+
+    A batch of one row of :func:`integrate_rows`; raises the row's
+    QuadratureError if it failed.
+    """
+    return integrate_rows(lambda omega, rows: f(omega), DEFAULT_SOURCE,
+                          [grid], [breakpoints], [singular_exponent],
+                          complex_valued=complex_valued).value()
 
 
 class TestLambdaWeight:
@@ -44,20 +56,21 @@ class TestLambdaWeight:
 
 
 class TestIntegrateLambda:
+    """Single integrals against the drive measure, batches of one."""
+
     def test_zero_integrand(self):
-        assert integrate_lambda(np.zeros_like, DEFAULT_SOURCE,
-                                adaptive_grid()) == 0.0
+        assert integrate_one(np.zeros_like, adaptive_grid()) == 0.0
 
     @pytest.mark.parametrize("rule_grid",
                              [adaptive_grid(), trapezoid_grid()])
     def test_unit_integrand_gives_drive_norm(self, rule_grid):
         # closed Gaussian integral: int dw/2pi |lam|^2 = lam0^2 t_int
-        value = integrate_lambda(np.ones_like, DEFAULT_SOURCE, rule_grid)
+        value = integrate_one(np.ones_like, rule_grid)
         assert value == pytest.approx(1e-4 * 100.0, rel=1e-12)
 
     def test_odd_integrand_vanishes(self):
-        value = integrate_lambda(lambda w: w, DEFAULT_SOURCE,
-                                 adaptive_grid(), breakpoints=(0.0,))
+        value = integrate_one(lambda w: w, adaptive_grid(),
+                              breakpoints=(0.0,))
         assert abs(value) < 1e-20
 
     def test_unresolved_jump_keeps_its_open_intervals(self):
@@ -68,9 +81,8 @@ class TestIntegrateLambda:
         def step(w):
             return (w > edge).astype(float)
 
-        blind = integrate_lambda(step, DEFAULT_SOURCE, adaptive_grid())
-        split = integrate_lambda(step, DEFAULT_SOURCE, adaptive_grid(),
-                                 breakpoints=(edge,))
+        blind = integrate_one(step, adaptive_grid())
+        split = integrate_one(step, adaptive_grid(), breakpoints=(edge,))
         assert abs(blind - split) <= 1e-12 * abs(split)
 
     def test_pair_resolves_cancellation_down_to_its_floor(self):
@@ -83,10 +95,9 @@ class TestIntegrateLambda:
         def l1(w):
             return sum(np.abs(term) for term in f(w))
 
-        adaptive = integrate_lambda(f, DEFAULT_SOURCE, adaptive_grid())
-        trapezoid = integrate_lambda(f, DEFAULT_SOURCE,
-                                     trapezoid_grid(n=1 << 18))
-        norm = integrate_lambda(l1, DEFAULT_SOURCE, trapezoid_grid())
+        adaptive = integrate_one(f, adaptive_grid())
+        trapezoid = integrate_one(f, trapezoid_grid(n=1 << 18))
+        norm = integrate_one(l1, trapezoid_grid())
         exact = 1e-2 * math.exp(-9.0 / 8e4)
         assert norm > 1e7 * exact
         assert abs(adaptive - trapezoid) <= 1e-14 * norm
@@ -96,8 +107,7 @@ class TestIntegrateLambda:
         f = lambda w: np.cos(3.0 * w)  # noqa: E731
         pair = lambda w: (f(w), np.zeros_like(w))  # noqa: E731
         for grid in (adaptive_grid(), trapezoid_grid()):
-            assert integrate_lambda(pair, DEFAULT_SOURCE, grid) == \
-                integrate_lambda(f, DEFAULT_SOURCE, grid)
+            assert integrate_one(pair, grid) == integrate_one(f, grid)
 
     def test_rules_agree_on_singular_integrand(self):
         # |w|^{-1/2} endpoint handled by the power substitution
@@ -108,8 +118,8 @@ class TestIntegrateLambda:
             return out
 
         kwargs = dict(breakpoints=(0.0,), singular_exponent=-0.5)
-        a = integrate_lambda(f, DEFAULT_SOURCE, adaptive_grid(), **kwargs)
-        t = integrate_lambda(f, DEFAULT_SOURCE, trapezoid_grid(), **kwargs)
+        a = integrate_one(f, adaptive_grid(), **kwargs)
+        t = integrate_one(f, trapezoid_grid(), **kwargs)
         assert a == pytest.approx(t, rel=1e-9)
         assert a > 0
 
@@ -117,16 +127,14 @@ class TestIntegrateLambda:
         grid = adaptive_grid()
         wide = FrequencyGrid(omega_max=2.0 * grid.omega_max)
         f = lambda w: np.cos(3.0 * w)  # noqa: E731
-        a = integrate_lambda(f, DEFAULT_SOURCE, grid)
-        b = integrate_lambda(f, DEFAULT_SOURCE, wide)
+        a = integrate_one(f, grid)
+        b = integrate_one(f, wide)
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_complex_integrand(self):
         f = lambda w: np.exp(1j * 40.0 * w)  # noqa: E731
-        a = integrate_lambda(f, DEFAULT_SOURCE, adaptive_grid(),
-                             complex_valued=True)
-        t = integrate_lambda(f, DEFAULT_SOURCE, trapezoid_grid(),
-                             complex_valued=True)
+        a = integrate_one(f, adaptive_grid(), complex_valued=True)
+        t = integrate_one(f, trapezoid_grid(), complex_valued=True)
         assert a == pytest.approx(t, rel=1e-10)
 
     def test_non_finite_integrand_reports_location(self):
@@ -136,9 +144,9 @@ class TestIntegrateLambda:
             return out
 
         with pytest.raises(QuadratureError, match="omega"):
-            integrate_lambda(bad, DEFAULT_SOURCE, trapezoid_grid())
+            integrate_one(bad, trapezoid_grid())
         with pytest.raises(QuadratureError, match="omega"):
-            integrate_lambda(bad, DEFAULT_SOURCE, adaptive_grid())
+            integrate_one(bad, adaptive_grid())
 
 
 #: spin specs of the benchmark's point evaluations on which the per-panel
@@ -175,10 +183,9 @@ class TestRunawayRefinement:
                        n_points=1 << 18)
         kwargs = dict(breakpoints=pair.edges,
                       singular_exponent=pair.singular_exponent)
-        reference = 0.5 * integrate_lambda(f, DEFAULT_SOURCE, grid, **kwargs)
-        l1 = 0.5 * integrate_lambda(
-            lambda w: sum(np.abs(term) for term in f(w)), DEFAULT_SOURCE,
-            grid, **kwargs)
+        reference = 0.5 * integrate_one(f, grid, **kwargs)
+        l1 = 0.5 * integrate_one(
+            lambda w: sum(np.abs(term) for term in f(w)), grid, **kwargs)
         assert abs(value - reference) <= 1e-14 * l1
 
     @pytest.mark.parametrize("fn, kwargs, reference", [
@@ -219,12 +226,12 @@ class TestOscillatoryPair:
                                   breakpoints=(0.0,))
         for vv in (0.0, 13.0, 500.0, 6400.0):
             k = int(vv)
-            direct1 = integrate_lambda(
-                lambda w: f1(w) * np.exp(1j * w * vv), DEFAULT_SOURCE,
-                adaptive_grid(), breakpoints=(0.0,), complex_valued=True)
-            direct2 = integrate_lambda(
-                lambda w: f2(w) * np.exp(1j * w * vv), DEFAULT_SOURCE,
-                adaptive_grid(), breakpoints=(0.0,), complex_valued=True)
+            direct1 = integrate_one(
+                lambda w: f1(w) * np.exp(1j * w * vv), adaptive_grid(),
+                breakpoints=(0.0,), complex_valued=True)
+            direct2 = integrate_one(
+                lambda w: f2(w) * np.exp(1j * w * vv), adaptive_grid(),
+                breakpoints=(0.0,), complex_valued=True)
             # large-v values are heavily cancelled (|integral| many orders
             # below the integrand mass); agreement is conditioning-limited
             assert a1[k] == pytest.approx(direct1, rel=1e-8, abs=1e-16)
@@ -309,6 +316,11 @@ class TestInversionPlan:
             InversionPlan(v_max=10.0, n_fft=1 << 10)
         with pytest.raises(ValueError):
             InversionPlan(v_max=10.0, n_fft=5000)
+
+    @pytest.mark.parametrize("v_max", [math.inf, math.nan])
+    def test_non_finite_window_rejected(self, v_max):
+        with pytest.raises(ValueError, match="v_max must be finite"):
+            InversionPlan(v_max=v_max)
 
 
 class TestInversion:

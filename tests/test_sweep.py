@@ -219,6 +219,18 @@ class TestRunSweep:
             run_sweep(plan, Quantity.FIGURE_OF_MERIT)
         assert len(info.value.failures) > 0
 
+    def test_beta_axis_from_zero_fails_those_cells_by_validation(self):
+        # the engine guard runs on numpy axis values before validation: at
+        # beta = 0 it must refuse nothing and divide by nothing
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 0.1, n=16),
+                         y=Axis("beta", 0.0, 10.0, n=16),
+                         fixed=make_spec(coupling="fermion", p=0.9))
+        with pytest.raises(SweepError) as info:
+            run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        assert info.value.failures == tuple(
+            (i, 0, "invalid system spec: beta must be > 0")
+            for i in range(16))
+
     def test_quadrature_failure_is_recorded_per_cell(self, monkeypatch):
         original = sweepmod._cell_value
 

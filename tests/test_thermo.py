@@ -103,6 +103,12 @@ class TestEngineReport:
         with pytest.raises(ValueError, match="p > 1/2"):
             engine_report(make_spec(coupling="spin", p=0.2))
 
+    def test_zero_beta_is_refused_by_validation(self):
+        # the engine guard runs before validation and must not divide
+        with pytest.raises(ValueError,
+                           match="invalid system spec: beta must be > 0"):
+            engine_report(make_spec(beta=0.0, coupling="fermion", p=0.9))
+
     def test_heat_engine_point(self):
         spec = make_spec(beta=1.0, alpha=5.0, coupling="spin",
                          omega_gap=0.05, p=1.0)
