@@ -8,7 +8,9 @@ failure, 2 usage or configuration error.
 
 All output files are UTF-8 CSV with a single '#' header row and
 17-significant-digit scientific notation, and identical configuration
-always produces byte-identical files.
+always produces byte-identical files.  Contour files separate polylines
+with blank lines, an empty grid.csv cell is a failed or undefined cell,
+and engine.csv writes nan for a dissipator's figure of merit.
 """
 
 from __future__ import annotations
@@ -180,14 +182,30 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+#: rows formatted by one %-operation and written by one write
+_CSV_CHUNK = 4096
+
+
+def _write_csv(path: Path, header: str, *tables, lead: str = "",
+               blank_nan: bool = False) -> None:
+    """Write 2-D float tables as %.16e rows under one '#' header line.
+
+    ``lead`` starts every row, a blank line separates the tables (a
+    contour file's polylines), ``blank_nan`` leaves NaN cells empty, and
+    each block of _CSV_CHUNK rows is one %-operation and one write.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + header + "\n")
-        for row in rows:
-            fh.write(",".join("" if cell is None else
-                              (cell if isinstance(cell, str) else _fmt(cell))
-                              for cell in row) + "\n")
+        for idx, table in enumerate(tables):
+            if idx:
+                fh.write("\n")
+            table = np.asarray(table, dtype=float)
+            row = lead + ",".join(["%.16e"] * table.shape[1]) + "\n"
+            for start in range(0, len(table), _CSV_CHUNK):
+                block = table[start:start + _CSV_CHUNK]
+                text = row * len(block) % tuple(block.ravel().tolist())
+                fh.write(text.replace("nan", "") if blank_nan else text)
 
 
 def cmd_wcf(args, s: dict) -> int:
@@ -204,15 +222,12 @@ def cmd_wcf(args, s: dict) -> int:
     v = np.linspace(0.0, v_max, samples)
     field = workstats.chi2_field(spec, v)
     chi = field.chi2_values()
+    columns, header = [v, chi.real, chi.imag], "v,re_chi2,im_chi2"
     if s["nonperturbative"]:
         chi_full = np.exp(chi - 1.0)
-        rows = [(v[i], chi[i].real, chi[i].imag,
-                 chi_full[i].real, chi_full[i].imag) for i in range(samples)]
-        header = "v,re_chi2,im_chi2,re_chi,im_chi"
-    else:
-        rows = [(v[i], chi[i].real, chi[i].imag) for i in range(samples)]
-        header = "v,re_chi2,im_chi2"
-    _write_csv(Path(s["out"]), header, rows)
+        columns += [chi_full.real, chi_full.imag]
+        header += ",re_chi,im_chi"
+    _write_csv(Path(s["out"]), header, np.column_stack(columns))
     return 0
 
 
@@ -229,20 +244,19 @@ def cmd_wdf(args, s: dict) -> int:
     out = Path(s["out"])
     header = (f"w,density,atom_weight={_fmt(dist.atom_weight)},"
               f"normalization={_fmt(dist.normalization)}")
-    _write_csv(out, header,
-               zip(dist.w_grid.tolist(), dist.density.tolist()))
+    _write_csv(out, header, np.column_stack((dist.w_grid, dist.density)))
     if s["nonperturbative"]:
         full = workstats.wdf_nonperturbative(spec)
         header = (f"w,density,atom_weight={_fmt(full.atom_weight)},"
                   f"normalization={_fmt(full.normalization)}")
         _write_csv(_with_suffix(out, "_nonperturbative"), header,
-                   zip(full.w_grid.tolist(), full.density.tolist()))
+                   np.column_stack((full.w_grid, full.density)))
     return 0
 
 
 def cmd_wext(args, s: dict) -> int:
     value = workstats.w_ext2(_build_spec(s))
-    _write_csv(Path(s["out"]), "w_ext2", [(value,)])
+    _write_csv(Path(s["out"]), "w_ext2", [[value]])
     print(f"w_ext2 = {_fmt(value)}")
     return 0
 
@@ -251,9 +265,9 @@ def cmd_engine(args, s: dict) -> int:
     report = thermo.engine_report(_build_spec(s))
     _write_csv(Path(s["out"]),
                "mode,w_bar,delta_s,q_b,q_q,t_h,t_l,r,figure_of_merit",
-               [(report.mode.value, report.w_bar, report.delta_s,
-                 report.q_b, report.q_q, report.t_h, report.t_l,
-                 report.r, report.figure_of_merit)])
+               [[report.w_bar, report.delta_s, report.q_b, report.q_q,
+                 report.t_h, report.t_l, report.r, report.figure_of_merit]],
+               lead=report.mode.value + ",")
     print(f"mode = {report.mode.value}, figure_of_merit = "
           f"{_fmt(report.figure_of_merit)}, delta_s = {_fmt(report.delta_s)}")
     return 0
@@ -284,34 +298,16 @@ def cmd_sweep(args, s: dict) -> int:
 
     result = sweepmod.run_sweep(plan, _QUANTITIES[s["quantity"]])
     out_dir = Path(s["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for i, x in enumerate(result.xs):
-        for j, y in enumerate(result.ys):
-            value = result.grid[i, j]
-            rows.append((float(x), float(y),
-                         None if np.isnan(value) else float(value)))
+    xs, ys = np.meshgrid(result.xs, result.ys, indexing="ij")
     _write_csv(out_dir / "grid.csv", f"{s['x']},{s['y']},{s['quantity']}",
-               rows)
-    _write_contours(out_dir / "contour.csv", s["x"], s["y"],
-                    result.zero_contour)
-    _write_contours(out_dir / "betaq.csv", s["x"], s["y"],
-                    result.betaq_contour)
+               np.column_stack((xs.ravel(), ys.ravel(), result.grid.ravel())),
+               blank_nan=True)
+    axes = f"{s['x']},{s['y']}"
+    _write_csv(out_dir / "contour.csv", axes, *result.zero_contour)
+    _write_csv(out_dir / "betaq.csv", axes, *result.betaq_contour)
     print(f"sweep written to {out_dir} "
           f"({len(result.failures)} failed cells)")
     return 0
-
-
-def _write_contours(path: Path, x_name: str, y_name: str,
-                    polylines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {x_name},{y_name}\n")
-        for idx, line in enumerate(polylines):
-            if idx:
-                fh.write("\n")
-            for x, y in line:
-                fh.write(f"{_fmt(x)},{_fmt(y)}\n")
 
 
 def cmd_verify(args, s: dict) -> int:

@@ -57,6 +57,9 @@ _MAX_STEPS = 40
 #: max phase advance of e^{i w v} per Gauss-Legendre subpanel
 _GL_PHASE = 20.0
 _GL_ORDER = 40
+#: most nodes one oscillatory sampling may use; |v| = 640,000 takes
+#: 109,920.  The phase tables take ~1.4 kB per node at 201 samples.
+_GL_MAX_NODES = 1 << 17
 
 #: rounding slack, as a fraction of max|v|, between a sampled v grid and
 #: the even lattice it stands for
@@ -442,12 +445,19 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
     base_x, base_w = np.polynomial.legendre.leggauss(_GL_ORDER)
     _, *params = np.array(panels).T
     ends = _panel_map(np.array([[0.0, p.length] for p in panels]), *params)[0]
+    widths = np.abs(ends[:, 1] - ends[:, 0])
+    n_subs = [max(1, int(math.ceil(width * max(v_abs_max, 1.0) / _GL_PHASE)))
+              for width in widths]
+    count = _GL_ORDER * sum(n_subs)
+    if count > _GL_MAX_NODES:
+        raise ValueError(
+            f"sampling up to |v| = {v_abs_max:g} needs {count:,} "
+            f"quadrature nodes, above the cap of {_GL_MAX_NODES:,} "
+            f"(~{count * 1.4e-3:,.0f} MB of phase tables at 201 samples)")
     # one line of nodes per subpanel: its panel, lower edge and half-width
     line_panel, lo, half = [], [], []
-    for k, (panel, width_omega) in enumerate(
-            zip(panels, np.abs(ends[:, 1] - ends[:, 0]))):
-        n_sub = max(1, int(math.ceil(width_omega * max(v_abs_max, 1.0)
-                                     / _GL_PHASE)))
+    for k, (panel, width_omega, n_sub) in enumerate(
+            zip(panels, widths, n_subs)):
         # equal omega increments mapped back to the transformed variable
         om_frac = np.linspace(0.0, 1.0, n_sub + 1)
         t_edges = (om_frac * width_omega) ** (1.0 / panel.power) \

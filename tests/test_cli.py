@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drivenbath.cli import main
+from drivenbath.cli import _CSV_CHUNK, _write_csv, main
 
 
 def run(args):
@@ -65,6 +69,17 @@ class TestWcf:
         assert err == ("error: --vmax must be finite, and nonzero for more "
                        f"than one sample, got {float(vmax):g}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_oversized_node_set_is_usage_error(self, tmp_path, capsys):
+        # ~1.5x the node cap: refused before the nodes are built (without
+        # the guard, two samples would still fit in a few tens of MB)
+        out = tmp_path / "wcf.csv"
+        assert run(["wcf", "--vmax", "1.15e6", "--samples", "2",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "needs 197,440 quadrature nodes, above the cap of 131,072" \
+            in err
+        assert not out.exists()
 
 
 class TestWdf:
@@ -168,6 +183,14 @@ class TestWextEngine:
         assert q_b + q_q == pytest.approx(w_bar, abs=1e-12)
         assert delta_s >= -1e-10
 
+    def test_dissipator_figure_of_merit_is_nan(self, tmp_path):
+        out = tmp_path / "engine.csv"
+        assert run(["engine", "--qubit", "spin", "--p", "0.9",
+                    "--beta", "10", "--omega", "0.5", "--out", out]) == 0
+        line = out.read_text().splitlines()[1]
+        assert line.startswith("dissipator,") and line.endswith(",nan")
+        assert line.count(",") == 8
+
 
 class TestSweep:
     def test_writes_grid_and_sidecars(self, tmp_path):
@@ -185,6 +208,22 @@ class TestSweep:
         assert (out / "betaq.csv").exists()
         contour_text = (out / "contour.csv").read_text()
         assert len(contour_text.splitlines()) > 2
+
+    def test_undefined_cells_are_empty(self, tmp_path):
+        # the dissipator cells of a fermion figure-of-merit map are NaN
+        out = tmp_path / "fom"
+        assert run(["sweep", "--qubit", "fermion", "--p", "0.9",
+                    "--sweep-x", "omega_gap", "--x-range", "0.01,1",
+                    "--x-scale", "log", "--sweep-y", "beta",
+                    "--y-range", "0.1,100", "--y-scale", "log",
+                    "--nx", "16", "--ny", "16",
+                    "--quantity", "figure-of-merit", "--out", out]) == 0
+        text = (out / "grid.csv").read_text()
+        _, rows = read_rows(out / "grid.csv")
+        values = [row[2] for row in rows]
+        assert "nan" not in text and 0 < values.count("") < len(values)
+        assert all(len(row) == 3 and float(row[0]) > 0 and float(row[1]) > 0
+                   for row in rows)
 
     def test_missing_axes_is_usage_error(self, tmp_path, capsys):
         assert run(["sweep", "--qubit", "spin",
@@ -216,6 +255,37 @@ class TestSweep:
         assert run(args + ["--out", out1]) == 0
         assert run(args + ["--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+#: cells the writer must format as the f-string "{:.16e}" does
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e-308,
+                math.inf, -math.inf)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK,
+                                        _CSV_CHUNK + 1])
+    @given(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                    min_size=1, max_size=40),
+           st.integers(1, 5))
+    @settings(max_examples=10, deadline=None)
+    def test_bytes_match_per_cell_formatting(self, tmp_path_factory, n_rows,
+                                             cells, n_cols):
+        rows = np.resize(np.array(cells), (n_rows, n_cols))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, "h", rows)
+        assert path.read_bytes() == ("# h\n" + "".join(
+            ",".join(f"{x:.16e}" for x in row) + "\n"
+            for row in rows.tolist())).encode()
+
+    def test_lead_tables_and_empty_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_csv(path, "a,b", [[1.0, math.nan]], [[-0.0, 2.5]],
+                   lead="m,", blank_nan=True)
+        assert path.read_text() == ("# a,b\nm,1.0000000000000000e+00,\n"
+                                    "\nm,-0.0000000000000000e+00,"
+                                    "2.5000000000000000e+00\n")
 
 
 class TestConfig:

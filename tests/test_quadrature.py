@@ -293,6 +293,14 @@ class TestOscillatoryPair:
                          DEFAULT_SOURCE, adaptive_grid())
         assert len(calls) == 2 and calls[0] == calls[1] > 201
 
+    def test_node_cap(self):
+        # |v| = 640,000 stays below the cap; 770,000 is refused
+        panels = _build_panels(adaptive_grid().omega_max, (), None)
+        assert _gl_nodes_weights(panels, 640000.0)[0].size == 109_880
+        with pytest.raises(ValueError, match="needs 132,200 quadrature "
+                           "nodes, above the cap of 131,072"):
+            _gl_nodes_weights(panels, 770000.0)
+
     @pytest.mark.parametrize("v", [[0.0, 13.0, 500.0, 6400.0],
                                    [-120.0, -3.0, 0.0, 17.0, 640.0],
                                    [0.0, 1.0, 2.0 + 1e-9, 3.0],

@@ -19,14 +19,20 @@ class TestHeatFlows:
         assert heat_flows(0.0, 0.0, 2.0, 1.0) == (0.0, 0.0)
 
     @given(finite, finite, temps, temps)
+    # Q_B = -Q_Q = 13,866.95 here; their sum is one ulp (1.8e-12) off 0
+    @example(0.0, 2.4327982019672927, 75.0, 76.0)
     @settings(max_examples=100, deadline=None)
     def test_first_law_identity(self, w_bar, delta_s, t_b, t_q):
         if abs(t_b - t_q) <= 1e-6 * max(t_b, t_q):
             return
         q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
-        assert q_b + q_q == pytest.approx(w_bar, rel=1e-9, abs=1e-12)
-        assert q_b / t_b + q_q / t_q == pytest.approx(delta_s, rel=1e-9,
-                                                      abs=1e-12)
+        # each side carries a few roundings of its largest term, so the
+        # absolute slack is a few ulp of the largest compared magnitude
+        assert q_b + q_q == pytest.approx(w_bar, rel=1e-9, abs=8 * math.ulp(
+            max(abs(q_b), abs(q_q), abs(w_bar))))
+        s_b, s_q = q_b / t_b, q_q / t_q
+        assert s_b + s_q == pytest.approx(delta_s, rel=1e-9, abs=8 * math.ulp(
+            max(abs(s_b), abs(s_q), abs(delta_s))))
 
     @given(finite, finite, finite, finite)
     @settings(max_examples=50, deadline=None)
