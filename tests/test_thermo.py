@@ -21,18 +21,23 @@ class TestHeatFlows:
     @given(finite, finite, temps, temps)
     # Q_B = -Q_Q = 13,866.95 here; their sum is one ulp (1.8e-12) off 0
     @example(0.0, 2.4327982019672927, 75.0, 76.0)
+    # S_B + S_Q is 16 ulp(0) off 0: Q_Q underflows, and 1/T_Q = 32
+    @example(1.1125369292536007e-308, 0.0, 5.0, 0.03125)
     @settings(max_examples=100, deadline=None)
     def test_first_law_identity(self, w_bar, delta_s, t_b, t_q):
         if abs(t_b - t_q) <= 1e-6 * max(t_b, t_q):
             return
         q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
         # each side carries a few roundings of its largest term, so the
-        # absolute slack is a few ulp of the largest compared magnitude
+        # absolute slack is a few ulp of the largest compared magnitude;
+        # a product that underflows errs by up to ulp(0) instead, which
+        # the division by T_B - T_Q (and by T for an entropy) scales up
+        floor = 8 * math.ulp(0.0) * (1 + max(t_b, t_q)) / abs(t_b - t_q)
         assert q_b + q_q == pytest.approx(w_bar, rel=1e-9, abs=8 * math.ulp(
-            max(abs(q_b), abs(q_q), abs(w_bar))))
+            max(abs(q_b), abs(q_q), abs(w_bar))) + floor)
         s_b, s_q = q_b / t_b, q_q / t_q
         assert s_b + s_q == pytest.approx(delta_s, rel=1e-9, abs=8 * math.ulp(
-            max(abs(s_b), abs(s_q), abs(delta_s))))
+            max(abs(s_b), abs(s_q), abs(delta_s))) + floor / min(t_b, t_q))
 
     @given(finite, finite, finite, finite)
     @settings(max_examples=50, deadline=None)
