@@ -58,7 +58,8 @@ _MAX_STEPS = 40
 _GL_PHASE = 20.0
 _GL_ORDER = 40
 #: most nodes one oscillatory sampling may use; |v| = 640,000 takes
-#: 109,920.  The phase tables take ~1.4 kB per node at 201 samples.
+#: 109,920.  A sampling peaks at ~1.1 kB per node at 201 samples and
+#: ~18 kB at 65,536, most of it the phase tables (measured ru_maxrss).
 _GL_MAX_NODES = 1 << 17
 
 #: rounding slack, as a fraction of max|v|, between a sampled v grid and
@@ -229,6 +230,8 @@ def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
 _X_LOW, _W_LOW = np.polynomial.legendre.leggauss(15)
 _X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(31)
 _X_BOTH = np.concatenate([_X_LOW, _X_HIGH])
+#: the oscillatory sampling's rule on each of its subpanels
+_X_GL, _W_GL = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 #: an interval's row holds m (a + b) at its 15 and 31 nodes, then
 #: m (|a| + |b|) at the 31 nodes, m being |lam|^2 times the Jacobian; the
@@ -442,7 +445,6 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
     e^{i w v} advances at most _GL_PHASE per subpanel regardless of the
     endpoint transform.
     """
-    base_x, base_w = np.polynomial.legendre.leggauss(_GL_ORDER)
     _, *params = np.array(panels).T
     ends = _panel_map(np.array([[0.0, p.length] for p in panels]), *params)[0]
     widths = np.abs(ends[:, 1] - ends[:, 0])
@@ -453,7 +455,8 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
         raise ValueError(
             f"sampling up to |v| = {v_abs_max:g} needs {count:,} "
             f"quadrature nodes, above the cap of {_GL_MAX_NODES:,} "
-            f"(~{count * 1.4e-3:,.0f} MB of phase tables at 201 samples)")
+            f"(~{count * 1.1e-3:,.0f} MB at 201 samples, "
+            f"~{count * 18e-3:,.0f} MB at 65,536)")
     # one line of nodes per subpanel: its panel, lower edge and half-width
     line_panel, lo, half = [], [], []
     for k, (panel, width_omega, n_sub) in enumerate(
@@ -466,12 +469,27 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
         lo.append(t_edges[:-1])
         half.append(0.5 * (t_edges[1:] - t_edges[:-1]))
     lo, half = np.concatenate(lo)[:, None], np.concatenate(half)[:, None]
-    nodes, jac = _panel_map(lo + half * (base_x + 1.0),
+    nodes, jac = _panel_map(lo + half * (_X_GL + 1.0),
                             *(a[line_panel] for a in params))
-    weights = half * base_w
+    weights = half * _W_GL
     if jac is not None:
         weights *= jac
     return nodes.ravel(), weights.ravel()
+
+
+def _unit_phases(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase} of a real array, bit for bit ``np.exp(1j * phase)``.
+
+    The cosine fills the real and the sine the imaginary part of one
+    complex array, which costs less than the complex exponential.  The
+    imaginary part of 1j * phase is phase + 0.0, which turns -0.0 into
+    +0.0, so the sine takes phase + 0.0 too.  ``phase`` is overwritten.
+    """
+    phase += 0.0
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
@@ -487,12 +505,15 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
     ``v`` is a 1-D evenly spaced grid, v_j = v_0 + j h, as
     ``InversionPlan.v_grid()`` and ``linspace`` give; any other grid
     raises ValueError.  Both integrands share one composite
-    Gauss-Legendre node set.  Splitting j = b B + m with B = ceil(sqrt(n))
-    factors every phase exactly as e^{i w v_bB} e^{i w m h}: the block
-    phases fold into the two coefficient vectors, and the samples are one
-    complex product of the B x nodes table e^{i w m h} with that
-    nodes x 2 ceil(n/B) matrix.  Returns a pair of complex arrays
-    aligned with ``v``.
+    Gauss-Legendre node set, from a 40-node rule built once at import.
+    Splitting j = b B + m with B = ceil(sqrt(n)) factors every phase
+    exactly as e^{i w v_bB} e^{i w m h}: the block phases fold into the
+    two coefficient vectors, and the samples are one complex product of
+    the B x nodes table e^{i w m h} with that nodes x 2 ceil(n/B) matrix.
+    Both phase tables hold cos and sin of the real phases, written into
+    one complex array; with -0.0 phases taken as +0.0 for the sine, as
+    the complex exponential takes them, that is e^{i phi} to the bit.
+    Returns a pair of complex arrays aligned with ``v``.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -512,9 +533,14 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
             raise QuadratureError(message)
 
     block = math.isqrt(max(n - 1, 0)) + 1
-    table = np.exp(1j * np.outer(h * np.arange(block), nodes))
-    shift = np.exp(1j * np.outer(nodes, v[::block]))
-    samples = table @ np.hstack([c1[:, None] * shift, c2[:, None] * shift])
+    table = _unit_phases(np.outer(h * np.arange(block), nodes))
+    shift = _unit_phases(np.outer(nodes, v[::block]))
+    cols = shift.shape[1]
+    coeffs = np.empty((nodes.size, 2 * cols), dtype=complex)
+    np.multiply(c1[:, None], shift, out=coeffs[:, :cols])
+    np.multiply(c2[:, None], shift, out=coeffs[:, cols:])
+    del shift
+    samples = table @ coeffs
     # column b of each half holds v_{bB} .. v_{bB+B-1}
     return tuple(part.T.ravel()[:n] for part in np.hsplit(samples, 2))
 

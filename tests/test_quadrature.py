@@ -9,7 +9,7 @@ from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable
 from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
-                                   integrate_rows)
+                                   _unit_phases, integrate_rows)
 from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
                                   i_beta_deficit_rows, w_ext2_rows)
 
@@ -217,6 +217,26 @@ def dense_phase_sum(f1, f2, v, source, grid, breakpoints=(),
     return out[:, 0], out[:, 1]
 
 
+def exp_phase_pair(f1, f2, v, source, grid, breakpoints=(),
+                   singular_exponent=None):
+    """oscillatory_pair with its phase tables built by the complex
+    exponential and its coefficients joined by hstack, as before the
+    tables were filled from cos and sin."""
+    n = v.size
+    h = (v[-1] - v[0]) / (n - 1) if n > 1 else 0.0
+    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    nodes, weights = _gl_nodes_weights(
+        panels, float(np.max(np.abs(v), initial=0.0)))
+    measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
+    c1 = measure * np.asarray(f1(nodes), dtype=float)
+    c2 = measure * np.asarray(f2(nodes), dtype=float)
+    block = math.isqrt(max(n - 1, 0)) + 1
+    table = np.exp(1j * np.outer(h * np.arange(block), nodes))
+    shift = np.exp(1j * np.outer(nodes, v[::block]))
+    samples = table @ np.hstack([c1[:, None] * shift, c2[:, None] * shift])
+    return tuple(part.T.ravel()[:n] for part in np.hsplit(samples, 2))
+
+
 class TestOscillatoryPair:
     def test_matches_direct_integral(self):
         f1 = lambda w: np.where(w > 0, w, 0.0)  # noqa: E731
@@ -281,6 +301,37 @@ class TestOscillatoryPair:
         for got, want in ((a_mp, d_mp), (a_pm, d_pm)):
             assert np.max(np.abs(got - want[1:])) <= \
                 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("v", [
+        pytest.param(h * np.arange(n), id=f"n{n}")
+        for n, h in [(1, 32.0), (2, 32.0), (201, 32.0), (225, 32.0),
+                     (32769, 0.1953125)]] + [
+        pytest.param(start + 32.0 * np.arange(201), id=f"start{start:g}")
+        for start in (-3200.0, -3217.5, 1000.25)])
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    def test_bits_match_complex_exponential(self, alpha, coupling, v):
+        spec = make_spec(alpha=alpha, coupling=coupling, p=0.8)
+        pair = green_pair(spec)
+        args = (pair.g_mp, pair.g_pm, v, spec.source, adaptive_grid())
+        kwargs = dict(breakpoints=pair.edges,
+                      singular_exponent=pair.singular_exponent)
+        got = oscillatory_pair(*args, **kwargs)
+        want = exp_phase_pair(*args, **kwargs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 9, 17, 1000])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 20.0, 3.3e4])
+    def test_unit_phases_equal_complex_exponential(self, scale, size):
+        # 3.3e4 rad is about omega_max times the largest |v| the node cap
+        # allows; sizes cover the vector loops' short and ragged tails
+        x = np.random.default_rng(size).uniform(-scale, scale, size)
+        x[:4] = [0.0, -0.0, -scale, scale][:size]
+        for phase in (x, x.reshape(1, -1), np.outer(x, [1.0, -1.0, 0.5])):
+            want = np.exp(1j * phase)
+            assert _unit_phases(phase.copy()).tobytes() == want.tobytes()
 
     def test_integrands_evaluated_once_on_the_nodes(self):
         calls = []
