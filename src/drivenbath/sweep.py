@@ -9,24 +9,30 @@ chi2(i beta) deficit are affine in p, so each column (one value of the
 other axis) is integrated at p = 0 and p = 1, all 2n endpoints in one
 call per integral, and its cells are blended from those two values.
 Sweeps without a p axis integrate one sweep row (all y at one x) per call
-and match the library calls bit for bit by construction.  Contours
-are marching-squares polylines in the axis scale space (log axes
-interpolate geometrically); saddle cells are disambiguated by evaluating
-the true function at the cell center, not the bilinear interpolant.
+and match the library calls bit for bit by construction.  The cells of a
+grid are evaluated on arrays, not one by one: specs are validated once
+per axis value, the blend is a broadcast, and W_ext, chi2(i beta) and
+Delta S are array expressions with the bits of the scalar formulas.
+Contours are marching-squares polylines in the axis scale space (log
+axes interpolate geometrically).  Every cell is classified at once, and
+only the cells the contour crosses are visited, in row-major order;
+saddle cells are disambiguated by evaluating the true function at the
+cell center, a 1 x 1 grid, not the bilinear interpolant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SystemSpec, require_valid, with_param
+from .model import SystemSpec, require_valid, validate, with_param
 from .quadrature import QuadratureError
-from .thermo import _engine_report, _entropy_production, engine_reports
+from .thermo import _engine_report, engine_reports
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         work_integrals)
 
@@ -66,6 +72,11 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError("axis resolution must be an integer, "
+                             f"got {self.n!r}") from None
         if self.n < 16:
             raise ValueError("axis resolution must be >= 16")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -123,38 +134,30 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _cell_value(spec: SystemSpec, quantity: Quantity, w_bar: float,
-                deficit: float) -> float:
-    """``quantity`` at ``spec`` from its mean work and i-beta deficit.
-
-    Every cell, blended or integrated, goes through here, so each keeps
-    the refusals its direct evaluation raises: an invalid spec, the
-    engine guards, the breakdown of chi2(i beta) and the degenerate heat
-    split.  A quantity ignores the integral it does not use (NaN).
-    """
-    if quantity is Quantity.FIGURE_OF_MERIT:
-        # the engine guards come first, as in engine_report
-        return _engine_report(spec, w_bar, deficit).figure_of_merit
-    require_valid(spec)
-    if quantity is Quantity.W_EXT:
-        return -w_bar
-    if quantity is Quantity.CHI_I_BETA:
-        return chi2_from_deficit(deficit)
-    return _entropy_production(spec, w_bar, deficit)
-
-
 class _CellEvaluator:
-    """Quantity at the points of a plan, tallying the integrals it takes.
+    """The quantity on a grid of plan points, tallying the integrals taken.
 
+    One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
     Without a p axis a sweep row, all y at one x, is integrated in one
     batched call per integral.  With one, W_bar and the deficit are
     affine in p (green_pair builds both qubit channels as p (...) +
     (1 - p) (...)), so each column, one value of the other axis, is
     integrated once at p = 0 and p = 1, all columns of the grid in one
-    call per integral, and a point at p gets (1 - p) I_0 + p I_1, exact
-    at both endpoints.  Columns are cached by axis value, so saddle
-    centres reuse them.  A failed outcome is the error that the direct
-    evaluation of the point raises.
+    call per integral, and the grid gets (1 - p) I_0 + p I_1 by
+    broadcasting, exact at both endpoints.  Columns are cached by axis
+    value, so saddle centres reuse them.
+
+    A failed cell holds the error that its direct evaluation raises
+    first: a failed column, or the error of its batched row; then an
+    invalid spec, the engine guards, the breakdown of chi2(i beta) and
+    the degenerate heat split.  Blended cells are validated once per
+    axis value: validate checks each field on its own, so cell (i, j) is
+    valid when the specs at (x_i, y_0) and (x_0, y_j) both are, and only
+    a cell for which one of them fails builds its own spec to learn its
+    message.  W_ext, chi2(i beta) and Delta S are formed on arrays; the
+    log of Delta S is math.log1p per cell (np.log1p differs from it in
+    the last bit on some inputs), and the figure of merit is
+    _engine_report per cell.
     """
 
     def __init__(self, plan: SweepPlan, quantity: Quantity):
@@ -168,10 +171,11 @@ class _CellEvaluator:
         if self._column_axis is not None:
             self._integrate_columns(self._column_axis.values())
 
-    def _spec(self, x: float, y: float) -> SystemSpec:
+    def _row_specs(self, x: float, ys) -> list:
+        """The spec at (x, y) for every y, built from the spec at x."""
         plan = self.plan
-        return with_param(with_param(plan.fixed, plan.x.name, x),
-                          plan.y.name, y)
+        row = with_param(plan.fixed, plan.x.name, x)
+        return [with_param(row, plan.y.name, y) for y in ys]
 
     def _integrals(self, specs: list) -> list:
         """(W_bar, deficit) or the error of each spec; NaN where unused."""
@@ -194,9 +198,9 @@ class _CellEvaluator:
     def _integrate_columns(self, keys) -> None:
         """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
 
-        A column keeps the first error its endpoint integrals raise, in
-        the order of direct calls, and raises it again for every point of
-        the column.
+        A column keeps (W_0, D_0, W_1, D_1), or the first error its
+        endpoint integrals raise, in the order of direct calls, which
+        fails every point of the column.
         """
         name = self._column_axis.name
         ends = [with_param(with_param(self.plan.fixed, name, key), "p", p)
@@ -205,42 +209,127 @@ class _CellEvaluator:
         for c, key in enumerate(keys):
             pair = entries[2 * c:2 * c + 2]
             failed = [e for e in pair if isinstance(e, Exception)]
-            self._columns[key] = failed[0] if failed else tuple(pair)
+            self._columns[key] = failed[0] if failed else pair[0] + pair[1]
 
-    def _value(self, spec: SystemSpec, entry):
-        if isinstance(entry, Exception):
-            return entry
-        try:
-            return _cell_value(spec, self.quantity, *entry)
-        except CELL_ERRORS as exc:
-            return exc
-
-    def row(self, x: float, ys) -> list:
-        """The outcome at (x, y) for every y."""
-        specs = [self._spec(x, y) for y in ys]
+    def grid(self, xs, ys) -> tuple[np.ndarray, dict]:
+        """The quantity at every (xs[i], ys[j]), NaN where the cell fails,
+        and the error of each failed cell keyed by (i, j)."""
+        errors: dict = {}
         if self._column_axis is not None:
-            keys = ys if self.plan.x.name == "p" else [x] * len(ys)
-            new = [key for key in dict.fromkeys(keys)
-                   if key not in self._columns]
-            if new:
-                self._integrate_columns(new)
-            return [self._blend(spec, self._columns[key])
-                    for spec, key in zip(specs, keys)]
-        if self.quantity is Quantity.FIGURE_OF_MERIT:
-            reports, calls = engine_reports(specs)
-            self._tally(calls)
-            return [report if isinstance(report, Exception)
-                    else report.figure_of_merit for report in reports]
-        return [self._value(spec, entry)
-                for spec, entry in zip(specs, self._integrals(specs))]
+            w_bar, deficit = self._blend(xs, ys, errors)
+        elif self.quantity is Quantity.FIGURE_OF_MERIT:
+            return self._engine_rows(xs, ys, errors), errors
+        else:
+            w_bar, deficit = self._integrate_rows(xs, ys, errors)
+        return self._values(xs, ys, w_bar, deficit, errors), errors
 
-    def _blend(self, spec: SystemSpec, ends):
-        if isinstance(ends, Exception):
-            return ends
-        p = spec.qubit.p_ground
-        (w0, d0), (w1, d1) = ends
-        return self._value(spec, ((1.0 - p) * w0 + p * w1,
-                                  (1.0 - p) * d0 + p * d1))
+    def _integrate_rows(self, xs, ys, errors: dict):
+        """W_bar and the deficit of every cell, one batched call per row."""
+        rows = []
+        for i, x in enumerate(xs):
+            entries = self._integrals(self._row_specs(x, ys))
+            for j, entry in enumerate(entries):
+                if isinstance(entry, Exception):
+                    errors[i, j] = entry
+                    entries[j] = (math.nan, math.nan)
+            rows.append(entries)
+        both = np.array(rows, dtype=float)
+        return both[..., 0], both[..., 1]
+
+    def _engine_rows(self, xs, ys, errors: dict) -> np.ndarray:
+        """Figures of merit of :func:`engine_reports`, one call per row."""
+        values = np.full((len(xs), len(ys)), np.nan)
+        for i, x in enumerate(xs):
+            reports, calls = engine_reports(self._row_specs(x, ys))
+            self._tally(calls)
+            for j, report in enumerate(reports):
+                if isinstance(report, Exception):
+                    errors[i, j] = report
+                else:
+                    values[i, j] = report.figure_of_merit
+        return values
+
+    def _blend(self, xs, ys, errors: dict):
+        """W_bar and the deficit of every cell from its column's ends."""
+        p_on_x = self.plan.x.name == "p"
+        keys = ys if p_on_x else xs
+        new = [key for key in dict.fromkeys(keys) if key not in self._columns]
+        if new:
+            self._integrate_columns(new)
+        ends = np.full((len(keys), 4), np.nan)  # w0, d0, w1, d1 per column
+        for k, key in enumerate(keys):
+            column = self._columns[key]
+            if isinstance(column, Exception):
+                for other in range(len(xs) if p_on_x else len(ys)):
+                    errors[(other, k) if p_on_x else (k, other)] = column
+            else:
+                ends[k] = column
+        # (column, p) arrays, transposed when p runs along x
+        p = np.asarray(xs if p_on_x else ys, dtype=float)[None, :]
+        w0, d0, w1, d1 = ends.T[:, :, None]
+        w_bar = (1.0 - p) * w0 + p * w1
+        deficit = (1.0 - p) * d0 + p * d1
+        if self.quantity is not Quantity.FIGURE_OF_MERIT:
+            # the engine guards check p themselves, before any validation
+            self._refuse_invalid(xs, ys, errors)
+        return (w_bar.T, deficit.T) if p_on_x else (w_bar, deficit)
+
+    def _refuse_invalid(self, xs, ys, errors: dict) -> None:
+        """Record the require_valid error of each invalid cell not failed."""
+        plan = self.plan
+        at_y0 = with_param(plan.fixed, plan.y.name, ys[0])
+        at_x0 = with_param(plan.fixed, plan.x.name, xs[0])
+        rows = [validate(with_param(at_y0, plan.x.name, x)).is_valid
+                for x in xs]
+        cols = [validate(with_param(at_x0, plan.y.name, y)).is_valid
+                for y in ys]
+        for i, j in np.argwhere(~np.outer(rows, cols)).tolist():
+            if (i, j) not in errors:
+                try:
+                    require_valid(self._row_specs(xs[i], [ys[j]])[0])
+                except ValueError as exc:
+                    errors[i, j] = exc
+
+    def _values(self, xs, ys, w_bar, deficit, errors: dict) -> np.ndarray:
+        """The quantity at every cell not failed yet from its integrals; a
+        cell that the quantity refuses gets its error instead."""
+        ok = np.ones(w_bar.shape, dtype=bool)
+        for cell in errors:
+            ok[cell] = False
+        values = np.full(w_bar.shape, np.nan)
+        quantity = self.quantity
+        if quantity is Quantity.FIGURE_OF_MERIT:
+            for i, x in enumerate(xs):
+                js = np.flatnonzero(ok[i]).tolist()
+                specs = self._row_specs(x, [ys[j] for j in js])
+                for j, spec in zip(js, specs):
+                    try:
+                        values[i, j] = _engine_report(
+                            spec, w_bar[i, j], deficit[i, j]).figure_of_merit
+                    except CELL_ERRORS as exc:
+                        errors[i, j] = exc
+            return values
+        if quantity is Quantity.W_EXT:
+            values[ok] = -w_bar[ok]
+            return values
+        chi = 1.0 - deficit
+        for i, j in np.argwhere(ok & (chi <= 0.0)).tolist():
+            try:
+                chi2_from_deficit(deficit[i, j])
+            except PerturbativeBreakdownError as exc:
+                errors[i, j] = exc
+                ok[i, j] = False
+        if quantity is Quantity.CHI_I_BETA:
+            values[ok] = chi[ok]
+            return values
+        plan = self.plan
+        beta = (np.asarray(xs, dtype=float)[:, None] if plan.x.name == "beta"
+                else np.asarray(ys, dtype=float)[None, :]
+                if plan.y.name == "beta" else plan.fixed.beta)
+        log_chi = [math.log1p(-d) for d in deficit[ok].tolist()]
+        values[ok] = np.broadcast_to(beta, ok.shape)[ok] * w_bar[ok] + \
+            np.array(log_chi)
+        return values
 
 
 def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
@@ -256,19 +345,9 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     stalled above its tolerance.
     """
     xs, ys = plan.x.values(), plan.y.values()
-    values = np.full((plan.x.n, plan.y.n), np.nan)
-    failures: list[tuple[int, int, str]] = []
     value_at = _CellEvaluator(plan, quantity)
-
-    def record(i: int, j: int, outcome, tag: str = "") -> float:
-        if isinstance(outcome, Exception):
-            failures.append((i, j, tag + str(outcome)))
-            return math.nan
-        return outcome
-
-    for i, x in enumerate(xs):
-        for j, outcome in enumerate(value_at.row(x, ys)):
-            values[i, j] = record(i, j, outcome)
+    values, errors = value_at.grid(xs, ys)
+    failures = [(i, j, str(errors[i, j])) for i, j in sorted(errors)]
 
     if len(failures) > MAX_FAILED_FRACTION * values.size:
         raise SweepError(
@@ -279,8 +358,11 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
                          grid=values)
 
     def center_fn(i: int, j: int, x: float, y: float) -> float:
-        # a saddle centre is a batch of one
-        return record(i, j, value_at.row(x, [y])[0], "center: ")
+        # a saddle centre is a 1 x 1 grid
+        value, error = value_at.grid([x], [y])
+        if error:
+            failures.append((i, j, "center: " + str(error[0, 0])))
+        return value[0, 0]
 
     result.zero_contour = extract_zero_contour(result, center_fn=center_fn)
     result.betaq_contour = beta_q_marker(plan)
@@ -351,35 +433,37 @@ def extract_zero_contour(result: SweepResult,
                                   sv[ja] + t * (sv[jb] - sv[ja]))
         return crossings[key]
 
+    # corner k of every cell, then each cell's code; only cells whose
+    # corners are all numbers and differ in sign hold segments
+    corners = np.stack([values[di:nx - 1 + di, dj:ny - 1 + dj]
+                        for di, dj in _CORNERS])
+    codes = sum((corners[k] > 0.0).astype(int) << k for k in range(4))
+    crossed = ~np.isnan(corners).any(axis=0) & (codes != 0) & (codes != 15)
+
     adjacency: dict = {}
-    for i in range(nx - 1):
-        for j in range(ny - 1):
+    for i, j in np.argwhere(crossed).tolist():  # row-major
+        segments = _SEGMENTS.get(int(codes[i, j]))
+        if segments is None:
+            # saddle: pair edges by the sign at the true cell center
             corner_vals = [values[i + di, j + dj] for di, dj in _CORNERS]
-            if any(math.isnan(c) for c in corner_vals):
-                continue
-            code = sum((1 << k) for k, c in enumerate(corner_vals) if c > 0.0)
-            if code in _SEGMENTS:
-                segments = _SEGMENTS[code]
+            center = math.nan
+            if center_fn is not None:
+                cx = result.plan.x.to_coord(0.5 * (su[i] + su[i + 1]))
+                cy = result.plan.y.to_coord(0.5 * (sv[j] + sv[j + 1]))
+                center = center_fn(i, j, float(cx), float(cy))
+            if math.isnan(center):
+                center = float(np.mean(corner_vals))
+            positive_center = center > 0.0
+            corner0_positive = corner_vals[0] > 0.0
+            if positive_center == corner0_positive:
+                segments = [(0, 1), (2, 3)]
             else:
-                # saddle: pair edges by the sign at the true cell center
-                center = math.nan
-                if center_fn is not None:
-                    cx = result.plan.x.to_coord(0.5 * (su[i] + su[i + 1]))
-                    cy = result.plan.y.to_coord(0.5 * (sv[j] + sv[j + 1]))
-                    center = center_fn(i, j, float(cx), float(cy))
-                if math.isnan(center):
-                    center = float(np.mean(corner_vals))
-                positive_center = center > 0.0
-                corner0_positive = corner_vals[0] > 0.0
-                if positive_center == corner0_positive:
-                    segments = [(0, 1), (2, 3)]
-                else:
-                    segments = [(3, 0), (1, 2)]
-            for e1, e2 in segments:
-                k1, k2 = _edge_key(i, j, e1), _edge_key(i, j, e2)
-                if crossing(k1) is not None and crossing(k2) is not None:
-                    adjacency.setdefault(k1, []).append(k2)
-                    adjacency.setdefault(k2, []).append(k1)
+                segments = [(3, 0), (1, 2)]
+        for e1, e2 in segments:
+            k1, k2 = _edge_key(i, j, e1), _edge_key(i, j, e2)
+            if crossing(k1) is not None and crossing(k2) is not None:
+                adjacency.setdefault(k1, []).append(k2)
+                adjacency.setdefault(k2, []).append(k1)
 
     chains = _assemble_chains(adjacency)
     polylines = []

@@ -72,7 +72,8 @@ def _grid_for(spec: SystemSpec,
     return grid if grid is not None else FrequencyGrid.for_source(spec.source)
 
 
-def _widened_grid(spec: SystemSpec, im_v: float) -> FrequencyGrid:
+def _widened_grid(source: DrivenSource, im_v: float,
+                  base: Optional[FrequencyGrid] = None) -> FrequencyGrid:
     """Drive window for e^{i w v} with Im v = ``im_v``.
 
     That factor grows like e^{|Im v| |w|} before the drive envelope cuts
@@ -80,15 +81,17 @@ def _widened_grid(spec: SystemSpec, im_v: float) -> FrequencyGrid:
     |Im v|/(4 t_int^2); the window is widened by that amount to keep the
     truncated tail below TAIL_EPS of the peak (drive-only sizing misses a
     ~1e-11 tail at |Im v| ~ 1e3).  Real v keeps the drive-only window.
+    ``base`` is the drive-only window of ``source`` when already at hand.
     """
-    base = FrequencyGrid.for_source(spec.source)
-    shift = abs(im_v) / (4.0 * spec.source.t_int ** 2)
-    return replace(base, omega_max=base.omega_max + shift)
+    if base is None:
+        base = FrequencyGrid.for_source(source)
+    shift = abs(im_v) / (4.0 * source.t_int ** 2)
+    return FrequencyGrid(base.omega_max + shift, base.n_points, base.rule)
 
 
 def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
     """Window for the detailed-balance probe at v = i beta."""
-    return _widened_grid(spec, spec.beta)
+    return _widened_grid(spec.source, spec.beta)
 
 
 def _rows(integrand, specs: Sequence[SystemSpec],
@@ -130,7 +133,7 @@ def chi2(v: complex, spec: SystemSpec,
     """
     require_valid(spec)
     if grid is None:
-        grid = _widened_grid(spec, complex(v).imag)
+        grid = _widened_grid(spec.source, complex(v).imag)
 
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
     # difference is rounding noise that adaptive refinement would chase
@@ -161,14 +164,20 @@ def i_beta_deficit_rows(specs: Sequence[SystemSpec],
     """:func:`i_beta_deficit` of each of ``specs`` in one batched call.
 
     The specs must be valid and share coupling, l_c and drive; without
-    ``grid`` each row takes its own :func:`default_i_beta_grid`.
+    ``grid`` each row takes its own :func:`default_i_beta_grid`, widened
+    from the one drive-only window of the batch.
     """
     def f(table, w, rows):
         g_mp, g_pm = table.pair(w, rows)
         beta = table.beta(rows)
         return (-np.expm1(-beta * w) * g_mp, -np.expm1(beta * w) * g_pm)
 
-    grids = [default_i_beta_grid(s) if grid is None else grid for s in specs]
+    if grid is None:
+        source = specs[0].source
+        base = FrequencyGrid.for_source(source)
+        grids = [_widened_grid(source, s.beta, base) for s in specs]
+    else:
+        grids = [grid] * len(specs)
     out = _rows(f, specs, grids)
     return replace(out, values=0.5 * out.values)
 
@@ -279,13 +288,14 @@ def w_ext2_rows(specs: Sequence[SystemSpec],
                 grid: Optional[FrequencyGrid] = None) -> Integrals:
     """:func:`w_ext2` of each of ``specs`` in one batched call.
 
-    The specs must be valid and share coupling, l_c and drive.
+    The specs must be valid and share coupling, l_c and drive, so they
+    share one window.
     """
     def f(table, w, rows):
         g_mp, g_pm = table.pair(w, rows)
         return w * g_mp, -w * g_pm
 
-    out = _rows(f, specs, [_grid_for(s, grid) for s in specs])
+    out = _rows(f, specs, [_grid_for(specs[0], grid)] * len(specs))
     return replace(out, values=-0.5 * out.values)
 
 

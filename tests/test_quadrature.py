@@ -494,6 +494,25 @@ class TestBatchedRule:
             assert i_beta_deficit(spec) == \
                 i_beta_deficit_rows([spec]).values[0]
 
+    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
+    def test_drive_window_sized_once_per_batch(self, monkeypatch, rows):
+        # a batch shares its drive, so its drive-only window is one
+        specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
+                           omega_gap=0.05, p=0.9)
+                 for beta in (0.3, 1.0, 3.0, 10.0, 30.0)]
+        expected = [rows([spec]).values[0] for spec in specs]
+        sized = []
+        for_source = FrequencyGrid.for_source.__func__
+
+        def counted(cls, source):
+            sized.append(source)
+            return for_source(cls, source)
+
+        monkeypatch.setattr(FrequencyGrid, "for_source",
+                            classmethod(counted))
+        assert list(rows(specs).values) == expected
+        assert len(sized) == 1
+
     def test_non_finite_sample_fails_its_row_alone(self, monkeypatch):
         specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
                            omega_gap=0.05, p=0.9)

@@ -11,7 +11,10 @@ from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
                         engine_report, entropy_production,
                         extract_zero_contour, run_sweep, w_ext2, with_param)
 from drivenbath.green import ChannelTable
+from drivenbath.model import require_valid
 from drivenbath.sweep import CELL_ERRORS, SweepResult
+from drivenbath.thermo import _engine_report, _entropy_production
+from drivenbath.workstats import chi2_from_deficit, work_integrals
 
 from conftest import make_spec
 
@@ -62,6 +65,65 @@ def assert_matches_direct(result):
         assert np.nanmax(np.abs(have - want)) <= 1e-12 * scale
 
 
+def reference_cell_value(spec, quantity, w_bar, deficit):
+    """One cell's quantity from its integrals, evaluated on its own spec."""
+    if quantity is Quantity.FIGURE_OF_MERIT:
+        return _engine_report(spec, w_bar, deficit).figure_of_merit
+    require_valid(spec)
+    if quantity is Quantity.W_EXT:
+        return -w_bar
+    if quantity is Quantity.CHI_I_BETA:
+        return chi2_from_deficit(deficit)
+    return _entropy_production(spec, w_bar, deficit)
+
+
+def reference_cells(plan, quantity, xs, ys):
+    """Per-cell reference of the sweep's cell stage at (xs[i], ys[j]).
+
+    With a p axis a cell blends (1 - p) I_0 + p I_1 in scalars from its
+    column's endpoint integrals (the first error of the two fails it);
+    without one, each cell is its own batch of one, which gives the bits
+    of any batch.  Returns the values and the failures tuple.
+    """
+    values = np.full((len(xs), len(ys)), np.nan)
+    failures = []
+    wanted = dict(mean_work=quantity is not Quantity.CHI_I_BETA,
+                  deficit=quantity is not Quantity.W_EXT)
+    p_on_x, p_on_y = plan.x.name == "p", plan.y.name == "p"
+    if p_on_x or p_on_y:
+        axis = plan.y if p_on_x else plan.x
+        keys = ys if p_on_x else xs
+        ends = [with_param(with_param(plan.fixed, axis.name, key), "p", p)
+                for key in keys for p in (0.0, 1.0)]
+        entries, _ = work_integrals(ends, **wanted)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            spec = with_param(with_param(plan.fixed, plan.x.name, x),
+                              plan.y.name, y)
+            try:
+                if p_on_x or p_on_y:
+                    pair = entries[2 * (j if p_on_x else i):][:2]
+                    failed = [e for e in pair if isinstance(e, Exception)]
+                    if failed:
+                        raise failed[0]
+                    p = x if p_on_x else y
+                    (w0, d0), (w1, d1) = pair
+                    values[i, j] = reference_cell_value(
+                        spec, quantity, (1.0 - p) * w0 + p * w1,
+                        (1.0 - p) * d0 + p * d1)
+                elif quantity is Quantity.FIGURE_OF_MERIT:
+                    values[i, j] = engine_report(spec).figure_of_merit
+                else:
+                    (entry,), _ = work_integrals([spec], **wanted)
+                    if isinstance(entry, Exception):
+                        raise entry
+                    values[i, j] = reference_cell_value(spec, quantity,
+                                                        *entry)
+            except CELL_ERRORS as exc:
+                failures.append((i, j, str(exc)))
+    return values, tuple(failures)
+
+
 def spin_gap_plan(p_range=(0.0, 1.0)):
     fixed = make_spec(beta=2.0, alpha=5.0, coupling="spin", p=0.9)
     return SweepPlan(x=Axis("p", *p_range, n=16),
@@ -84,6 +146,35 @@ def spin_plan(nx=16, ny=16, p_range=(0.0, 1.0), beta_range=(0.1, 100.0)):
                      fixed=fixed)
 
 
+#: out-of-range p, the engine guard and the chi2(i beta) breakdown
+REFUSAL_PLANS = [
+    (spin_plan(p_range=(-0.2, 1.0)), Quantity.W_EXT),
+    (spin_plan(p_range=(0.3, 0.9)), Quantity.FIGURE_OF_MERIT),
+    (spin_gap_plan(p_range=(-0.1, 1.1)), Quantity.DELTA_S),
+    (SweepPlan(x=Axis("p", 0.0, 1.0, n=16),
+               y=Axis("beta", 1.0, 100.0, n=16, scale="log"),
+               fixed=make_spec(alpha=2.0, lambda0=50.0, coupling="spin",
+                               omega_gap=0.02)),
+     Quantity.CHI_I_BETA),
+]
+
+#: plans with p on either axis, beta on either or neither, and none
+STAGE_PLANS = {
+    "p-beta": spin_plan(),
+    "p-gap": spin_gap_plan(),
+    "alpha-p": alpha_p_plan(),
+    "alpha-p-out-of-range": alpha_p_plan(p_range=(0.05, 1.2)),
+    "beta-p": SweepPlan(x=Axis("beta", 0.1, 10.0, n=16, scale="log"),
+                        y=Axis("p", 0.0, 1.0, n=16),
+                        fixed=make_spec(alpha=3.0, coupling="fermion",
+                                        omega_gap=0.1, p=0.9)),
+    "gap-beta": SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                          y=Axis("beta", 0.1, 10.0, n=16, scale="log"),
+                          fixed=make_spec(alpha=5.0, coupling="spin",
+                                          p=0.9)),
+}
+
+
 class TestAxis:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
@@ -95,6 +186,16 @@ class TestAxis:
         for start, stop in ((1.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 Axis("beta", start, stop)
+
+    @pytest.mark.parametrize("n", [16.5, 16.0, np.float64(16.0), "16"])
+    def test_non_integer_resolution_rejected(self, n):
+        # a float count used to pass and then fail run_sweep in linspace
+        with pytest.raises(ValueError, match="must be an integer"):
+            Axis("p", 0.0, 1.0, n=n)
+
+    def test_numpy_integer_resolution_accepted(self):
+        for n in (np.int64(16), np.int32(17)):
+            assert Axis("p", 0.0, 1.0, n=n).values().size == n
 
     def test_log_values_are_geometric(self):
         vals = Axis("beta", 0.1, 100.0, n=16, scale="log").values()
@@ -155,16 +256,7 @@ class TestRunSweep:
         assert failures == {}
         assert np.array_equal(result.grid, expected, equal_nan=True)
 
-    @pytest.mark.parametrize("plan, quantity", [
-        (spin_plan(p_range=(-0.2, 1.0)), Quantity.W_EXT),
-        (spin_plan(p_range=(0.3, 0.9)), Quantity.FIGURE_OF_MERIT),
-        (spin_gap_plan(p_range=(-0.1, 1.1)), Quantity.DELTA_S),
-        (SweepPlan(x=Axis("p", 0.0, 1.0, n=16),
-                   y=Axis("beta", 1.0, 100.0, n=16, scale="log"),
-                   fixed=make_spec(alpha=2.0, lambda0=50.0, coupling="spin",
-                                   omega_gap=0.02)),
-         Quantity.CHI_I_BETA),
-    ])
+    @pytest.mark.parametrize("plan, quantity", REFUSAL_PLANS)
     def test_blended_cells_keep_their_refusals(self, monkeypatch, plan,
                                                quantity):
         # out-of-range p, the engine guard and the chi2(i beta) breakdown
@@ -232,14 +324,20 @@ class TestRunSweep:
             for i in range(16))
 
     def test_quadrature_failure_is_recorded_per_cell(self, monkeypatch):
-        original = sweepmod._cell_value
+        # the seam is the stage's last step, which turns each cell's
+        # integrals into the quantity or the cell's error
+        original = sweepmod._CellEvaluator._values
 
-        def flaky(spec, quantity, w_bar, deficit):
-            if spec.qubit.p_ground == 0.0 and spec.beta == 0.1:
-                raise QuadratureError("non-finite integrand")
-            return original(spec, quantity, w_bar, deficit)
+        def flaky(self, xs, ys, w_bar, deficit, errors):
+            values = original(self, xs, ys, w_bar, deficit, errors)
+            for i, p in enumerate(xs):
+                for j, beta in enumerate(ys):
+                    if p == 0.0 and beta == 0.1:
+                        errors[i, j] = QuadratureError("non-finite integrand")
+                        values[i, j] = math.nan
+            return values
 
-        monkeypatch.setattr(sweepmod, "_cell_value", flaky)
+        monkeypatch.setattr(sweepmod._CellEvaluator, "_values", flaky)
         result = run_sweep(spin_plan(), Quantity.W_EXT)
         assert result.failures == ((0, 0, "non-finite integrand"),)
         assert np.isnan(result.grid[0, 0])
@@ -250,13 +348,18 @@ class TestRunSweep:
         plan = spin_plan()
         xs = plan.x.values()
 
-        def saddle(spec, quantity, w_bar, deficit):
-            p = spec.qubit.p_ground
-            if p not in xs:
-                raise QuadratureError("stalled")
-            return (p - 0.5) * (math.log(spec.beta) - math.log(1.2))
+        def saddle(self, ps, betas, w_bar, deficit, errors):
+            values = np.full(w_bar.shape, math.nan)
+            for i, p in enumerate(ps):
+                for j, beta in enumerate(betas):
+                    if p not in xs:
+                        errors[i, j] = QuadratureError("stalled")
+                    else:
+                        values[i, j] = (p - 0.5) * (math.log(beta)
+                                                    - math.log(1.2))
+            return values
 
-        monkeypatch.setattr(sweepmod, "_cell_value", saddle)
+        monkeypatch.setattr(sweepmod._CellEvaluator, "_values", saddle)
         result = run_sweep(plan, Quantity.W_EXT)
         assert result.failures == ((7, 5, "center: stalled"),)
         assert result.metadata["failed_cells"] == 1
@@ -352,6 +455,126 @@ class TestRunSweep:
         assert meta["stalled"] == sum(res.stalled.sum() for res in calls)
 
 
+class TestCellStage:
+    """The array cell stage bit for bit against the per-cell reference."""
+
+    @staticmethod
+    def check(monkeypatch, plan, quantity):
+        xs, ys = plan.x.values(), plan.y.values()
+        want, failures = reference_cells(plan, quantity, xs, ys)
+        evaluator = sweepmod._CellEvaluator(plan, quantity)
+        values, errors = evaluator.grid(xs, ys)
+        assert np.array_equal(values, want, equal_nan=True)
+        assert tuple((i, j, str(errors[i, j]))
+                     for i, j in sorted(errors)) == failures
+        monkeypatch.setattr(sweepmod, "MAX_FAILED_FRACTION", 1.0)
+        result = run_sweep(plan, quantity)
+        assert np.array_equal(result.grid, want, equal_nan=True)
+        assert result.failures[:len(failures)] == failures
+        assert all(m.startswith("center: ")
+                   for _, _, m in result.failures[len(failures):])
+        # saddle centres go through the same stage as 1 x 1 grids
+        for x in 0.5 * (xs[:-1] + xs[1:])[::4]:
+            for y in 0.5 * (ys[:-1] + ys[1:])[::4]:
+                value, error = evaluator.grid([float(x)], [float(y)])
+                want, failures = reference_cells(plan, quantity, [float(x)],
+                                                 [float(y)])
+                assert np.array_equal(value, want, equal_nan=True)
+                assert tuple((0, 0, str(e)) for e in error.values()) \
+                    == failures
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    @pytest.mark.parametrize("name", list(STAGE_PLANS))
+    def test_matches_per_cell_reference(self, monkeypatch, name, quantity):
+        self.check(monkeypatch, STAGE_PLANS[name], quantity)
+
+    @pytest.mark.parametrize("plan, quantity", REFUSAL_PLANS)
+    def test_refusals_match_per_cell_reference(self, monkeypatch, plan,
+                                               quantity):
+        self.check(monkeypatch, plan, quantity)
+
+
+def per_cell_zero_contour(result, center_fn=None):
+    """Marching squares that classifies every cell in a Python loop.
+
+    The reference of extract_zero_contour: same crossings, segments,
+    saddle rule and chain assembly, with no array classification.
+    """
+    su = result.plan.x.scale_values()
+    sv = result.plan.y.scale_values()
+    values = result.grid
+    nx, ny = values.shape
+    crossings = {}
+
+    def crossing(key):
+        if key not in crossings:
+            (ia, ja), (ib, jb) = key
+            a, b = values[ia, ja], values[ib, jb]
+            crossings[key] = None
+            if (a > 0.0) != (b > 0.0):
+                t = a / (a - b)
+                crossings[key] = (su[ia] + t * (su[ib] - su[ia]),
+                                  sv[ja] + t * (sv[jb] - sv[ja]))
+        return crossings[key]
+
+    adjacency = {}
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corner_vals = [values[i + di, j + dj]
+                           for di, dj in sweepmod._CORNERS]
+            if any(math.isnan(c) for c in corner_vals):
+                continue
+            code = sum((1 << k) for k, c in enumerate(corner_vals)
+                       if c > 0.0)
+            if code in sweepmod._SEGMENTS:
+                segments = sweepmod._SEGMENTS[code]
+            else:
+                center = math.nan
+                if center_fn is not None:
+                    cx = result.plan.x.to_coord(0.5 * (su[i] + su[i + 1]))
+                    cy = result.plan.y.to_coord(0.5 * (sv[j] + sv[j + 1]))
+                    center = center_fn(i, j, float(cx), float(cy))
+                if math.isnan(center):
+                    center = float(np.mean(corner_vals))
+                if (center > 0.0) == (corner_vals[0] > 0.0):
+                    segments = [(0, 1), (2, 3)]
+                else:
+                    segments = [(3, 0), (1, 2)]
+            for e1, e2 in segments:
+                k1 = sweepmod._edge_key(i, j, e1)
+                k2 = sweepmod._edge_key(i, j, e2)
+                if crossing(k1) is not None and crossing(k2) is not None:
+                    adjacency.setdefault(k1, []).append(k2)
+                    adjacency.setdefault(k2, []).append(k1)
+
+    polylines = []
+    for chain in sweepmod._assemble_chains(adjacency):
+        coords = np.array([crossings[k] for k in chain])
+        coords[:, 0] = result.plan.x.to_coord(coords[:, 0])
+        coords[:, 1] = result.plan.y.to_coord(coords[:, 1])
+        polylines.append(coords)
+    return polylines
+
+
+def contour_field(seed):
+    """A seeded random grid with NaN holes, exact +-0.0 nodes and saddles."""
+    rng = np.random.default_rng(seed)
+    nx, ny = 16 + seed, 24 - seed
+    plan = SweepPlan(x=Axis("p", 0.0, 1.0, n=nx),
+                     y=Axis("beta", 0.1, 10.0, n=ny, scale="log"),
+                     fixed=make_spec(coupling="spin"))
+    grid = rng.normal(size=(nx, ny))
+    grid[rng.random((nx, ny)) < 0.05] = np.nan
+    zeros = rng.random((nx, ny)) < 0.1
+    grid[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    for _ in range(8):
+        i, j = rng.integers(nx - 1), rng.integers(ny - 1)
+        block = rng.uniform(0.1, 2.0, (2, 2)) * [[1.0, -1.0], [-1.0, 1.0]]
+        grid[i:i + 2, j:j + 2] = rng.choice([-1.0, 1.0]) * block
+    return SweepResult(plan=plan, quantity=Quantity.W_EXT, xs=plan.x.values(),
+                       ys=plan.y.values(), grid=grid)
+
+
 class TestZeroContour:
     def test_constant_sign_grid_has_no_contour(self):
         plan = spin_plan(p_range=(0.9, 1.0), beta_range=(0.2, 2.0))
@@ -371,6 +594,31 @@ class TestZeroContour:
         assert len(lines) == 1
         diag = lines[0]
         assert np.max(np.abs(diag[:, 0] - diag[:, 1])) < 1e-12
+
+    @pytest.mark.parametrize("center", ["absent", "finite", "nan"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_cell_classifier(self, seed, center):
+        # same polylines in the same order, same center_fn calls
+        result = contour_field(seed)
+
+        def center_fn(calls):
+            def fn(i, j, x, y):
+                calls.append((i, j, x, y))
+                if center == "nan":
+                    return math.nan
+                return math.sin(7.0 * i + 3.0 * j + x * y)
+            return None if center == "absent" else fn
+
+        got_calls, want_calls = [], []
+        got = extract_zero_contour(result, center_fn(got_calls))
+        want = per_cell_zero_contour(result, center_fn(want_calls))
+        assert want
+        assert len(got) == len(want)
+        for line, expected in zip(got, want):
+            assert line.shape == expected.shape
+            assert line.tobytes() == expected.tobytes()
+        assert got_calls == want_calls
+        assert (len(want_calls) > 0) == (center != "absent")
 
     def test_vertices_zero_bilinear_interpolant(self):
         result = run_sweep(spin_plan(nx=24, ny=24), Quantity.W_EXT)
