@@ -29,7 +29,7 @@ from . import sweep as sweepmod
 from . import thermo, verify, workstats
 from .model import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
                     SystemSpec, validate)
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, default_plan
 
 _QUANTITIES = {q.value: q for q in sweepmod.Quantity}
 
@@ -77,7 +77,7 @@ _SCALES = ("linear", "log")
 #: settings of each computing command; a config file may carry any of them
 _SETTINGS = {
     "wcf": _common("wcf.csv") + (
-        _Setting("wcf.vmax", "--vmax"),  # default 64 t_int
+        _Setting("wcf.vmax", "--vmax"),  # default: default_plan's v_max
         _Setting("wcf.samples", "--samples", int, 201),
         _Setting("wcf.nonperturbative", "--nonperturbative", bool, False),
     ),
@@ -212,7 +212,8 @@ def cmd_wcf(args, s: dict) -> int:
     spec = _build_spec(s)
     if s["nonperturbative"]:
         workstats.require_pure_bath(spec)
-    v_max = 64.0 * spec.source.t_int if s["vmax"] is None else s["vmax"]
+    v_max = default_plan(spec.source).v_max if s["vmax"] is None \
+        else s["vmax"]
     samples = s["samples"]
     if samples < 1:
         raise ValueError(f"wcf needs at least 1 sample, got {samples}")

@@ -9,12 +9,12 @@ edges (kinks) and, for sub-Ohmic spectra, an integrable power singularity
 regularized by the substitution w = e +/- t^(2/a), whose exponent is known
 analytically, instead of extrapolation.
 
-An integrand returns one array or a pair (a, b) of arrays whose sum is
-what is integrated.  The pair carries the two uncancelled terms of a
-small difference (W_ext and the chi2(i beta) deficit are differences of
-the two Green channels, and for the pure bath the deficit cancels
-pointwise), and both rules integrate a + b.  A lone array is the pair
-(a, 0).
+An integrand returns a pair (a, b) of real arrays whose sum is what is
+integrated.  The pair carries the two uncancelled terms of a small
+difference (W_ext and the chi2(i beta) deficit are differences of the
+two Green channels, and for the pure bath the deficit cancels
+pointwise), and both rules integrate a + b.  Every row is one real
+integral: chi2 integrates its real and imaginary parts as two rows.
 
 The adaptive rule integrates a batch of rows, one integral each, in one
 refinement loop over the intervals of every (row, panel) pair, with one
@@ -172,16 +172,6 @@ def _build_panels(omega_max: float,
     return panels
 
 
-def _sum_and_l1(out):
-    """a + b and |a| + |b| of an integrand pair (a, b); a lone array is a."""
-    if isinstance(out, tuple):
-        a, b = out
-        norm = np.abs(a)
-        norm += np.abs(b)
-        return a + b, norm
-    return out, np.abs(out)
-
-
 def _failure(bad: np.ndarray, omegas: np.ndarray) -> Optional[str]:
     """The QuadratureError message for the first flagged sample, if any."""
     if not bad.any():
@@ -218,8 +208,8 @@ def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
     for panel in panels:
         t = np.linspace(0.0, panel.length, n)
         om, jac = _panel_map(t[None, :], *np.array([panel]).T[1:])
-        out = _sum_and_l1(f(om, np.array([row])))[0]
-        vals = lambda_weight(om, source) * out / (2.0 * math.pi)
+        a, b = f(om, np.array([row]))
+        vals = lambda_weight(om, source) * (a + b) / (2.0 * math.pi)
         message = _failure(~np.isfinite(vals), om)
         if message is not None:
             return math.nan, message
@@ -302,9 +292,12 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             if jac is not None:
                 measure *= jac
             del jac
-            total, norm = _sum_and_l1(f(om, rows))
+            a, b = f(om, rows)
+            norm = np.abs(a)
+            norm += np.abs(b)
             vals = np.empty((k, 1, 77))
-            np.multiply(total, measure, out=vals[:, 0, :46])
+            np.multiply(a + b, measure, out=vals[:, 0, :46])
+            del a, b
             np.multiply(norm[:, 15:], measure[:, 15:], out=vals[:, 0, 46:])
             # one product per interval: BLAS picks its kernel by the shape of
             # a product, and a (k, 77) GEMM would sum a row differently for
@@ -373,47 +366,23 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
 
 def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
                    breakpoints: Sequence[Sequence[float]],
-                   singular_exponents: Sequence[Optional[float]],
-                   *, complex_valued: bool = False) -> Integrals:
+                   singular_exponents: Sequence[Optional[float]]
+                   ) -> Integrals:
     """Integrals of a batch of integrands against dw/2pi |lam(w)|^2.
 
     Row r integrates ``f`` on ``grids[r]``; the drive is shared.
     ``f(omega, rows)`` gets nodes ``omega`` of shape (k, m), whose line i
-    belongs to row ``rows[i]``, and returns one array or a pair (a, b) of
-    arrays of that shape (see the module docstring).  ``breakpoints[r]``
+    belongs to row ``rows[i]``, and returns a pair (a, b) of real arrays
+    of that shape (see the module docstring).  ``breakpoints[r]``
     mark support edges of row r's integrand inside the window; with
     ``singular_exponents[r]`` in (-1, 0) each edge is additionally
     treated as an integrable |w - e|^exponent endpoint via the power
     substitution.  The adaptive rows share one refinement loop with one
     call of ``f`` per step, and each keeps the tolerance and exits that it
     has alone, so a row's value is the same to the bit in any batch.
-    With ``complex_valued`` each row's real and imaginary parts are two
-    rows of the loop, each against its own tolerance: the imaginary part
-    of a characteristic function can sit ten orders below the real part.
     A row whose integrand gives a non-finite sample fails alone; the
     other rows keep their values.
     """
-    if complex_valued:
-        def part(omega, rows):
-            out = f(omega, rows // 2)
-            imag = (rows % 2 == 1)[:, None]
-
-            def pick(a):
-                return np.where(imag, a.imag, a.real)
-            return tuple(map(pick, out)) if isinstance(out, tuple) \
-                else pick(out)
-
-        def twice(seq):
-            return [item for item in seq for _ in range(2)]
-        res = integrate_rows(part, source, twice(grids), twice(breakpoints),
-                             twice(singular_exponents))
-        return Integrals(
-            values=res.values[0::2] + 1j * res.values[1::2],
-            points=res.points[0::2] + res.points[1::2],
-            stalled=res.stalled[0::2] | res.stalled[1::2],
-            errors=tuple(a or b for a, b in zip(res.errors[0::2],
-                                                res.errors[1::2])))
-
     n = len(grids)
     values, points = np.zeros(n), np.zeros(n, dtype=np.int64)
     stalled, errors = np.zeros(n, dtype=bool), [None] * n
@@ -575,9 +544,6 @@ class InversionPlan:
 
     def v_grid(self) -> np.ndarray:
         return -self.v_max + self.dv * np.arange(self.n_fft)
-
-    def w_grid(self) -> np.ndarray:
-        return self.dw * (np.arange(self.n_fft) - self.n_fft // 2)
 
 
 def default_plan(source: DrivenSource) -> InversionPlan:

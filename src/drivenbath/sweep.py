@@ -140,7 +140,7 @@ class _CellEvaluator:
     One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
     Without a p axis a sweep row, all y at one x, is integrated in one
     batched call per integral.  With one, W_bar and the deficit are
-    affine in p (green_pair builds both qubit channels as p (...) +
+    affine in p (channel_table builds both qubit channels as p (...) +
     (1 - p) (...)), so each column, one value of the other axis, is
     integrated once at p = 0 and p = 1, all columns of the grid in one
     call per integral, and the grid gets (1 - p) I_0 + p I_1 by
@@ -150,13 +150,15 @@ class _CellEvaluator:
     A failed cell holds the error that its direct evaluation raises
     first: a failed column, or the error of its batched row; then an
     invalid spec, the engine guards, the breakdown of chi2(i beta) and
-    the degenerate heat split.  Blended cells are validated once per
-    axis value: validate checks each field on its own, so cell (i, j) is
-    valid when the specs at (x_i, y_0) and (x_0, y_j) both are, and only
-    a cell for which one of them fails builds its own spec to learn its
-    message.  W_ext, chi2(i beta) and Delta S are formed on arrays; the
-    log of Delta S is math.log1p per cell (np.log1p differs from it in
-    the last bit on some inputs), and the figure of merit is
+    the degenerate heat split.  A figure-of-merit cell without a p axis
+    meets the engine guards before validity, as engine_report does.
+    Blended cells are validated once per axis value: validate checks
+    each field on its own, so with (x_a, y_b) a valid cell, cell (i, j)
+    is valid when the specs at (x_i, y_b) and (x_a, y_j) both are, and
+    only a cell for which one of them fails builds its own spec to learn
+    its message.  W_ext, chi2(i beta) and Delta S are formed on arrays;
+    the log of Delta S is math.log1p per cell (np.log1p differs from it
+    in the last bit on some inputs), and the figure of merit is
     _engine_report per cell.
     """
 
@@ -275,14 +277,26 @@ class _CellEvaluator:
         return (w_bar.T, deficit.T) if p_on_x else (w_bar, deficit)
 
     def _refuse_invalid(self, xs, ys, errors: dict) -> None:
-        """Record the require_valid error of each invalid cell not failed."""
+        """Record the require_valid error of each invalid cell not failed.
+
+        The reference cell is the first valid one at y_0, else at x_0;
+        without one, every cell is checked on its own.
+        """
         plan = self.plan
-        at_y0 = with_param(plan.fixed, plan.y.name, ys[0])
-        at_x0 = with_param(plan.fixed, plan.x.name, xs[0])
-        rows = [validate(with_param(at_y0, plan.x.name, x)).is_valid
-                for x in xs]
-        cols = [validate(with_param(at_x0, plan.y.name, y)).is_valid
-                for y in ys]
+        x, y = plan.x.name, plan.y.name
+
+        def valid(name, value, axis, values) -> list:
+            at = with_param(plan.fixed, name, value)
+            return [validate(with_param(at, axis, v)).is_valid
+                    for v in values]
+
+        rows = valid(y, ys[0], x, xs)
+        if any(rows):
+            cols = valid(x, xs[rows.index(True)], y, ys)
+        else:
+            cols = valid(x, xs[0], y, ys)
+            if any(cols):
+                rows = valid(y, ys[cols.index(True)], x, xs)
         for i, j in np.argwhere(~np.outer(rows, cols)).tolist():
             if (i, j) not in errors:
                 try:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .green import channel_table, green_pair
+from .green import ChannelTable, channel_table, green_pair
 from .model import DrivenSource, FrequencyGrid, SystemSpec, require_valid
 from .quadrature import (Integrals, QuadratureError, default_plan,
                          integrate_rows, lambda_weight)
@@ -95,7 +95,7 @@ def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
 
 
 def _rows(integrand, specs: Sequence[SystemSpec],
-          grids: Sequence[FrequencyGrid], complex_valued=False) -> Integrals:
+          grids: Sequence[FrequencyGrid]) -> Integrals:
     """Integrals of ``integrand(table, omega, rows)`` for a batch of specs.
 
     The specs must be valid and share coupling, l_c and drive; row r
@@ -104,8 +104,7 @@ def _rows(integrand, specs: Sequence[SystemSpec],
     table = channel_table(specs)
     return integrate_rows(
         lambda omega, rows: integrand(table, omega, rows), specs[0].source,
-        grids, table.edges, table.singular_exponents,
-        complex_valued=complex_valued)
+        grids, table.edges, table.singular_exponents)
 
 
 def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
@@ -129,20 +128,33 @@ def chi2(v: complex, spec: SystemSpec,
     chi2(0) = 1 identically (the integrand vanishes), and for real v the
     value at -v is the complex conjugate.  At complex v the default
     window is widened for the growth of e^{i w v} (see
-    :func:`default_i_beta_grid`).
+    :func:`default_i_beta_grid`).  The real and imaginary parts are two
+    rows of one batched call, each against its own tolerance (the
+    imaginary part can sit ten orders below the real part); the first
+    row error, real part first, is raised.
     """
     require_valid(spec)
     if grid is None:
         grid = _widened_grid(spec.source, complex(v).imag)
 
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
-    # difference is rounding noise that adaptive refinement would chase
+    # difference is rounding noise that adaptive refinement would chase.
+    # Both rows are the one spec, and rows * 0 keeps pair on its
+    # one-spec path.
     def f(table, w, rows):
-        g_mp, g_pm = table.pair(w, rows)
-        return (-np.expm1(1j * w * v) * g_mp, -np.expm1(-1j * w * v) * g_pm)
+        g_mp, g_pm = table.pair(w, rows * 0)
+        imag = (rows == 1)[:, None]
 
-    return 1.0 - 0.5 * complex(
-        _rows(f, [spec], [grid], complex_valued=True).value())
+        def part(term):
+            return np.where(imag, term.imag, term.real)
+        return (part(-np.expm1(1j * w * v) * g_mp),
+                part(-np.expm1(-1j * w * v) * g_pm))
+
+    res = _rows(f, [spec, spec], [grid, grid])
+    if res.errors != (None, None):
+        raise QuadratureError(res.errors[0] or res.errors[1])
+    re, im = res.values
+    return 1.0 - 0.5 * complex(re + 1j * im)
 
 
 def i_beta_deficit(spec: SystemSpec,
@@ -209,11 +221,9 @@ def channel_sum_integral(spec: SystemSpec,
     """The integral of g_mp + g_pm against the drive measure (= 2(1 - p0))."""
     require_valid(spec)
 
-    def f(table, w, rows):
-        g_mp, g_pm = table.pair(w, rows)
-        return g_mp + g_pm
-
-    return float(_rows(f, [spec], [_grid_for(spec, grid)]).value())
+    # both channels are >= 0, so the pair's |a| + |b| is its sum
+    return float(_rows(ChannelTable.pair, [spec],
+                       [_grid_for(spec, grid)]).value())
 
 
 def positivity_check(spec: SystemSpec) -> PositivityReport:
@@ -381,15 +391,13 @@ def crooks_ratio(dist: WorkDistribution) -> CrooksRatio:
     mirrored = np.searchsorted(w, -w)
     mirrored = np.clip(mirrored, 0, w.size - 1)
     ok = np.isclose(w[mirrored], -w, rtol=1e-12, atol=1e-300)
-    values = np.full(w.size, np.nan)
-    skipped: list[float] = []
     forward = dist.density
-    for i in np.nonzero(ok)[0]:
-        if forward[i] <= CROOKS_FLOOR:
-            skipped.append(float(w[i]))
-            continue
-        values[i] = forward[mirrored[i]] / forward[i]
-    return CrooksRatio(w_grid=w, values=values, skipped=tuple(skipped))
+    # a NaN density is not below the floor: its ratio is NaN, not skipped
+    low = forward <= CROOKS_FLOOR
+    values = np.full(w.size, np.nan)
+    np.divide(forward[mirrored], forward, out=values, where=ok & ~low)
+    return CrooksRatio(w_grid=w, values=values,
+                       skipped=tuple(w[ok & low].tolist()))
 
 
 def require_pure_bath(spec: SystemSpec) -> None:

@@ -156,6 +156,10 @@ REFUSAL_PLANS = [
                fixed=make_spec(alpha=2.0, lambda0=50.0, coupling="spin",
                                omega_gap=0.02)),
      Quantity.CHI_I_BETA),
+    # out-of-range p on y: the validity check's first y is invalid
+    (SweepPlan(x=Axis("beta", 0.1, 100.0, n=16, scale="log"),
+               y=Axis("p", -0.2, 1.0, n=16), fixed=spin_plan().fixed),
+     Quantity.W_EXT),
 ]
 
 #: plans with p on either axis, beta on either or neither, and none
@@ -172,6 +176,10 @@ STAGE_PLANS = {
                           y=Axis("beta", 0.1, 10.0, n=16, scale="log"),
                           fixed=make_spec(alpha=5.0, coupling="spin",
                                           p=0.9)),
+    # no valid cell at the first x or the first y: each cell is checked
+    "p-gap-both-out-of-range": SweepPlan(
+        x=Axis("p", -0.2, 1.0, n=16), y=Axis("omega_gap", -0.01, 0.1, n=16),
+        fixed=spin_plan().fixed),
 }
 
 
@@ -492,6 +500,28 @@ class TestCellStage:
     def test_refusals_match_per_cell_reference(self, monkeypatch, plan,
                                                quantity):
         self.check(monkeypatch, plan, quantity)
+
+    def test_invalid_first_axis_value_keeps_validation_per_axis_value(
+            self, monkeypatch):
+        # p from -0.2: the first 11 p values are invalid, so the reference
+        # row and column of the validity check are taken at the first
+        # valid axis values, and only the invalid cells build their own
+        plan = spin_plan(nx=64, ny=64, p_range=(-0.2, 1.0))
+        xs, ys = plan.x.values(), plan.y.values()
+        want, failures = reference_cells(plan, Quantity.W_EXT, xs, ys)
+        evaluator = sweepmod._CellEvaluator(plan, Quantity.W_EXT)
+        validated = []
+        for name in ("validate", "require_valid"):
+            def counted(spec, check=getattr(sweepmod, name)):
+                validated.append(spec)
+                return check(spec)
+            monkeypatch.setattr(sweepmod, name, counted)
+        values, errors = evaluator.grid(xs, ys)
+        assert np.array_equal(values, want, equal_nan=True)
+        assert tuple((i, j, str(errors[i, j]))
+                     for i, j in sorted(errors)) == failures
+        assert len(failures) == 11 * 64
+        assert len(validated) <= len(xs) + len(ys) + len(failures)
 
 
 def per_cell_zero_contour(result, center_fn=None):

@@ -15,7 +15,8 @@ from drivenbath import (ConstraintError, Coupling, FrequencyGrid,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
 from drivenbath import verify
 from drivenbath.model import ALPHA_MIN
-from drivenbath.workstats import i_beta_deficit
+from drivenbath.workstats import (CROOKS_FLOOR, WorkDistribution,
+                                  i_beta_deficit)
 
 from conftest import dense_drive_integral, make_spec
 
@@ -204,6 +205,29 @@ class TestWorkDistribution:
             (dist.density > 1e-6 * dist.density.max())
         expected = np.exp(-dist.w_grid[mask])
         assert np.max(np.abs(ratio.values[mask] / expected - 1.0)) > 1e-2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crooks_ratio_matches_per_point_loop(self, seed):
+        # the per-point loop that the array division replaced: a NaN
+        # density is divided, not skipped, and W without a mirror is NaN
+        rng = np.random.default_rng(seed)
+        w = np.concatenate([np.linspace(-1.0, 1.0, 2 * (seed + 8)), [1.5]])
+        density = rng.exponential(size=w.size)
+        density[seed::5], density[1::7], density[2::9] = 0.0, np.nan, 1e-301
+        ratio = crooks_ratio(WorkDistribution(0.5, w, density))
+        mirrored = np.clip(np.searchsorted(w, -w), 0, w.size - 1)
+        values, skipped = np.full(w.size, np.nan), []
+        for i in range(w.size):
+            if not math.isclose(w[mirrored[i]], -w[i], rel_tol=1e-12,
+                                abs_tol=1e-300):
+                continue
+            if density[i] <= CROOKS_FLOOR:
+                skipped.append(float(w[i]))
+            else:
+                values[i] = density[mirrored[i]] / density[i]
+        assert ratio.values.tobytes() == values.tobytes()
+        assert ratio.skipped == tuple(skipped)
+        assert np.isnan(density).any() and skipped
 
     def test_crooks_off_grid_rejected(self):
         dist = wdf2(make_spec())
