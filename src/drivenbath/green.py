@@ -5,10 +5,12 @@ rather than sampled arrays: the qubit couplings shift their argument by
 the level spacing, and closures avoid any per-gap regridding.
 
 Every channel is a sum of terms weight * S(w - shift) * occ(beta (w - shift))
-over one Ohmic density S.  The couplings differ only in the quantum
-statistics of the occupations, kept in one table.  Each term is exactly
-zero for w - shift <= 0 (stability support of the bath), and no growing
-exponential is ever evaluated: the overflow-prone textbook forms
+over one Ohmic density S, one term per shift: 0 for the bare bath, +D and
+-D with a qubit at gap D.  The g_mp and g_pm terms at one shift share its
+support mask and S(w - shift), formed once.  The couplings differ only in
+the quantum statistics of the occupations, kept in one table.  Each term
+is exactly zero for w - shift <= 0 (stability support of the bath), and no
+growing exponential is ever evaluated: the overflow-prone textbook forms
 e^{bx} n_BE(x) and e^{bx} n_FD(x) are written as 1/(1-e^{-bx}) and
 1/(1+e^{-bx}).
 
@@ -94,8 +96,9 @@ _OCCUPATIONS = {
 
 
 #: rows of ``ChannelTable.params``: beta, alpha and the density's norm,
-#: then the weights and then the shifts of the channel terms
-_BETA, _ALPHA, _NORM, _TERMS = 0, 1, 2, 3
+#: then the weights of the (g_mp, g_pm) terms at each shift, then the
+#: shifts
+_BETA, _ALPHA, _NORM, _WEIGHTS = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -103,18 +106,17 @@ class ChannelTable:
     """The channel terms of a batch of specs, one column per spec.
 
     The specs share the coupling (or the bare bath) and l_c; ``params``
-    holds beta, alpha, the Ohmic norm and each term's weight and shift as
-    rows with one value per spec.  Term i of the channels takes
-    ``occupations[i]``; ``mp_terms`` and ``pm_terms`` list the terms of
-    g_mp and g_pm.  ``edges`` and ``singular_exponents`` hold each spec's
-    integration metadata, as in :class:`GreenPair`.
+    holds beta, alpha, the Ohmic norm, the weights and the shifts as rows
+    with one value per spec.  Each channel has one term per shift: at
+    shift k, g_mp takes ``occupations[k][0]`` and g_pm
+    ``occupations[k][1]``, so both terms share the shift's support mask
+    and its density S(w - shift).  ``edges`` and ``singular_exponents``
+    hold each spec's integration metadata, as in :class:`GreenPair`.
     """
 
     params: np.ndarray
     l_c: float
-    occupations: tuple
-    mp_terms: tuple[int, ...]
-    pm_terms: tuple[int, ...]
+    occupations: tuple[tuple[Callable, Callable], ...]
     edges: tuple[tuple[float, ...], ...]
     singular_exponents: tuple[Optional[float], ...]
 
@@ -138,50 +140,52 @@ class ChannelTable:
         # an occupation overflowing at huge beta x takes its intended
         # limit (s/inf -> 0); the support mask keeps beta x positive
         with np.errstate(over="ignore", under="ignore"):
-            return (self._channel(self.mp_terms, omega, params),
-                    self._channel(self.pm_terms, omega, params))
+            return self._channels(omega, params, (0, 1))
 
-    def _channel(self, terms, omega: np.ndarray, params) -> np.ndarray:
-        """One channel at ``omega`` (k, m); a row of ``params`` is a float
-        shared by all nodes or holds one value per line of ``omega``."""
+    def _channels(self, omega: np.ndarray, params, channels) -> tuple:
+        """The channels ``channels`` (0 for g_mp, 1 for g_pm) at ``omega``
+        (k, m); a row of ``params`` is a float shared by all nodes or holds
+        one value per line of ``omega``."""
         m = omega.shape[1]
         w = omega.reshape(-1)
-        total = None
-        n_terms = len(self.occupations)
-        for i in terms:
-            shift = params[_TERMS + n_terms + i]
+        totals = [None] * len(channels)
+        n_shifts = len(self.occupations)
+        for k, occupations in enumerate(self.occupations):
+            shift = params[_WEIGHTS + 2 * n_shifts + k]
             x = w - shift if isinstance(shift, float) else \
                 (omega - shift[:, None]).reshape(-1)
             on = x > 0.0
             n_on = np.count_nonzero(on)
             if not n_on:
                 continue
-            # quadrature panels end at the support edges, so a term is
+            # quadrature panels end at the support edges, so a shift is
             # mostly on or off for a whole call
             partial = n_on < x.size
             if partial:
                 x = x[on]
-            # the term's values per node, made for it alone; floats stay
+            # the shift's values per node, made for it alone; floats stay
             node = [params[_BETA], params[_ALPHA], params[_NORM],
-                    params[_TERMS + i]]
+                    *(params[_WEIGHTS + 2 * k + c] for c in channels)]
             if not isinstance(node[0], float):
                 lines = np.flatnonzero(on) // m if partial else None
                 node = [a if isinstance(a, float) else
                         a.repeat(m) if lines is None else a[lines]
                         for a in node]
-            beta, alpha, norm, weight = node
+            beta, alpha, norm, *weights = node
             # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
             lx = self.l_c * x
-            term = weight * self.occupations[i](
-                norm * power(lx, alpha) * np.exp(-lx * lx), beta * x)
-            if partial:
-                full = np.zeros(w.shape)
-                full[on] = term
-                term = full
-            total = term if total is None else total + term
-        if total is None:
-            total = np.zeros(w.shape)
-        return total.reshape(omega.shape)
+            s = norm * power(lx, alpha) * np.exp(-lx * lx)
+            bx = beta * x
+            del x, lx  # large in a 128-row call; the terms need s and bx
+            for i, (c, weight) in enumerate(zip(channels, weights)):
+                term = weight * occupations[c](s, bx)
+                if partial:
+                    full = np.zeros(w.shape)
+                    full[on] = term
+                    term = full
+                totals[i] = term if totals[i] is None else totals[i] + term
+        return tuple((np.zeros(w.shape) if total is None else total)
+                     .reshape(omega.shape) for total in totals)
 
 
 def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
@@ -207,21 +211,21 @@ def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
     alpha = [s.spectrum.alpha for s in specs]
     if qubit is None:
         s1, _, d1, _ = _OCCUPATIONS[Coupling.SPIN]
-        occupations, mp_terms, pm_terms = (s1, d1), (0,), (1,)
+        occupations = ((s1, d1),)
         gaps = [0.0] * len(specs)
-        terms = [[1.0] * len(specs)] * 2 + [gaps] * 2
+        terms = [[1.0] * len(specs)] * 2 + [gaps]
     else:
         s1, s2, d1, d2 = _OCCUPATIONS[qubit.coupling]
-        occupations, mp_terms, pm_terms = (s1, s2, d1, d2), (0, 1), (2, 3)
+        # s2 and d1 at w + D, then s1 and d2 at w - D
+        occupations = ((s2, d1), (s1, d2))
         p = np.array([s.qubit.p_ground for s in specs])
         gaps = [s.qubit.omega_gap for s in specs]
         gap = np.array(gaps)
-        terms = [p, 1.0 - p, p, 1.0 - p, gap, -gap, -gap, gap]
+        terms = [1.0 - p, p, p, 1.0 - p, -gap, gap]
     norm = [2.0 * l_c / math.gamma((1.0 + a) / 2.0) for a in alpha]
     return ChannelTable(
         params=np.array([[s.beta for s in specs], alpha, norm, *terms]),
-        l_c=l_c, occupations=occupations, mp_terms=mp_terms,
-        pm_terms=pm_terms,
+        l_c=l_c, occupations=occupations,
         edges=tuple((0.0,) if g == 0.0 else (-g, g) for g in gaps),
         singular_exponents=tuple(a - 1.0 if a < 1.0 else None
                                  for a in alpha))
@@ -235,17 +239,16 @@ def green_pair(spec: SystemSpec) -> GreenPair:
     """
     table = channel_table([spec])
 
-    def channel(terms) -> DensityFn:
+    def channel(c: int) -> DensityFn:
         def g(omega: ArrayLike) -> ArrayLike:
             w = np.asarray(omega, dtype=float)
             with np.errstate(over="ignore", under="ignore"):  # as in pair
-                total = table._channel(terms, w.reshape(1, -1),
-                                       table.params[:, 0].tolist())
+                total, = table._channels(w.reshape(1, -1),
+                                         table.params[:, 0].tolist(), (c,))
             return float(total[0, 0]) if w.ndim == 0 else \
                 total.reshape(w.shape)
         return g
 
-    return GreenPair(g_pm=channel(table.pm_terms),
-                     g_mp=channel(table.mp_terms),
+    return GreenPair(g_pm=channel(1), g_mp=channel(0),
                      edges=table.edges[0],
                      singular_exponent=table.singular_exponents[0])

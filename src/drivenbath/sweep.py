@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import SystemSpec, require_valid, validate, with_param
 from .quadrature import QuadratureError
-from .thermo import _engine_report, engine_reports
+from .thermo import _engine_guard, _engine_report, engine_reports
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         work_integrals)
 
@@ -148,10 +148,10 @@ class _CellEvaluator:
     value, so saddle centres reuse them.
 
     A failed cell holds the error that its direct evaluation raises
-    first: a failed column, or the error of its batched row; then an
-    invalid spec, the engine guards, the breakdown of chi2(i beta) and
-    the degenerate heat split.  A figure-of-merit cell without a p axis
-    meets the engine guards before validity, as engine_report does.
+    first: an invalid spec; then a failed column, or the error of its
+    batched row; then the breakdown of chi2(i beta) and the degenerate
+    heat split.  A figure-of-merit cell meets the engine guards before
+    all of these, as engine_report does.
     Blended cells are validated once per axis value: validate checks
     each field on its own, so with (x_a, y_b) a valid cell, cell (i, j)
     is valid when the specs at (x_i, y_b) and (x_a, y_j) both are, and
@@ -259,11 +259,11 @@ class _CellEvaluator:
         if new:
             self._integrate_columns(new)
         ends = np.full((len(keys), 4), np.nan)  # w0, d0, w1, d1 per column
+        failed = []
         for k, key in enumerate(keys):
             column = self._columns[key]
             if isinstance(column, Exception):
-                for other in range(len(xs) if p_on_x else len(ys)):
-                    errors[(other, k) if p_on_x else (k, other)] = column
+                failed.append((k, column))
             else:
                 ends[k] = column
         # (column, p) arrays, transposed when p runs along x
@@ -271,9 +271,21 @@ class _CellEvaluator:
         w0, d0, w1, d1 = ends.T[:, :, None]
         w_bar = (1.0 - p) * w0 + p * w1
         deficit = (1.0 - p) * d0 + p * d1
-        if self.quantity is not Quantity.FIGURE_OF_MERIT:
+        fom = self.quantity is Quantity.FIGURE_OF_MERIT
+        if not fom:
             # the engine guards check p themselves, before any validation
             self._refuse_invalid(xs, ys, errors)
+        for k, column in failed:
+            for other in range(len(xs) if p_on_x else len(ys)):
+                i, j = (other, k) if p_on_x else (k, other)
+                errors.setdefault((i, j), column)
+                if fom:  # as in engine_report: the guards, then validity
+                    spec = self._row_specs(xs[i], [ys[j]])[0]
+                    try:
+                        _engine_guard(spec)
+                        require_valid(spec)
+                    except ValueError as exc:
+                        errors[i, j] = exc
         return (w_bar.T, deficit.T) if p_on_x else (w_bar, deficit)
 
     def _refuse_invalid(self, xs, ys, errors: dict) -> None:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivenbath
-from drivenbath import green_pair, quadrature, workstats
-from drivenbath.green import channel_table
+from drivenbath import Coupling, green, green_pair, quadrature, workstats
+from drivenbath.green import ChannelTable, channel_table
 
 from conftest import make_spec
 
@@ -193,6 +193,180 @@ class TestChannelTableRows:
                 assert np.array_equal(g_pm[line], pair.g_pm(omega[line]))
 
 
+def per_term_pair(specs, omega, rows):
+    """(g_mp, g_pm) of ``specs`` at ``omega`` (k, m), line i at spec
+    ``rows[i]`` (ascending), by a loop over the channel terms that forms
+    x, the support mask and the Ohmic density S once per term.
+
+    The reference of ChannelTable.pair, which forms them once per shift
+    and shares them between the two terms there: the same elementwise
+    operations on the same inputs, so the same bits.
+    """
+    first = specs[0]
+    n, l_c = len(specs), first.spectrum.l_c
+    alpha = [s.spectrum.alpha for s in specs]
+    if first.qubit is None:
+        s1, _, d1, _ = green._OCCUPATIONS[Coupling.SPIN]
+        occupations, channel_terms = (s1, d1), ((0,), (1,))
+        weights_shifts = [[1.0] * n] * 2 + [[0.0] * n] * 2
+    else:
+        s1, s2, d1, d2 = green._OCCUPATIONS[first.qubit.coupling]
+        occupations, channel_terms = (s1, s2, d1, d2), ((0, 1), (2, 3))
+        p = np.array([s.qubit.p_ground for s in specs])
+        gap = np.array([s.qubit.omega_gap for s in specs])
+        # g_mp = p s1(w - D) + (1-p) s2(w + D),
+        # g_pm = p d1(w + D) + (1-p) d2(w - D)
+        weights_shifts = [p, 1.0 - p, p, 1.0 - p, gap, -gap, -gap, gap]
+    norm = [2.0 * l_c / math.gamma((1.0 + a) / 2.0) for a in alpha]
+    table = np.array([[s.beta for s in specs], alpha, norm,
+                      *weights_shifts])
+    if rows[0] == rows[-1]:
+        params = table[:, rows[0]].tolist()
+    else:
+        params = list(table[:, rows])
+        if (params[1] == params[1][0]).all():
+            params[1] = float(params[1][0])
+    m = omega.shape[1]
+    w = omega.reshape(-1)
+
+    def channel(terms):
+        total = None
+        for i in terms:
+            shift = params[3 + len(occupations) + i]
+            x = w - shift if isinstance(shift, float) else \
+                (omega - shift[:, None]).reshape(-1)
+            on = x > 0.0
+            n_on = np.count_nonzero(on)
+            if not n_on:
+                continue
+            partial = n_on < x.size
+            if partial:
+                x = x[on]
+            node = [params[0], params[1], params[2], params[3 + i]]
+            if not isinstance(node[0], float):
+                lines = np.flatnonzero(on) // m if partial else None
+                node = [a if isinstance(a, float) else
+                        a.repeat(m) if lines is None else a[lines]
+                        for a in node]
+            beta, a, norm_, weight = node
+            lx = l_c * x
+            term = weight * occupations[i](
+                norm_ * quadrature.power(lx, a) * np.exp(-lx * lx),
+                beta * x)
+            if partial:
+                full = np.zeros(w.shape)
+                full[on] = term
+                term = full
+            total = term if total is None else total + term
+        if total is None:
+            total = np.zeros(w.shape)
+        return total.reshape(omega.shape)
+
+    with np.errstate(over="ignore", under="ignore"):
+        return tuple(channel(terms) for terms in channel_terms)
+
+
+def seeded_batch(seed, coupling, shared_alpha):
+    """Six specs with beta up to 10^3, a zero gap, p at 0 and 1, and
+    alpha shared or per spec (sub-Ohmic to 6); and ascending rows."""
+    rng = np.random.default_rng(seed)
+    betas = 10.0 ** rng.uniform(-1.0, 3.0, 6)
+    betas[0] = 1e3
+    alphas = np.full(6, 2.5) if shared_alpha else \
+        np.exp(rng.uniform(math.log(0.15), math.log(6.3), 6))
+    gaps = 10.0 ** rng.uniform(-3.0, math.log10(5.0), 6)
+    gaps[2] = 0.0
+    ps = rng.uniform(0.0, 1.0, 6)
+    ps[3], ps[4] = 0.0, 1.0
+    specs = [make_spec(beta=float(b), alpha=float(a), coupling=coupling,
+                       omega_gap=float(g), p=float(p))
+             for b, a, g, p in zip(betas, alphas, gaps, ps)]
+    rows = np.sort(np.concatenate([np.arange(6),
+                                   rng.integers(0, 6, 5)]))
+    return specs, rows
+
+
+def probe_lines(specs, rows):
+    """Lines across -gap, 0 and gap with the edges themselves as nodes
+    (terms partly on), lines above every edge (all on, beta x up to
+    5.4e3) and lines below every edge (all off)."""
+    gaps = np.array([0.0 if s.qubit is None else s.qubit.omega_gap
+                     for s in specs])[rows][:, None]
+    offsets = 1e-3 * np.arange(rows.size)[:, None]
+    straddle = np.linspace(-1.5, 1.5, 13) * (gaps + 0.02) + offsets
+    straddle[:, [0, 6, 12]] = np.hstack([-gaps, 0.0 * gaps, gaps])
+    above = np.linspace(5.1, 5.4, 13) + offsets
+    below = -gaps - np.linspace(0.0, 0.3, 13) - offsets
+    return straddle, above, below
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert g.shape == r.shape and g.dtype == r.dtype
+        assert g.tobytes() == r.tobytes()
+
+
+COUPLINGS = [None, "spin", "fermion", "topological"]
+
+
+class TestSharedShifts:
+    """ChannelTable.pair forms x, the support mask and S once per shift
+    and lets the g_mp and g_pm terms there share them: the bits of the
+    per-term loop, and one density evaluation per shift."""
+
+    @pytest.mark.parametrize("shared_alpha", [True, False],
+                             ids=["shared-alpha", "per-row-alpha"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_multi_spec_batch_matches_per_term_loop(self, coupling, seed,
+                                                    shared_alpha):
+        specs, rows = seeded_batch(seed, coupling, shared_alpha)
+        table = channel_table(specs)
+        for omega in probe_lines(specs, rows):
+            assert_same_bits(table.pair(omega, rows),
+                             per_term_pair(specs, omega, rows))
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_one_spec_path_matches_per_term_loop(self, coupling):
+        # a table of one spec, and one spec's lines of a larger table,
+        # take the float path; green_pair evaluates one channel on it
+        specs, _ = seeded_batch(4, coupling, shared_alpha=False)
+        for k, spec in enumerate(specs):
+            rows = np.full(3, k)
+            lines = probe_lines(specs, rows)
+            table = channel_table(specs)
+            for omega in lines:
+                want = per_term_pair(specs, omega, rows)
+                assert_same_bits(table.pair(omega, rows), want)
+                assert_same_bits(channel_table([spec]).pair(omega, rows * 0),
+                                 want)
+                pair = green_pair(spec)
+                assert_same_bits((pair.g_mp(omega), pair.g_pm(omega)), want)
+                assert pair.g_pm(float(omega[0, 0])) == want[1][0, 0]
+
+    @pytest.mark.parametrize("rows", [[0, 0], [0, 1]],
+                             ids=["one-spec", "two-specs"])
+    @pytest.mark.parametrize("coupling, shifts",
+                             [(None, 1), ("spin", 2), ("fermion", 2),
+                              ("topological", 2)])
+    def test_one_density_per_shift(self, monkeypatch, coupling, shifts,
+                                   rows):
+        calls = []
+
+        def counted(base, exponent):
+            calls.append(base.size)
+            return quadrature.power(base, exponent)
+
+        monkeypatch.setattr(green, "power", counted)
+        specs = [make_spec(beta=b, alpha=a, coupling=coupling, omega_gap=g)
+                 for b, a, g in ((1.0, 0.5, 0.05), (30.0, 3.0, 0.2))]
+        rows = np.array(rows)
+        omega = np.linspace(1.0, 2.0, 15) + np.zeros((2, 1))
+        channel_table(specs).pair(omega, rows)
+        assert calls == [omega.size] * shifts
+
+
 class TestPublicApi:
     def test_all_names_pinned(self):
         assert sorted(drivenbath.__all__) == sorted([
@@ -215,11 +389,14 @@ class TestPublicApi:
     def test_defaulted_options_pinned(self):
         # defaulted parameters of every public function and classmethod,
         # and defaulted dataclass fields: a new setting shows up here.
-        # The batched rule and its workstats entry are not public, but a
-        # mode flag added to either shows up here too.
+        # The batched rule, its workstats entry and the channel table's
+        # evaluation are not public, but a mode flag added to any of them
+        # shows up here too.
         options = []
         functions = {"quadrature.integrate_rows": quadrature.integrate_rows,
-                     "workstats._rows": workstats._rows}
+                     "workstats._rows": workstats._rows,
+                     "ChannelTable.pair": ChannelTable.pair,
+                     "ChannelTable._channels": ChannelTable._channels}
         for name in drivenbath.__all__:
             obj = getattr(drivenbath, name)
             functions.update({name: obj} if inspect.isfunction(obj) else {

@@ -13,7 +13,8 @@ from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
 from drivenbath.green import ChannelTable
 from drivenbath.model import require_valid
 from drivenbath.sweep import CELL_ERRORS, SweepResult
-from drivenbath.thermo import _engine_report, _entropy_production
+from drivenbath.thermo import (_engine_guard, _engine_report,
+                               _entropy_production)
 from drivenbath.workstats import chi2_from_deficit, work_integrals
 
 from conftest import make_spec
@@ -81,9 +82,10 @@ def reference_cells(plan, quantity, xs, ys):
     """Per-cell reference of the sweep's cell stage at (xs[i], ys[j]).
 
     With a p axis a cell blends (1 - p) I_0 + p I_1 in scalars from its
-    column's endpoint integrals (the first error of the two fails it);
-    without one, each cell is its own batch of one, which gives the bits
-    of any batch.  Returns the values and the failures tuple.
+    column's endpoint integrals (the first error of the two fails it,
+    after the cell's own engine guards and validity, as in a direct
+    call); without one, each cell is its own batch of one, which gives
+    the bits of any batch.  Returns the values and the failures tuple.
     """
     values = np.full((len(xs), len(ys)), np.nan)
     failures = []
@@ -105,6 +107,9 @@ def reference_cells(plan, quantity, xs, ys):
                     pair = entries[2 * (j if p_on_x else i):][:2]
                     failed = [e for e in pair if isinstance(e, Exception)]
                     if failed:
+                        if quantity is Quantity.FIGURE_OF_MERIT:
+                            _engine_guard(spec)
+                        require_valid(spec)
                         raise failed[0]
                     p = x if p_on_x else y
                     (w0, d0), (w1, d1) = pair
@@ -160,6 +165,12 @@ REFUSAL_PLANS = [
     (SweepPlan(x=Axis("beta", 0.1, 100.0, n=16, scale="log"),
                y=Axis("p", -0.2, 1.0, n=16), fixed=spin_plan().fixed),
      Quantity.W_EXT),
+    # no valid cell at the first x or the first y, and failed columns:
+    # each cell is checked, and an invalid p comes before the column
+    *((SweepPlan(x=Axis("p", -0.2, 1.0, n=16),
+                 y=Axis("omega_gap", -0.01, 0.1, n=16),
+                 fixed=spin_plan().fixed), quantity)
+      for quantity in Quantity),
 ]
 
 #: plans with p on either axis, beta on either or neither, and none
@@ -176,10 +187,6 @@ STAGE_PLANS = {
                           y=Axis("beta", 0.1, 10.0, n=16, scale="log"),
                           fixed=make_spec(alpha=5.0, coupling="spin",
                                           p=0.9)),
-    # no valid cell at the first x or the first y: each cell is checked
-    "p-gap-both-out-of-range": SweepPlan(
-        x=Axis("p", -0.2, 1.0, n=16), y=Axis("omega_gap", -0.01, 0.1, n=16),
-        fixed=spin_plan().fixed),
 }
 
 
