@@ -7,7 +7,6 @@ work extraction, entropy production and heat-engine/refrigerator figures
 of merit, plus 2-D parameter sweeps with zero-contour extraction.
 """
 
-from .green import green_pair
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec, beta_q, validate, with_param)
 from .quadrature import (InversionPlan, QuadratureError, default_plan,
@@ -32,8 +31,8 @@ __all__ = [
     "beta_q_marker", "channel_sum_integral", "chi2", "chi2_at_i_beta",
     "chi2_field", "correction_field", "crooks_ratio", "default_plan",
     "default_w_grid", "engine_report", "entropy_production",
-    "extract_zero_contour", "green_pair", "heat_flows", "invert_samples",
-    "lambda_weight", "mean_work_finite_difference", "oscillatory_pair",
-    "positivity_check", "run_sweep", "validate", "w_ext2", "wdf2",
-    "wdf_nonperturbative", "with_param",
+    "extract_zero_contour", "heat_flows", "invert_samples", "lambda_weight",
+    "mean_work_finite_difference", "oscillatory_pair", "positivity_check",
+    "run_sweep", "validate", "w_ext2", "wdf2", "wdf_nonperturbative",
+    "with_param",
 ]

@@ -149,7 +149,11 @@ def _resolve(args) -> dict:
         if value is None and setting.key in config:
             raw = config[setting.key]
             if setting.cast is bool:
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
+                value = configparser.ConfigParser.BOOLEAN_STATES.get(
+                    raw.strip().lower())
+                if value is None:
+                    raise ValueError(f"{setting.key} must be 1/yes/true/on or "
+                                     f"0/no/false/off, not {raw!r}")
             else:
                 value = setting.cast(raw)
             if setting.choices and value not in setting.choices:

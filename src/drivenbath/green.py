@@ -1,9 +1,7 @@
 """Frequency-domain real-time Green-function pairs.
 
-The two channels (i G~^{+-}, i G~^{-+}) are returned as evaluable closures
-rather than sampled arrays: the qubit couplings shift their argument by
-the level spacing, and closures avoid any per-gap regridding.
-
+The two channels (i G~^{+-}, i G~^{-+}) are evaluated at any node array
+the caller hands in, so no channel is ever sampled on a fixed grid.
 Every channel is a sum of terms weight * S(w - shift) * occ(beta (w - shift))
 over one Ohmic density S, one term per shift: 0 for the bare bath, +D and
 -D with a qubit at gap D.  The g_mp and g_pm terms at one shift share its
@@ -15,40 +13,21 @@ e^{bx} n_BE(x) and e^{bx} n_FD(x) are written as 1/(1-e^{-bx}) and
 1/(1+e^{-bx}).
 
 A :class:`ChannelTable` holds beta, alpha, the gap and p of a batch of
-specs as arrays, one value per spec, and evaluates the channels of every
-line of a node array at its own spec's values; :func:`green_pair` is the
-table of one spec as closures.
+specs as arrays, one value per spec, and evaluates both channels of every
+line of a node array at its own spec's values in one ``pair`` call; it is
+the only way to evaluate the channels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .model import Coupling, SystemSpec
 from .quadrature import power
-
-ArrayLike = Union[float, np.ndarray]
-DensityFn = Callable[[ArrayLike], ArrayLike]
-
-
-@dataclass(frozen=True)
-class GreenPair:
-    """The channel pair plus integration metadata.
-
-    ``edges`` are the support edges of the channels (candidate kinks or,
-    for sub-Ohmic spectra, integrable power singularities with exponent
-    ``singular_exponent`` = alpha - 1); quadrature splits its panels
-    there.
-    """
-
-    g_pm: DensityFn
-    g_mp: DensityFn
-    edges: tuple[float, ...] = (0.0,)
-    singular_exponent: Optional[float] = None
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -110,8 +89,10 @@ class ChannelTable:
     with one value per spec.  Each channel has one term per shift: at
     shift k, g_mp takes ``occupations[k][0]`` and g_pm
     ``occupations[k][1]``, so both terms share the shift's support mask
-    and its density S(w - shift).  ``edges`` and ``singular_exponents``
-    hold each spec's integration metadata, as in :class:`GreenPair`.
+    and its density S(w - shift).  ``edges`` holds each spec's support
+    edges (candidate kinks), where quadrature splits its panels;
+    ``singular_exponents`` holds alpha - 1 for a sub-Ohmic spec, whose
+    edges are integrable power singularities, and None otherwise.
     """
 
     params: np.ndarray
@@ -140,15 +121,14 @@ class ChannelTable:
         # an occupation overflowing at huge beta x takes its intended
         # limit (s/inf -> 0); the support mask keeps beta x positive
         with np.errstate(over="ignore", under="ignore"):
-            return self._channels(omega, params, (0, 1))
+            return self._channels(omega, params)
 
-    def _channels(self, omega: np.ndarray, params, channels) -> tuple:
-        """The channels ``channels`` (0 for g_mp, 1 for g_pm) at ``omega``
-        (k, m); a row of ``params`` is a float shared by all nodes or holds
-        one value per line of ``omega``."""
+    def _channels(self, omega: np.ndarray, params) -> tuple:
+        """(g_mp, g_pm) at ``omega`` (k, m); a row of ``params`` is a float
+        shared by all nodes or holds one value per line of ``omega``."""
         m = omega.shape[1]
         w = omega.reshape(-1)
-        totals = [None] * len(channels)
+        totals = [None, None]
         n_shifts = len(self.occupations)
         for k, occupations in enumerate(self.occupations):
             shift = params[_WEIGHTS + 2 * n_shifts + k]
@@ -164,8 +144,7 @@ class ChannelTable:
             if partial:
                 x = x[on]
             # the shift's values per node, made for it alone; floats stay
-            node = [params[_BETA], params[_ALPHA], params[_NORM],
-                    *(params[_WEIGHTS + 2 * k + c] for c in channels)]
+            node = [*params[:_WEIGHTS], *params[_WEIGHTS + 2 * k:][:2]]
             if not isinstance(node[0], float):
                 lines = np.flatnonzero(on) // m if partial else None
                 node = [a if isinstance(a, float) else
@@ -177,8 +156,8 @@ class ChannelTable:
             s = norm * power(lx, alpha) * np.exp(-lx * lx)
             bx = beta * x
             del x, lx  # large in a 128-row call; the terms need s and bx
-            for i, (c, weight) in enumerate(zip(channels, weights)):
-                term = weight * occupations[c](s, bx)
+            for i, weight in enumerate(weights):
+                term = weight * occupations[i](s, bx)
                 if partial:
                     full = np.zeros(w.shape)
                     full[on] = term
@@ -229,26 +208,3 @@ def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
         edges=tuple((0.0,) if g == 0.0 else (-g, g) for g in gaps),
         singular_exponents=tuple(a - 1.0 if a < 1.0 else None
                                  for a in alpha))
-
-
-def green_pair(spec: SystemSpec) -> GreenPair:
-    """The channel pair of the bath, alone or coupled to the spec's qubit.
-
-    The channels of :func:`channel_table` for ``spec`` alone, as
-    functions of frequency of any shape.
-    """
-    table = channel_table([spec])
-
-    def channel(c: int) -> DensityFn:
-        def g(omega: ArrayLike) -> ArrayLike:
-            w = np.asarray(omega, dtype=float)
-            with np.errstate(over="ignore", under="ignore"):  # as in pair
-                total, = table._channels(w.reshape(1, -1),
-                                         table.params[:, 0].tolist(), (c,))
-            return float(total[0, 0]) if w.ndim == 0 else \
-                total.reshape(w.shape)
-        return g
-
-    return GreenPair(g_pm=channel(1), g_mp=channel(0),
-                     edges=table.edges[0],
-                     singular_exponent=table.singular_exponents[0])

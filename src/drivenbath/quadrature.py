@@ -461,28 +461,28 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
-                     f2: Callable[[np.ndarray], np.ndarray],
+def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
                      v: np.ndarray,
                      source: DrivenSource,
                      grid: FrequencyGrid,
-                     *,
-                     breakpoints: Sequence[float] = (),
-                     singular_exponent: Optional[float] = None):
+                     breakpoints: Sequence[float],
+                     singular_exponent: Optional[float]):
     """Sample F_k(v) = int dw/2pi |lam|^2 f_k(w) e^{i w v} for k = 1, 2.
 
-    ``v`` is a 1-D evenly spaced grid, v_j = v_0 + j h, as
-    ``InversionPlan.v_grid()`` and ``linspace`` give; any other grid
-    raises ValueError.  Both integrands share one composite
-    Gauss-Legendre node set, from a 40-node rule built once at import.
-    Splitting j = b B + m with B = ceil(sqrt(n)) factors every phase
-    exactly as e^{i w v_bB} e^{i w m h}: the block phases fold into the
-    two coefficient vectors, and the samples are one complex product of
-    the B x nodes table e^{i w m h} with that nodes x 2 ceil(n/B) matrix.
-    Both phase tables hold cos and sin of the real phases, written into
-    one complex array; with -0.0 phases taken as +0.0 for the sine, as
-    the complex exponential takes them, that is e^{i phi} to the bit.
-    Returns a pair of complex arrays aligned with ``v``.
+    ``pair(nodes)`` returns the real pair (f_1, f_2) at a 1-D node array:
+    both come from one call on one composite Gauss-Legendre node set, from
+    a 40-node rule built once at import, on panels split as in
+    ``integrate_rows``.  ``v`` is a 1-D evenly spaced grid, v_j = v_0 +
+    j h, as ``InversionPlan.v_grid()`` and ``linspace`` give; any other
+    grid raises ValueError.  Splitting j = b B + m with B = ceil(sqrt(n))
+    factors every phase exactly as e^{i w v_bB} e^{i w m h}: the block
+    phases fold into the two coefficient vectors, and the samples are one
+    complex product of the B x nodes table e^{i w m h} with that nodes x
+    2 ceil(n/B) matrix.  Both phase tables hold cos and sin of the real
+    phases, written into one complex array; with -0.0 phases taken as
+    +0.0 for the sine, as the complex exponential takes them, that is
+    e^{i phi} to the bit.  Returns a pair of complex arrays aligned with
+    ``v``.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -494,8 +494,9 @@ def oscillatory_pair(f1: Callable[[np.ndarray], np.ndarray],
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
     nodes, weights = _gl_nodes_weights(panels, v_abs_max)
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
-    c1 = measure * np.asarray(f1(nodes), dtype=float)
-    c2 = measure * np.asarray(f2(nodes), dtype=float)
+    f1, f2 = pair(nodes)
+    c1 = measure * np.asarray(f1, dtype=float)
+    c2 = measure * np.asarray(f2, dtype=float)
     for c in (c1, c2):
         message = _failure(~np.isfinite(c), nodes)
         if message is not None:

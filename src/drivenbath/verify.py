@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sweep as sweepmod
 from . import workstats as ws
-from .green import green_pair
+from .green import channel_table
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
                     QubitSpec, Rule, SystemSpec)
 from .thermo import EngineMode, engine_reports
@@ -100,13 +100,11 @@ def check_gapless_reduction() -> CheckResult:
     bare = _spec(beta, alpha)
     gapless = _spec(beta, alpha,
                     QubitSpec(Coupling.SPIN, omega_gap=0.0, p_ground=0.3))
-    pair_bare = green_pair(bare)
-    pair_gapless = green_pair(gapless)
-    w = np.linspace(-0.06, 0.06, 241)
+    w = np.linspace(-0.06, 0.06, 241)[None]
+    rows = np.zeros(1, dtype=np.intp)
     worst = 0.0
-    for channel in ("g_mp", "g_pm"):
-        a = getattr(pair_bare, channel)(w)
-        b = getattr(pair_gapless, channel)(w)
+    for a, b in zip(channel_table([bare]).pair(w, rows),
+                    channel_table([gapless]).pair(w, rows)):
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
         worst = max(worst, float(np.max(np.abs(a - b) / scale
                                         * (np.abs(a) + np.abs(b) > 0))))

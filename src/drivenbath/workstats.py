@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .green import ChannelTable, channel_table, green_pair
+from .green import ChannelTable, channel_table
 from .model import DrivenSource, FrequencyGrid, SystemSpec, require_valid
 from .quadrature import (Integrals, QuadratureError, default_plan,
                          integrate_rows, lambda_weight)
@@ -264,9 +264,11 @@ def wdf2(spec: SystemSpec,
     atom = atom_weight2(spec)
     w = default_w_grid(spec.source) if w_grid is None else \
         np.asarray(w_grid, dtype=float)
-    pair = green_pair(spec)
+    # g_mp(W) from line 0 and g_pm(-W) from line 1 of one pair call
+    g_mp, g_pm = channel_table([spec]).pair(
+        np.stack([w, -w]).reshape(2, -1), np.zeros(2, dtype=np.intp))
     dens = lambda_weight(w, spec.source) / (4.0 * math.pi) * (
-        np.asarray(pair.g_mp(w)) + np.asarray(pair.g_pm(-w)))
+        g_mp[0] + g_pm[1]).reshape(w.shape)
     dens, clipped = _clip_density(dens)
     return WorkDistribution(atom_weight=atom, w_grid=w, density=dens,
                             clipped=clipped)
@@ -434,13 +436,14 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     spacing; ``InversionPlan.v_grid()`` and ``linspace(0, v_max, n)`` both
     are.  Any other grid raises ValueError.  chi2 is sampled once per
     lattice index 0..max k_j by ``quadrature.oscillatory_pair`` (both
-    drive-weighted channel transforms share its nodes), and v < 0 takes
+    drive-weighted channel transforms come from one ``ChannelTable.pair``
+    call on its nodes), and v < 0 takes
     the complex conjugate, so mirrored samples are exact conjugates and
     chi2(0) = 1 holds on the field to within one rounding of p0 + T(0).
     """
     require_valid(spec)
     v = np.asarray(v, dtype=float)
-    pair = green_pair(spec)
+    table, rows = channel_table([spec]), np.zeros(1, dtype=np.intp)
     v_abs = np.abs(v)
     v_abs_max = float(v_abs.max(initial=0.0))
     h = abs(v[-1] - v[0]) / (v.size - 1) if v.size > 1 else v_abs_max or 1.0
@@ -450,9 +453,10 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
                          "v_j = k_j h with integer k_j")
     k = np.rint(v_abs / h).astype(np.intp)
     a_mp, a_pm = quadrature.oscillatory_pair(
-        pair.g_mp, pair.g_pm, h * np.arange(k.max(initial=0) + 1),
-        spec.source, FrequencyGrid.for_source(spec.source),
-        breakpoints=pair.edges, singular_exponent=pair.singular_exponent)
+        lambda w: tuple(g[0] for g in table.pair(w[None], rows)),
+        h * np.arange(k.max(initial=0) + 1), spec.source,
+        FrequencyGrid.for_source(spec.source), table.edges[0],
+        table.singular_exponents[0])
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)
     # T(v) = (A_mp(v) + conj(A_pm(v)))/2 for v >= 0, conjugate below
     tail = 0.5 * (a_mp + np.conj(a_pm))[k]

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from drivenbath import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
                         SystemSpec)
+from drivenbath.green import channel_table
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -16,6 +19,33 @@ def make_spec(beta=1.0, alpha=5.0, lc=1.0, lambda0=0.01, t_int=100.0,
     return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha, l_c=lc),
                       source=DrivenSource(lambda0=lambda0, t_int=t_int),
                       qubit=qubit)
+
+
+def green_pair(spec):
+    """The channels of ``spec`` alone, all over ``channel_table([spec]).pair``.
+
+    ``channels(w)`` gives (g_mp, g_pm) at a 1-D node array, the pair
+    ``oscillatory_pair`` takes; ``g_mp`` and ``g_pm`` give one channel at
+    any shape (a scalar gives a float).  ``edges`` and
+    ``singular_exponent`` are the spec's panel metadata.
+    """
+    table = channel_table([spec])
+    rows = np.zeros(1, dtype=np.intp)
+
+    def channels(w):
+        g_mp, g_pm = table.pair(w[None], rows)
+        return g_mp[0], g_pm[0]
+
+    def channel(c):
+        def g(omega):
+            w = np.asarray(omega, dtype=float)
+            total = channels(w.reshape(-1))[c]
+            return float(total[0]) if w.ndim == 0 else total.reshape(w.shape)
+        return g
+
+    return SimpleNamespace(channels=channels, g_mp=channel(0),
+                           g_pm=channel(1), edges=table.edges[0],
+                           singular_exponent=table.singular_exponents[0])
 
 
 @pytest.fixture

@@ -353,6 +353,30 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err and not out.exists()
 
+    @pytest.mark.parametrize("word, columns", [
+        ("Yes", 5), ("ON", 5), ("1", 5), ("true", 5),
+        ("No", 3), ("off", 3), ("0", 3), ("FALSE", 3)])
+    def test_boolean_config_words(self, tmp_path, word, columns):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[wcf]\nnonperturbative = {word}\n")
+        out = tmp_path / "wcf.csv"
+        assert run(["wcf", "--qubit", "none", "--samples", "16",
+                    "--config", cfg, "--out", out]) == 0
+        assert len(read_rows(out)[1][0]) == columns
+
+    @pytest.mark.parametrize("word", ["ture", "2", "y", ""])
+    def test_misspelt_boolean_is_usage_error(self, tmp_path, capsys, word):
+        # refused, not read as false (which writes the 3-column file)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[wcf]\nnonperturbative = {word}\n")
+        out = tmp_path / "out"
+        assert run(["wcf", "--qubit", "none", "--samples", "16",
+                    "--config", cfg, "--out", out / "wcf.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: wcf.nonperturbative must be 1/yes/true/on "
+                       f"or 0/no/false/off, not {word!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["wcf", "wdf"])
     def test_nonperturbative_qubit_refused_before_writing(
             self, tmp_path, capsys, command):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivenbath
-from drivenbath import Coupling, green, green_pair, quadrature, workstats
+from drivenbath import Coupling, green, quadrature, workstats
 from drivenbath.green import ChannelTable, channel_table
 
-from conftest import make_spec
+from conftest import green_pair, make_spec
 
 
 def causal_spectral(pair):
@@ -330,7 +330,8 @@ class TestSharedShifts:
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_one_spec_path_matches_per_term_loop(self, coupling):
         # a table of one spec, and one spec's lines of a larger table,
-        # take the float path; green_pair evaluates one channel on it
+        # take the float path; so does conftest's green_pair, which reads
+        # one channel of a one-line pair call
         specs, _ = seeded_batch(4, coupling, shared_alpha=False)
         for k, spec in enumerate(specs):
             rows = np.full(3, k)
@@ -379,11 +380,11 @@ class TestPublicApi:
             "chi2_at_i_beta", "chi2_field", "correction_field",
             "crooks_ratio", "default_plan", "default_w_grid",
             "engine_report", "entropy_production", "extract_zero_contour",
-            "green_pair", "heat_flows", "invert_samples", "lambda_weight",
+            "heat_flows", "invert_samples", "lambda_weight",
             "mean_work_finite_difference", "oscillatory_pair",
             "positivity_check", "run_sweep", "validate", "w_ext2", "wdf2",
             "wdf_nonperturbative", "with_param"])
-        assert len(drivenbath.__all__) == 44
+        assert len(drivenbath.__all__) == 43
         assert all(hasattr(drivenbath, name) for name in drivenbath.__all__)
 
     def test_defaulted_options_pinned(self):
@@ -417,9 +418,7 @@ class TestPublicApi:
             "FrequencyGrid.rule", "InversionPlan.n_fft", "OhmicSpectrum.l_c",
             "SystemSpec.qubit", "channel_sum_integral(grid)", "chi2(grid)",
             "chi2_at_i_beta(grid)", "default_w_grid(n)",
-            "extract_zero_contour(center_fn)",
-            "oscillatory_pair(breakpoints)",
-            "oscillatory_pair(singular_exponent)", "w_ext2(grid)",
+            "extract_zero_contour(center_fn)", "w_ext2(grid)",
             "wdf2(w_grid)"])
 
     def test_no_spectral_module(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
-                        QuadratureError, Rule, green_pair, invert_samples,
+                        QuadratureError, Rule, invert_samples,
                         lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable
 from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
@@ -13,7 +13,7 @@ from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
 from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
                                   i_beta_deficit_rows, w_ext2_rows)
 
-from conftest import DEFAULT_SOURCE, make_spec
+from conftest import DEFAULT_SOURCE, green_pair, make_spec
 
 
 def adaptive_grid(source=DEFAULT_SOURCE):
@@ -218,20 +218,20 @@ class TestRunawayRefinement:
         assert value == pytest.approx(reference, rel=1e-12)
 
 
-def dense_phase_sum(f1, f2, v, source, grid, breakpoints=(),
+def dense_phase_sum(pair, v, source, grid, breakpoints=(),
                     singular_exponent=None, rows=2048):
     """The same sums as oscillatory_pair, one e^{i w v} per (v, node)."""
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
     nodes, weights = _gl_nodes_weights(panels, float(np.max(np.abs(v))))
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
-    c = np.stack([measure * f1(nodes), measure * f2(nodes)], axis=1)
+    f1, f2 = pair(nodes)
+    c = np.stack([measure * f1, measure * f2], axis=1)
     out = np.concatenate([np.exp(1j * np.outer(v[i:i + rows], nodes)) @ c
                           for i in range(0, v.size, rows)])
     return out[:, 0], out[:, 1]
 
 
-def exp_phase_pair(f1, f2, v, source, grid, breakpoints=(),
-                   singular_exponent=None):
+def exp_phase_pair(pair, v, source, grid, breakpoints, singular_exponent):
     """oscillatory_pair with its phase tables built by the complex
     exponential and its coefficients joined by hstack, as before the
     tables were filled from cos and sin."""
@@ -241,8 +241,9 @@ def exp_phase_pair(f1, f2, v, source, grid, breakpoints=(),
     nodes, weights = _gl_nodes_weights(
         panels, float(np.max(np.abs(v), initial=0.0)))
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
-    c1 = measure * np.asarray(f1(nodes), dtype=float)
-    c2 = measure * np.asarray(f2(nodes), dtype=float)
+    f1, f2 = pair(nodes)
+    c1 = measure * np.asarray(f1, dtype=float)
+    c2 = measure * np.asarray(f2, dtype=float)
     block = math.isqrt(max(n - 1, 0)) + 1
     table = np.exp(1j * np.outer(h * np.arange(block), nodes))
     shift = np.exp(1j * np.outer(nodes, v[::block]))
@@ -255,8 +256,9 @@ class TestOscillatoryPair:
         f1 = lambda w: np.where(w > 0, w, 0.0)  # noqa: E731
         f2 = lambda w: np.exp(-np.abs(w))  # noqa: E731
         v = np.arange(0.0, 6401.0)
-        a1, a2 = oscillatory_pair(f1, f2, v, DEFAULT_SOURCE, adaptive_grid(),
-                                  breakpoints=(0.0,))
+        a1, a2 = oscillatory_pair(lambda w: (f1(w), f2(w)), v,
+                                  DEFAULT_SOURCE, adaptive_grid(),
+                                  breakpoints=(0.0,), singular_exponent=None)
         for vv in (0.0, 13.0, 500.0, 6400.0):
             k = int(vv)
             direct1 = integrate_complex(
@@ -286,11 +288,11 @@ class TestOscillatoryPair:
         v = h * np.arange(n)
         kwargs = dict(breakpoints=pair.edges,
                       singular_exponent=pair.singular_exponent)
-        a_mp, a_pm = oscillatory_pair(pair.g_mp, pair.g_pm, v, spec.source,
+        a_mp, a_pm = oscillatory_pair(pair.channels, v, spec.source,
                                       adaptive_grid(), **kwargs)
         rows = np.unique(np.r_[np.arange(0, n, 11), n - 1])
-        d_mp, d_pm = dense_phase_sum(pair.g_mp, pair.g_pm, v[rows],
-                                     spec.source, adaptive_grid(), **kwargs)
+        d_mp, d_pm = dense_phase_sum(pair.channels, v[rows], spec.source,
+                                     adaptive_grid(), **kwargs)
         tail = 0.5 * (a_mp[rows] + np.conj(a_pm[rows]))
         dense_tail = 0.5 * (d_mp + np.conj(d_pm))
         scale = np.max(np.abs(dense_tail))
@@ -305,11 +307,11 @@ class TestOscillatoryPair:
         v = start + 32.0 * np.arange(201)
         kwargs = dict(breakpoints=pair.edges,
                       singular_exponent=pair.singular_exponent)
-        a_mp, a_pm = oscillatory_pair(pair.g_mp, pair.g_pm, v, spec.source,
+        a_mp, a_pm = oscillatory_pair(pair.channels, v, spec.source,
                                       adaptive_grid(), **kwargs)
         # v = 0 is added to the reference only for the scale: far from it
         # the samples are cancelled many orders below the integrand mass
-        d_mp, d_pm = dense_phase_sum(pair.g_mp, pair.g_pm, np.r_[0.0, v],
+        d_mp, d_pm = dense_phase_sum(pair.channels, np.r_[0.0, v],
                                      spec.source, adaptive_grid(), **kwargs)
         for got, want in ((a_mp, d_mp), (a_pm, d_pm)):
             assert np.max(np.abs(got - want[1:])) <= \
@@ -327,7 +329,7 @@ class TestOscillatoryPair:
     def test_bits_match_complex_exponential(self, alpha, coupling, v):
         spec = make_spec(alpha=alpha, coupling=coupling, p=0.8)
         pair = green_pair(spec)
-        args = (pair.g_mp, pair.g_pm, v, spec.source, adaptive_grid())
+        args = (pair.channels, v, spec.source, adaptive_grid())
         kwargs = dict(breakpoints=pair.edges,
                       singular_exponent=pair.singular_exponent)
         got = oscillatory_pair(*args, **kwargs)
@@ -349,13 +351,15 @@ class TestOscillatoryPair:
     def test_integrands_evaluated_once_on_the_nodes(self):
         calls = []
 
-        def f1(w):
+        def pair(w):
             calls.append(np.size(w))
-            return np.exp(-np.abs(w))
+            return np.exp(-np.abs(w)), np.exp(-np.abs(w))
 
-        oscillatory_pair(f1, f1, np.linspace(0.0, 6400.0, 201),
-                         DEFAULT_SOURCE, adaptive_grid())
-        assert len(calls) == 2 and calls[0] == calls[1] > 201
+        oscillatory_pair(pair, np.linspace(0.0, 6400.0, 201),
+                         DEFAULT_SOURCE, adaptive_grid(), breakpoints=(),
+                         singular_exponent=None)
+        # one pair call on all nodes
+        assert len(calls) == 1 and calls[0] > 201
 
     def test_node_cap(self):
         # |v| = 640,000 stays below the cap; 770,000 is refused
@@ -370,10 +374,11 @@ class TestOscillatoryPair:
                                    [0.0, 1.0, 2.0 + 1e-9, 3.0],
                                    [0.0, np.nan, 2.0]])
     def test_uneven_grid_rejected(self, v):
-        f = lambda w: np.exp(-np.abs(w))  # noqa: E731
+        f = lambda w: (np.exp(-np.abs(w)),) * 2  # noqa: E731
         with pytest.raises(ValueError, match="evenly spaced"):
-            oscillatory_pair(f, f, np.asarray(v), DEFAULT_SOURCE,
-                             adaptive_grid())
+            oscillatory_pair(f, np.asarray(v), DEFAULT_SOURCE,
+                             adaptive_grid(), breakpoints=(),
+                             singular_exponent=None)
 
 
 class TestInversionPlan:

@@ -1,4 +1,5 @@
-"""The Ohmic density and the channel occupations, through ``green_pair``.
+"""The Ohmic density and the channel occupations, through ``green_pair``
+(conftest: one spec's channels over ``ChannelTable.pair``).
 
 At gap 0 and p in {0, 1} each channel isolates one occupation of the
 table: g_mp is s1 at p = 1 and s2 at p = 0, g_pm is d1 at p = 1 and d2 at
@@ -18,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivenbath
-from drivenbath import Coupling, green_pair
+from drivenbath import Coupling
 
-from conftest import make_spec
+from conftest import green_pair, make_spec
 
 
 def channels(coupling, p, beta=1.0, alpha=1.0, lc=1.0):

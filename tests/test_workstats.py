@@ -10,7 +10,7 @@ from drivenbath import (ConstraintError, Coupling, FrequencyGrid,
                         atom_weight2, channel_sum_integral, chi2,
                         chi2_at_i_beta, chi2_field, correction_field,
                         crooks_ratio, default_plan, default_w_grid,
-                        green_pair, invert_samples, lambda_weight,
+                        invert_samples, lambda_weight,
                         mean_work_finite_difference,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
 from drivenbath import verify
@@ -18,7 +18,7 @@ from drivenbath.model import ALPHA_MIN
 from drivenbath.workstats import (CROOKS_FLOOR, WorkDistribution,
                                   i_beta_deficit)
 
-from conftest import dense_drive_integral, make_spec
+from conftest import dense_drive_integral, green_pair, make_spec
 
 
 class TestChi2:
@@ -65,9 +65,9 @@ class TestChi2:
         original = quadrature.oscillatory_pair
         sizes = []
 
-        def counted(f1, f2, v, *args, **kwargs):
+        def counted(pair, v, *args, **kwargs):
             sizes.append(np.size(v))
-            return original(f1, f2, v, *args, **kwargs)
+            return original(pair, v, *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "oscillatory_pair", counted)
         spec = make_spec(t_int=t_int)
@@ -174,6 +174,56 @@ class TestChi2AtImaginaryBeta:
                          coupling="spin", omega_gap=0.02, p=1.0)
         with pytest.raises(PerturbativeBreakdownError):
             chi2_at_i_beta(spec)
+
+
+#: (coupling, shifts): a qubit whose gap lies inside the drive window
+#: puts two shifts on the nodes, the bare bath one
+SHIFTS = [(None, 1), ("spin", 2), ("fermion", 2), ("topological", 2)]
+
+
+class TestChannelEvaluations:
+    """chi2_field and wdf2 take both channels from one ChannelTable.pair
+    call, which forms each Ohmic density once per shift."""
+
+    @pytest.fixture
+    def power_calls(self, monkeypatch):
+        from drivenbath import green, quadrature
+        calls = []
+
+        def counted(base, exponent):
+            calls.append(base.size)
+            return quadrature.power(base, exponent)
+
+        monkeypatch.setattr(green, "power", counted)
+        return calls
+
+    @pytest.mark.parametrize("coupling, shifts", SHIFTS)
+    def test_chi2_field_forms_each_density_once(self, power_calls,
+                                                coupling, shifts):
+        spec = make_spec(coupling=coupling, omega_gap=0.01, p=0.7)
+        chi2_field(spec, np.linspace(0.0, 640.0, 21))
+        assert len(power_calls) == shifts
+
+    @pytest.mark.parametrize("coupling, shifts", SHIFTS)
+    def test_wdf2_makes_one_pair_call(self, monkeypatch, power_calls,
+                                      coupling, shifts):
+        import drivenbath.workstats as ws
+        from drivenbath.green import ChannelTable
+        # the atom is an integral of its own; only the density is counted
+        monkeypatch.setattr(ws, "atom_weight2", lambda spec: 0.0)
+        original, lines = ChannelTable.pair, []
+
+        def counted(self, omega, rows):
+            lines.append(omega.copy())
+            return original(self, omega, rows)
+
+        monkeypatch.setattr(ChannelTable, "pair", counted)
+        spec = make_spec(coupling=coupling, omega_gap=0.01, p=0.7)
+        w = default_w_grid(spec.source)
+        wdf2(spec, w)
+        assert len(lines) == 1
+        assert np.array_equal(lines[0], np.stack([w, -w]))
+        assert len(power_calls) == shifts
 
 
 class TestWorkDistribution:
