@@ -217,26 +217,44 @@ def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
     return total, None
 
 
+#: G15 and its Kronrod extension K31 (QUADPACK's QK31), exact to degree
+#: 46.  The 16 Kronrod nodes are the roots of the Stieltjes polynomial
+#: E16, orthogonal to all lower degrees against the weight P15: solved in
+#: the Legendre basis, roots by legroots, and the K31 weights from the
+#: moment system sum_i w_i P_k(x_i) = 2 delta_k0, k <= 30; in double
+#: precision, symmetrized as leggauss does (8.4e-16 from exact).  For x >
+#: 0, ascending: Kronrod nodes, K31 weights there, then at G15's x >= 0.
 _X_LOW, _W_LOW = np.polynomial.legendre.leggauss(15)
-_X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(31)
-_X_BOTH = np.concatenate([_X_LOW, _X_HIGH])
+_X_KRONROD = [0.10114206691871747, 0.29918000715316850, 0.48508186364023997,
+              0.65099674129741736, 0.79041850144246539, 0.89726453234408199,
+              0.96773907567913953, 0.99800229869339718]
+_W_KRONROD = [0.10076984552387562, 0.096642726983623417, 0.088564443056211375,
+              0.076849680757720626, 0.062009567800670753, 0.044589751324764476,
+              0.025460847326715087, 0.0053774798729232763]
+_W_GAUSS = [0.10133000701479143, 0.099173598721791850, 0.093126598170826136,
+            0.083080502823133284, 0.069854121318727425, 0.053481524690928588,
+            0.035346360791376367, 0.015007947329315836]
+#: the 31 nodes ascending (Kronrod and G15 alternate) and K31 weights
+_X_BOTH, _W_K31 = np.empty(31), np.empty(31)
+_X_BOTH[0::2] = [-x for x in _X_KRONROD[::-1]] + _X_KRONROD
+_X_BOTH[1::2] = _X_LOW
+_W_K31[0::2] = _W_KRONROD[::-1] + _W_KRONROD
+_W_K31[1::2] = _W_GAUSS[:0:-1] + _W_GAUSS
 #: the oscillatory sampling's rule on each of its subpanels
 _X_GL, _W_GL = np.polynomial.legendre.leggauss(_GL_ORDER)
 
-#: an interval's row holds m (a + b) at its 15 and 31 nodes, then
-#: m (|a| + |b|) at the 31 nodes, m being |lam|^2 times the Jacobian; the
-#: columns turn it into G31 - G15, G31 and the G31 of |a| + |b| per unit
-#: half-width.  The measure's 1/2pi is applied once, to the final sum.
-_RULES = np.zeros((77, 3))
-_RULES[:15, 0] = -_W_LOW
-_RULES[15:46, 0] = _W_HIGH
-_RULES[15:46, 1] = _W_HIGH
-_RULES[46:, 2] = _W_HIGH
+#: an interval's row holds m (a + b) at its 31 nodes, then m (|a| + |b|)
+#: there, m being |lam|^2 times the Jacobian; the columns turn it into
+#: K31 - G15, K31 and the K31 of |a| + |b| per unit half-width.  The
+#: measure's 1/2pi is applied once, to the final sum.
+_RULES = np.zeros((62, 3))
+_RULES[:31, 0] = _RULES[:31, 1] = _RULES[31:, 2] = _W_K31
+_RULES[1:31:2, 0] -= _W_LOW
 
 
 def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
               stalled, errors) -> None:
-    """Globally adaptive embedded Gauss pair (15/31 nodes), all rows at once.
+    """Globally adaptive nested pair G15/K31 (31 nodes), all rows at once.
 
     Fills ``values``, ``points``, ``stalled`` and ``errors`` of every row
     whose entry of ``row_panels`` is a panel list.  One refinement loop
@@ -245,12 +263,12 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
     by row, then panel, and every sum over a row's intervals is taken over
     its own run of them, so a row's bits do not depend on the batch.  Per
     row, with tol = max(_EPS_L1 int(|a| + |b|), _EPSREL |I|), the row
-    leaves the loop when the summed |G31 - G15| of its intervals, open and
+    leaves the loop when the summed |K31 - G15| of its intervals, open and
     retired, is at most tol.  Otherwise it bisects its intervals whose
     error exceeds their length share of tol and retires the others with
-    their 31-point estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS
+    their K31 estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS
     open intervals, or with nothing left to bisect, the row stalls: it
-    leaves with its open intervals' 31-point estimates.  A non-finite
+    leaves with its open intervals' K31 estimates.  A non-finite
     sample fails its row alone.
     """
     # per open row: its index, open intervals, total panel length and the
@@ -295,12 +313,12 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             a, b = f(om, rows)
             norm = np.abs(a)
             norm += np.abs(b)
-            vals = np.empty((k, 1, 77))
-            np.multiply(a + b, measure, out=vals[:, 0, :46])
+            vals = np.empty((k, 1, 62))
+            np.multiply(a + b, measure, out=vals[:, 0, :31])
             del a, b
-            np.multiply(norm[:, 15:], measure[:, 15:], out=vals[:, 0, 46:])
+            np.multiply(norm, measure, out=vals[:, 0, 31:])
             # one product per interval: BLAS picks its kernel by the shape of
-            # a product, and a (k, 77) GEMM would sum a row differently for
+            # a product, and a (k, 62) GEMM would sum a row differently for
             # different k
             rules = (vals @ _RULES)[:, 0]
             rules *= half[:, None]
@@ -320,11 +338,11 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             stay = []
             for i, (row, (err_sum, value, l1), tol) in enumerate(
                     zip(active, sums, tols)):
-                points[row] += 46 * counts[i]
+                points[row] += 31 * counts[i]
                 if not math.isfinite(err_sum + value + l1):
                     run = slice(starts[i], starts[i] + counts[i])
-                    bad = ~np.isfinite(vals[run, 0, :46])
-                    bad[:, 15:] |= ~np.isfinite(vals[run, 0, 46:])
+                    bad = ~np.isfinite(vals[run, 0, :31])
+                    bad |= ~np.isfinite(vals[run, 0, 31:])
                     errors[row] = _failure(bad, om[run]) or \
                         "integrand samples overflow the integral"
                     values[row] = math.nan

@@ -8,6 +8,7 @@ from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, invert_samples,
                         lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable
+from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
                                    _unit_phases, integrate_rows)
 from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
@@ -160,6 +161,99 @@ class TestIntegrateLambda:
             integrate_one(bad, trapezoid_grid())
         with pytest.raises(QuadratureError, match="omega"):
             integrate_one(bad, adaptive_grid())
+
+
+def kronrod(n):
+    """(nodes, K weights, G weights) of G_n and its Kronrod extension.
+
+    The recipe of the rule's literals, in double precision: the Stieltjes
+    polynomial E_{n+1} = P_{n+1} + sum_{j <= n} c_j P_j is orthogonal to
+    P_0 .. P_n against the weight P_n, its roots come from legroots, and
+    the 2n + 1 weights solve sum_i w_i P_k(x_i) = 2 delta_k0, k <= 2n.
+    The nodes ascend; G weights are 0 at the Kronrod nodes.  Symmetrized
+    as leggauss symmetrizes its rule.
+    """
+    leg = np.polynomial.legendre
+    x_gauss, w_gauss = leg.leggauss(n)
+    # int P_n P_k P_j dx, exact by Gauss-Legendre on 2n + 2 nodes
+    xq, wq = leg.leggauss(2 * n + 2)
+    vq = leg.legvander(xq, n + 1)
+    moments = (vq[:, :n + 1] * (wq * vq[:, n])[:, None]).T @ vq
+    c = np.linalg.solve(moments[:, :n + 1], -moments[:, n + 1])
+    x_kronrod = leg.legroots(np.append(c, 1.0)).real
+    x = np.sort(np.concatenate([x_gauss, x_kronrod]))
+    rhs = np.zeros(2 * n + 1)
+    rhs[0] = 2.0
+    w = np.linalg.solve(leg.legvander(x, 2 * n).T, rhs)
+    g = np.zeros(2 * n + 1)
+    g[1::2] = w_gauss
+    return ((x - x[::-1]) / 2, (w + w[::-1]) / 2, (g + g[::-1]) / 2)
+
+
+class TestKronrodRule:
+    """The adaptive rule's nested pair G15/K31 and how it is built."""
+
+    def test_recipe_matches_tabulated_k21(self):
+        # scipy tabulates G10/K21 in its quad_vec; recover its nodes,
+        # K21 weights and G10 weights by calling the rule on [-1, 1]
+        from scipy.integrate._quad_vec import _quadrature_gk21
+        nodes, deltas = [], []
+        _quadrature_gk21(-1.0, 1.0, lambda t: nodes.append(t) or 0.0, abs)
+
+        def unit(t):
+            return np.eye(21)[nodes.index(t)]
+
+        def norm(v):
+            deltas.append(v)  # (K21 - G10) weights, on the first call
+            return float(np.abs(v).max())
+
+        k21 = _quadrature_gk21(-1.0, 1.0, unit, norm)[0]
+        order = np.argsort(nodes)
+        x, w, g = kronrod(10)
+        assert np.abs(np.array(nodes)[order] - x).max() <= 1e-14
+        assert np.abs(k21[order] - w).max() <= 1e-14
+        assert np.abs((k21 - deltas[0])[order] - g).max() <= 1e-14
+
+    def test_recipe_matches_the_literals(self):
+        x, w, g = kronrod(15)
+        assert np.abs(x - quadrature._X_BOTH).max() <= 1e-14
+        assert np.abs(w - quadrature._W_K31).max() <= 1e-14
+        rules = quadrature._RULES
+        assert np.abs(w - g - rules[:31, 0]).max() <= 1e-14
+        assert np.array_equal(rules[:31, 1], quadrature._W_K31)
+        assert np.array_equal(rules[31:, 2], quadrature._W_K31)
+        assert not rules[31:, :2].any() and not rules[:31, 2].any()
+
+    def test_k31_exact_to_degree_46(self):
+        for degree in range(47):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            got = quadrature._W_K31 @ quadrature._X_BOTH ** degree
+            assert abs(got - exact) <= 1e-15, degree
+
+    def test_g15_nodes_are_k31_nodes(self):
+        nodes = quadrature._X_BOTH
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes[1::2], quadrature._X_LOW)
+        g15 = quadrature._W_K31 - quadrature._RULES[:31, 0]
+        assert np.abs(g15[1::2] - quadrature._W_LOW).max() <= 1e-15
+        assert np.abs(g15[0::2]).max() <= 1e-15
+
+    def test_31_nodes_per_interval(self):
+        # every integrand call sees whole intervals of 31 nodes, and a
+        # row's points count 31 per interval evaluated
+        shapes = []
+
+        def f(omega, rows):
+            shapes.append(omega.shape)
+            return np.cos(40.0 * omega), np.abs(omega)
+
+        res = integrate_rows(f, DEFAULT_SOURCE, [adaptive_grid()] * 2,
+                             [(0.0,), (-0.01, 0.02)], [None, -0.5])
+        assert len(shapes) > 1
+        assert all(shape[1] == 31 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) * 31 == res.points.sum()
+        assert all(points % 31 == 0 and points > 31
+                   for points in res.points)
 
 
 #: spin specs of the benchmark's point evaluations on which the per-panel
