@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -186,30 +187,119 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-#: rows formatted by one %-operation and written by one write
+#: rows formatted by one kernel call and written by one write
 _CSV_CHUNK = 4096
+#: |x| range the kernel formats itself, where 16 - E spans _S_MIN.._S_MAX
+_FAST_MIN, _FAST_MAX, _S_MIN, _S_MAX = 1e-290, 1e290, -274, 307
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, ...]:
+    """hi, lo and hi's halves (split at 2**-100 scale, where it cannot
+    overflow): hi + lo = 10**s from exact ints, s = _S_MIN.._S_MAX."""
+    rows = []
+    for s in range(_S_MIN, _S_MAX + 1):
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        a, b = (num / den).as_integer_ratio()
+        rows.append((a / b, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(rows).T
+    t = hi * 2.0 ** -100 * 134217729.0  # 2**27 + 1: Veltkamp's split
+    upper = (t - (t - hi * 2.0 ** -100)) * 2.0 ** 100
+    return hi, lo, upper, hi - upper
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray):
+    """floor(y) as int64 and y - floor(y) for y = ax * 10**(16 - e): an
+    exact Dekker two-product ax * hi plus ax * lo, right to ~5e-15."""
+    hi, lo, hh, hl = (table[16 - _S_MIN - e] for table in _pow10())
+    p, c = ax * hi, ax * 134217729.0
+    ah = c - (c - ax)
+    al = ax - ah
+    r = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + ax * lo
+    floor = np.floor(r)
+    return p.astype(np.int64) + floor.astype(np.int64), r - floor
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as '<u4' words, first digit first."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (digits + 48).astype(np.uint8).view("<u4").ravel()
+
+
+def _csv_rows(block: np.ndarray, prefix: np.ndarray, seps: np.ndarray,
+              blank_nan: bool) -> np.ndarray:
+    """``block``'s rows as uint8 bytes, each cell as '%.16e' % x gives it.
+
+    Row i starts with seps[i] blank lines and ``prefix``.  A cell with
+    _FAST_MIN <= |x| < _FAST_MAX is rounded to 17 digits N * 10**(E - 16)
+    on int64 into a 24-byte field, whose 0 bytes (no sign, two exponent
+    digits) are stripped at the end.  _fmt formats the other nonzero cells,
+    those within 1e-9 of a tie and those whose log10 misses E by one (N
+    outside 1e16..1e17), save NaN under ``blank_nan``.
+    """
+    ax = np.abs(block)
+    fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
+    ax[~fast] = 1.0  # 0.0 becomes N = 0 below, with E = 0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    n, frac = _scaled(ax, e)
+    up = frac > 0.5
+    exact = (~fast & (block != 0.0)) | (np.abs(frac - 0.5) < 1e-9) \
+        | (n < 10 ** 16) | (n + up > 10 ** 17)
+    n += up
+    e += n == 10 ** 17
+    n[n == 10 ** 17] = 10 ** 16
+    n[block == 0.0] = 0
+    del ax, frac, up  # the strip below is this call's peak of memory
+
+    width = int(seps.max(initial=0))
+    lead = width + prefix.size
+    out = np.zeros((len(block), lead + 25 * block.shape[1]), dtype=np.uint8)
+    out[:, :width] = (np.arange(width) < seps[:, None]) * np.uint8(10)
+    out[:, width:lead] = prefix
+    cell = out[:, lead:].reshape(*block.shape, 25)
+    cell[..., 0] = np.signbit(block) * np.uint8(ord("-"))
+    for offset in (15, 11, 7, 3):  # four digits at a time, last first
+        n, group = np.divmod(n, 10000)
+        np.ndarray(block.shape, "<u4", out, lead + offset,
+                   (out.strides[0], 25))[...] = _digit_quads()[group]
+    cell[..., 1] = n + 48
+    cell[..., 20] = np.where(e < 0, ord("-"), ord("+"))
+    np.abs(e, out=e)
+    cell[..., 21] = np.where(e >= 100, e // 100 + 48, 0)
+    cell[..., 22] = e // 10 % 10 + 48
+    cell[..., 23] = e % 10 + 48
+    cell[..., 2], cell[..., 19], cell[..., 24] = ord("."), ord("e"), ord(",")
+    cell[:, -1, 24] = ord("\n")
+    for i, j in zip(*np.nonzero(exact)):
+        text = b"" if blank_nan and math.isnan(block[i, j]) \
+            else _fmt(block[i, j]).encode()
+        cell[i, j, :24] = np.frombuffer(text.ljust(24, b"\0"), np.uint8)
+    return out[out != 0]
 
 
 def _write_csv(path: Path, header: str, *tables, lead: str = "",
                blank_nan: bool = False) -> None:
-    """Write 2-D float tables as %.16e rows under one '#' header line.
+    """Write 2-D float tables of one width as %.16e rows under a '#' header.
 
     ``lead`` starts every row, a blank line separates the tables (a
     contour file's polylines), ``blank_nan`` leaves NaN cells empty, and
-    each block of _CSV_CHUNK rows is one %-operation and one write.
+    the tables are formatted together, _CSV_CHUNK rows per _csv_rows call.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + header + "\n")
-        for idx, table in enumerate(tables):
-            if idx:
-                fh.write("\n")
-            table = np.asarray(table, dtype=float)
-            row = lead + ",".join(["%.16e"] * table.shape[1]) + "\n"
-            for start in range(0, len(table), _CSV_CHUNK):
-                block = table[start:start + _CSV_CHUNK]
-                text = row * len(block) % tuple(block.ravel().tolist())
-                fh.write(text.replace("nan", "") if blank_nan else text)
+    tables = [np.asarray(t, float) for t in tables] or [np.empty((0, 0))]
+    with open(path, "wb") as fh:
+        fh.write(("# " + header + "\n").encode())
+        cells = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        # blank lines before each row; the last entry follows the last row
+        ends = np.cumsum([len(t) for t in tables[:-1]], dtype=np.int64)
+        seps = np.bincount(ends, minlength=len(cells) + 1)
+        prefix = np.frombuffer(lead.encode(), dtype=np.uint8)
+        for start in range(0, len(cells), _CSV_CHUNK):
+            block = cells[start:start + _CSV_CHUNK]
+            fh.write(_csv_rows(block, prefix, seps[start:start + len(block)],
+                               blank_nan))
+        fh.write(b"\n" * int(seps[-1]))
 
 
 def cmd_wcf(args, s: dict) -> int:

@@ -579,9 +579,8 @@ def invert_samples(residual: np.ndarray, plan: InversionPlan):
     """
     if residual.shape != (plan.n_fft,):
         raise ValueError("residual must be sampled on plan.v_grid()")
-    spectrum = np.fft.fft(residual)
-    k = np.fft.fftfreq(plan.n_fft, d=1.0 / plan.n_fft)
+    spectrum = np.fft.fftshift(np.fft.fft(residual))  # k ascending, as w
+    k = np.fft.fftshift(np.fft.fftfreq(plan.n_fft, d=1.0 / plan.n_fft))
     w = 2.0 * math.pi * k / (plan.n_fft * plan.dv)
-    density = spectrum * plan.dv / (2.0 * math.pi) * np.exp(1j * plan.v_max * w)
-    order = np.argsort(k)
-    return w[order], density[order]
+    return w, (spectrum * plan.dv / (2.0 * math.pi)
+               * _unit_phases(plan.v_max * w))

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivenbath import cli, workstats
 from drivenbath.cli import _CSV_CHUNK, _write_csv, main
+
+from conftest import make_spec
 
 
 def run(args):
@@ -286,6 +293,131 @@ class TestCsvWriter:
         assert path.read_text() == ("# a,b\nm,1.0000000000000000e+00,\n"
                                     "\nm,-0.0000000000000000e+00,"
                                     "2.5000000000000000e+00\n")
+
+
+def _reference_csv(tables, lead="", blank_nan=False):
+    """Rows of ``tables`` by per-cell f"{x:.16e}", the tables' texts
+    joined by blank lines."""
+    def cell(x):
+        return "" if blank_nan and math.isnan(x) else f"{x:.16e}"
+    return "\n".join("".join(lead + ",".join(map(cell, row)) + "\n"
+                             for row in np.asarray(table).tolist())
+                     for table in tables)
+
+
+def _assert_text(path, expected):
+    """The file reads ``expected``; a mismatch names its first lines."""
+    got, want = path.read_text().split("\n"), expected.split("\n")
+    assert [(a, b) for a, b in zip(got, want) if a != b][:3] == []
+    assert len(got) == len(want)
+
+
+def _structured_floats(rng):
+    """Powers of ten and their neighbours, the fast-range edges, rounding
+    ties, carries to 10**17, subnormals and the non-finite values."""
+    values = []
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+    for x in (1e-290, 1e290):
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+    # k + 0.25 and k + 0.75 with 16 integer digits are exact ties
+    ties = rng.integers(10 ** 15, 2 ** 51, 2000).astype(float)
+    values += list(ties + 0.25) + list(ties + 0.75)
+    values += list(rng.integers(0, 2 ** 51, 2000) + 0.25)
+    for k in range(-300, 300, 3):
+        x = float(f"9.99999999999999995e{k}")
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+    values += list(rng.integers(1, 2 ** 52, 2000, dtype=np.int64)
+                   .view(np.float64))  # subnormals
+    values += [0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               math.inf, math.nan]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestCsvKernel:
+    """The numpy kernel behind _write_csv against Python's %.16e."""
+
+    @pytest.mark.parametrize("n_cols, lead, blank_nan", [
+        (1, "", False), (2, "m,", True), (3, "", True), (4, "mode,", False),
+        (5, "", False)])
+    def test_bytes_match_python_formatting(self, tmp_path, n_cols, lead,
+                                           blank_nan):
+        # 40,000 random bit patterns a case, 200,000 over the five
+        rng = np.random.default_rng(n_cols)
+        bits = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64,
+                            endpoint=False)
+        values = np.concatenate([bits.view(np.float64),
+                                 _structured_floats(rng)])
+        values = rng.permutation(values)[:len(values) // n_cols * n_cols]
+        table = values.reshape(-1, n_cols)
+        path = tmp_path / "t.csv"
+        _write_csv(path, "h", table, lead=lead, blank_nan=blank_nan)
+        _assert_text(path, "# h\n" + _reference_csv([table], lead,
+                                                    blank_nan))
+
+    def test_empty_tables_keep_their_separators(self, tmp_path):
+        tables = [np.empty((0, 2)), [[1.0, 2.0]], np.empty((0, 2)),
+                  [[3.0, math.nan]], np.empty((0, 2)), np.empty((0, 2))]
+        path = tmp_path / "t.csv"
+        _write_csv(path, "a,b", *tables, blank_nan=True)
+        assert path.read_text() == "# a,b\n" + _reference_csv(tables,
+                                                              blank_nan=True)
+        _write_csv(path, "a,b")
+        assert path.read_text() == "# a,b\n"
+
+    def test_wdf_nonperturbative_table_needs_no_fallback(self, tmp_path,
+                                                         monkeypatch):
+        # every cell of the all-order alpha 5 file is certified by the
+        # kernel, one call per block: none is handed to Python's formatting
+        full = workstats.wdf_nonperturbative(make_spec(alpha=5.0))
+        table = np.column_stack((full.w_grid, full.density))
+        blocks, fallbacks = [], []
+        kernel, fmt = cli._csv_rows, cli._fmt
+        monkeypatch.setattr(cli, "_csv_rows",
+                            lambda *a: blocks.append(a) or kernel(*a))
+        monkeypatch.setattr(cli, "_fmt",
+                            lambda x: fallbacks.append(x) or fmt(x))
+        path = tmp_path / "wdf.csv"
+        _write_csv(path, "w,density", table)
+        assert len(table) == 1 << 16
+        assert len(blocks) == (1 << 16) // _CSV_CHUNK and fallbacks == []
+        _assert_text(path, "# w,density\n" + _reference_csv([table]))
+
+    def test_powers_of_ten_match_python_formatting(self, tmp_path):
+        # log10 is off by one next to some powers of ten
+        x = 10.0 ** np.arange(-289, 290)
+        table = np.column_stack([x, np.nextafter(x, 0.0),
+                                 np.nextafter(x, math.inf)])
+        path = tmp_path / "t.csv"
+        _write_csv(path, "h", table, -table)
+        _assert_text(path, "# h\n" + _reference_csv([table, -table]))
+
+    def test_polylines_share_blocks(self, tmp_path, monkeypatch):
+        # 50 tables are formatted in _CSV_CHUNK-row blocks, not per table
+        rng = np.random.default_rng(7)
+        lines = [rng.standard_normal((int(n), 2))
+                 for n in rng.integers(2, 200, 50)]
+        rows = sum(len(line) for line in lines)
+        calls = []
+        kernel = cli._csv_rows
+        monkeypatch.setattr(cli, "_csv_rows",
+                            lambda *a: calls.append(len(a[0])) or kernel(*a))
+        path = tmp_path / "contour.csv"
+        _write_csv(path, "p,beta", *lines)
+        assert len(calls) == -(-rows // _CSV_CHUNK) and sum(calls) == rows
+        _assert_text(path, "# p,beta\n" + _reference_csv(lines))
+
+    def test_import_leaves_out_fractions_and_decimal(self):
+        # the powers of ten come from Python ints, built on first use
+        src = Path(cli.__file__).parents[1]
+        code = ("import sys, drivenbath.cli; "
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "[]\n"
 
 
 class TestConfig:

@@ -529,6 +529,29 @@ class TestInversion:
         rebuilt *= plan.dw
         assert np.max(np.abs(rebuilt - chi)) < 1e-6
 
+    @pytest.mark.parametrize("v_max, n_fft", [(6400.0, 1 << 16),
+                                              (200.0, 1 << 12),
+                                              (3.7, 1 << 14)])
+    def test_bits_match_sorted_complex_exponential(self, v_max, n_fft):
+        # fftshift orders k as argsort did, and the cos/sin phases are
+        # np.exp(1j * v_max * w) bit for bit
+        def sorted_exp(residual, plan):
+            spectrum = np.fft.fft(residual)
+            k = np.fft.fftfreq(plan.n_fft, d=1.0 / plan.n_fft)
+            w = 2.0 * math.pi * k / (plan.n_fft * plan.dv)
+            density = spectrum * plan.dv / (2.0 * math.pi) \
+                * np.exp(1j * plan.v_max * w)
+            order = np.argsort(k)
+            return w[order], density[order]
+
+        plan = InversionPlan(v_max=v_max, n_fft=n_fft)
+        rng = np.random.default_rng(n_fft)
+        residual = rng.standard_normal(n_fft) \
+            + 1j * rng.standard_normal(n_fft)
+        for got, want in zip(invert_samples(residual, plan),
+                             sorted_exp(residual, plan)):
+            assert got.tobytes() == want.tobytes()
+
     def test_gaussian_pair_matches_analytic_density(self):
         sigma_w = 0.05
         plan = InversionPlan(v_max=400.0, n_fft=1 << 13)
