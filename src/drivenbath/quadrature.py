@@ -60,6 +60,8 @@ _GL_ORDER = 40
 #: most nodes one oscillatory sampling may use; |v| = 640,000 takes
 #: 109,920.  A sampling peaks at ~1.1 kB per node at 201 samples and
 #: ~18 kB at 65,536, most of it the phase tables (measured ru_maxrss).
+#: The cap counts the nodes before those with zero coefficients are
+#: dropped, so it does not depend on the integrand.
 _GL_MAX_NODES = 1 << 17
 
 #: rounding slack, as a fraction of max|v|, between a sampled v grid and
@@ -499,8 +501,13 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
     2 ceil(n/B) matrix.  Both phase tables hold cos and sin of the real
     phases, written into one complex array; with -0.0 phases taken as
     +0.0 for the sine, as the complex exponential takes them, that is
-    e^{i phi} to the bit.  Returns a pair of complex arrays aligned with
-    ``v``.
+    e^{i phi} to the bit.  Nodes where f_1 and f_2 both give coefficients
+    of exactly 0.0 (below the support of every channel term: w <= 0 for
+    the bare bath, w <= -gap with a qubit) are left out before any phase
+    is formed; their terms are zeros in every sample, so each sample is
+    the same dense sum, and only the blocking of the shorter inner
+    dimension of the product can move its last bits.  Returns a pair of
+    complex arrays aligned with ``v``.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -519,6 +526,9 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
         message = _failure(~np.isfinite(c), nodes)
         if message is not None:
             raise QuadratureError(message)
+    # a node whose coefficients are both 0.0 adds only zeros to every sample
+    live = (c1 != 0.0) | (c2 != 0.0)
+    nodes, c1, c2 = nodes[live], c1[live], c2[live]
 
     block = math.isqrt(max(n - 1, 0)) + 1
     table = _unit_phases(np.outer(h * np.arange(block), nodes))

@@ -440,6 +440,10 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     call on its nodes), and v < 0 takes
     the complex conjugate, so mirrored samples are exact conjugates and
     chi2(0) = 1 holds on the field to within one rounding of p0 + T(0).
+    Only the nodes where a channel is nonzero enter the samples: the
+    channels vanish exactly below their lowest shift (w <= 0 for the
+    bare bath, half its nodes, and w <= -gap with a qubit), and those
+    nodes would add only zeros.
     """
     require_valid(spec)
     v = np.asarray(v, dtype=float)

@@ -1,18 +1,20 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
-                        QuadratureError, Rule, invert_samples,
+                        QuadratureError, Rule, default_plan, invert_samples,
                         lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable
 from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
                                    _unit_phases, integrate_rows)
-from drivenbath.workstats import (default_i_beta_grid, i_beta_deficit,
-                                  i_beta_deficit_rows, w_ext2_rows)
+from drivenbath.workstats import (chi2_field, default_i_beta_grid,
+                                  i_beta_deficit, i_beta_deficit_rows,
+                                  w_ext2_rows)
 
 from conftest import DEFAULT_SOURCE, green_pair, make_spec
 
@@ -325,10 +327,13 @@ def dense_phase_sum(pair, v, source, grid, breakpoints=(),
     return out[:, 0], out[:, 1]
 
 
-def exp_phase_pair(pair, v, source, grid, breakpoints, singular_exponent):
+def exp_phase_pair(pair, v, source, grid, breakpoints, singular_exponent,
+                   keep_zeros=False):
     """oscillatory_pair with its phase tables built by the complex
     exponential and its coefficients joined by hstack, as before the
-    tables were filled from cos and sin."""
+    tables were filled from cos and sin.  Nodes whose two coefficients are
+    both 0.0 are dropped, as oscillatory_pair drops them, unless
+    ``keep_zeros``: then every node is summed, as before the drop."""
     n = v.size
     h = (v[-1] - v[0]) / (n - 1) if n > 1 else 0.0
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
@@ -338,6 +343,9 @@ def exp_phase_pair(pair, v, source, grid, breakpoints, singular_exponent):
     f1, f2 = pair(nodes)
     c1 = measure * np.asarray(f1, dtype=float)
     c2 = measure * np.asarray(f2, dtype=float)
+    if not keep_zeros:
+        live = (c1 != 0.0) | (c2 != 0.0)
+        nodes, c1, c2 = nodes[live], c1[live], c2[live]
     block = math.isqrt(max(n - 1, 0)) + 1
     table = np.exp(1j * np.outer(h * np.arange(block), nodes))
     shift = np.exp(1j * np.outer(nodes, v[::block]))
@@ -473,6 +481,110 @@ class TestOscillatoryPair:
             oscillatory_pair(f, np.asarray(v), DEFAULT_SOURCE,
                              adaptive_grid(), breakpoints=(),
                              singular_exponent=None)
+
+
+@pytest.fixture
+def phase_tables(monkeypatch):
+    """The phases of every table ``_unit_phases`` builds, in call order.
+
+    oscillatory_pair builds two: the in-block table, (B, nodes), then the
+    block shifts, (nodes, blocks), whose columns are nodes x v_{bB}.
+    """
+    seen = []
+    unit_phases = quadrature._unit_phases
+
+    def recording(phase):
+        seen.append(phase.copy())
+        return unit_phases(phase)
+
+    monkeypatch.setattr(quadrature, "_unit_phases", recording)
+    return seen
+
+
+def all_nodes(spec, v_abs_max=6400.0):
+    """The Gauss-Legendre nodes of ``spec``'s channels before the drop."""
+    pair = green_pair(spec)
+    panels = _build_panels(adaptive_grid(spec.source).omega_max, pair.edges,
+                           pair.singular_exponent)
+    return _gl_nodes_weights(panels, v_abs_max)[0]
+
+
+class TestZeroCoefficientNodes:
+    """oscillatory_pair leaves out the nodes where both coefficients are
+    exactly 0.0: below the support of every channel term."""
+
+    @pytest.mark.parametrize("n", [201, 32769])
+    def test_bare_bath_field_uses_the_positive_half(self, phase_tables, n):
+        spec = make_spec()
+        v = (np.linspace(0.0, 6400.0, n) if n == 201
+             else default_plan(spec.source).v_grid())
+        chi2_field(spec, v)
+        # the lattice chi2_field samples, h k for k = 0 .. n - 1
+        lattice = abs(v[-1] - v[0]) / (v.size - 1) * np.arange(n)
+        nodes = all_nodes(spec)
+        assert nodes.size == 1120
+        table, shift = phase_tables
+        assert table.shape[1] == shift.shape[0] == 560
+        block = table.shape[0]
+        np.testing.assert_array_equal(
+            shift, np.outer(nodes[nodes > 0.0], lattice[::block]))
+
+    def test_spin_qubit_keeps_the_nodes_above_minus_the_gap(
+            self, phase_tables):
+        spec = make_spec(coupling="spin", omega_gap=0.02, p=0.8)
+        pair = green_pair(spec)
+        v = 32.0 * np.arange(201)
+        oscillatory_pair(pair.channels, v, spec.source, adaptive_grid(),
+                         pair.edges, pair.singular_exponent)
+        nodes = all_nodes(spec)
+        kept = nodes[nodes > -0.02]
+        assert (kept.size, nodes.size) == (840, 1160)
+        table, shift = phase_tables
+        np.testing.assert_array_equal(
+            shift, np.outer(kept, v[::table.shape[0]]))
+
+    @pytest.mark.parametrize("coupling", ["spin", "fermion", "topological"])
+    def test_gap_outside_the_window_keeps_every_node_and_bit(
+            self, phase_tables, coupling):
+        spec = make_spec(coupling=coupling, omega_gap=1.0, p=0.8)
+        pair = green_pair(spec)
+        args = (pair.channels, 32.0 * np.arange(201), spec.source,
+                adaptive_grid(), pair.edges, pair.singular_exponent)
+        got = oscillatory_pair(*args)
+        assert phase_tables[0].shape[1] == all_nodes(spec).size == 1120
+        for g, w in zip(got, exp_phase_pair(*args, keep_zeros=True)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 201])
+    def test_pair_zero_on_every_node_gives_zeros(self, n):
+        def zeros(w):
+            return np.zeros(w.size), np.zeros(w.size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oscillatory_pair(zeros, 32.0 * np.arange(n), DEFAULT_SOURCE,
+                                   adaptive_grid(), (0.0,), None)
+        for part in got:
+            assert part.dtype == complex and part.shape == (n,)
+            assert not part.any()
+
+    @pytest.mark.parametrize("v", [
+        pytest.param(32.0 * np.arange(201), id="n201"),
+        pytest.param(0.1953125 * np.arange(32769), id="n32769")])
+    @pytest.mark.parametrize("coupling, gap", [(None, 0.05)] + [
+        (coupling, gap) for coupling in ("spin", "fermion", "topological")
+        for gap in (0.003, 0.02, 1.0)])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    def test_matches_the_sum_over_every_node(self, alpha, coupling, gap, v):
+        spec = make_spec(alpha=alpha, coupling=coupling, omega_gap=gap,
+                         p=0.8)
+        pair = green_pair(spec)
+        args = (pair.channels, v, spec.source, adaptive_grid(), pair.edges,
+                pair.singular_exponent)
+        for got, want in zip(oscillatory_pair(*args),
+                             exp_phase_pair(*args, keep_zeros=True)):
+            assert np.max(np.abs(got - want)) <= \
+                1e-14 * np.max(np.abs(want))
 
 
 class TestInversionPlan:
