@@ -64,10 +64,6 @@ _GL_ORDER = 40
 #: dropped, so it does not depend on the integrand.
 _GL_MAX_NODES = 1 << 17
 
-#: rounding slack, as a fraction of max|v|, between a sampled v grid and
-#: the even lattice it stands for
-GRID_RTOL = 16.0 * np.finfo(float).eps
-
 
 class QuadratureError(RuntimeError):
     """Integrand returned a non-finite sample or a rule failed."""
@@ -482,19 +478,19 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
 
 
 def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
-                     v: np.ndarray,
+                     h: float,
+                     n: int,
                      source: DrivenSource,
                      grid: FrequencyGrid,
                      breakpoints: Sequence[float],
                      singular_exponent: Optional[float]):
-    """Sample F_k(v) = int dw/2pi |lam|^2 f_k(w) e^{i w v} for k = 1, 2.
+    """Sample F_k(v) = int dw/2pi |lam|^2 f_k(w) e^{i w v} for k = 1, 2
+    on the lattice v_j = j h, j = 0 .. n - 1.
 
     ``pair(nodes)`` returns the real pair (f_1, f_2) at a 1-D node array:
     both come from one call on one composite Gauss-Legendre node set, from
     a 40-node rule built once at import, on panels split as in
-    ``integrate_rows``.  ``v`` is a 1-D evenly spaced grid, v_j = v_0 +
-    j h, as ``InversionPlan.v_grid()`` and ``linspace`` give; any other
-    grid raises ValueError.  Splitting j = b B + m with B = ceil(sqrt(n))
+    ``integrate_rows``.  Splitting j = b B + m with B = ceil(sqrt(n))
     factors every phase exactly as e^{i w v_bB} e^{i w m h}: the block
     phases fold into the two coefficient vectors, and the samples are one
     complex product of the B x nodes table e^{i w m h} with that nodes x
@@ -507,15 +503,9 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
     is formed; their terms are zeros in every sample, so each sample is
     the same dense sum, and only the blocking of the shorter inner
     dimension of the product can move its last bits.  Returns a pair of
-    complex arrays aligned with ``v``.
+    complex arrays of length n, sample j at v_j.
     """
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    v_abs_max = float(np.max(np.abs(v), initial=0.0))
-    h = (v[-1] - v[0]) / (n - 1) if n > 1 else 0.0
-    lattice = v[:1] + h * np.arange(n)
-    if not np.all(np.abs(v - lattice) <= GRID_RTOL * v_abs_max):
-        raise ValueError("v must be an evenly spaced grid")
+    v_abs_max = abs(h) * (n - 1)
     panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
     nodes, weights = _gl_nodes_weights(panels, v_abs_max)
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
@@ -532,7 +522,7 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
 
     block = math.isqrt(max(n - 1, 0)) + 1
     table = _unit_phases(np.outer(h * np.arange(block), nodes))
-    shift = _unit_phases(np.outer(nodes, v[::block]))
+    shift = _unit_phases(np.outer(nodes, h * np.arange(0, n, block)))
     cols = shift.shape[1]
     coeffs = np.empty((nodes.size, 2 * cols), dtype=complex)
     np.multiply(c1[:, None], shift, out=coeffs[:, :cols])

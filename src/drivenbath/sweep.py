@@ -9,10 +9,15 @@ chi2(i beta) deficit are affine in p, so each column (one value of the
 other axis) is integrated at p = 0 and p = 1, all 2n endpoints in one
 call per integral, and its cells are blended from those two values.
 Sweeps without a p axis integrate one sweep row (all y at one x) per call
-and match the library calls bit for bit by construction.  The cells of a
-grid are evaluated on arrays, not one by one: specs are validated once
-per axis value, the blend is a broadcast, and W_ext, chi2(i beta) and
-Delta S are array expressions with the bits of the scalar formulas.
+and match the library calls bit for bit by construction.  Both layouts
+share one cell stage, and a failed cell records the error its direct
+call raises first: for a figure of merit the engine guards, which keep
+the cell out of every integral; then an invalid spec; then a failed row
+or column integral; then chi2(i beta) <= 0 and the degenerate heat
+split.  The cells of a grid are evaluated on arrays, not one by one:
+blended specs are validated once per axis value, the blend is a
+broadcast, and W_ext, chi2(i beta) and Delta S are array expressions
+with the bits of the scalar formulas.
 Contours are marching-squares polylines in the axis scale space (log
 axes interpolate geometrically).  Every cell is classified at once, and
 only the cells the contour crosses are visited, in row-major order;
@@ -32,7 +37,7 @@ import numpy as np
 
 from .model import SystemSpec, require_valid, validate, with_param
 from .quadrature import QuadratureError
-from .thermo import _engine_guard, _engine_report, engine_reports
+from .thermo import _engine_guard, _engine_report
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         work_integrals)
 
@@ -147,11 +152,14 @@ class _CellEvaluator:
     broadcasting, exact at both endpoints.  Columns are cached by axis
     value, so saddle centres reuse them.
 
-    A failed cell holds the error that its direct evaluation raises
-    first: an invalid spec; then a failed column, or the error of its
-    batched row; then the breakdown of chi2(i beta) and the degenerate
-    heat split.  A figure-of-merit cell meets the engine guards before
-    all of these, as engine_report does.
+    Both layouts take the same steps: the engine guards of every cell
+    (figure of merit only), then each cell's integrals (a row batch of
+    the cells not refused yet, or the blend of their columns), then the
+    quantity from them.  A failed cell holds the error
+    that its direct evaluation raises first: for a figure of merit the
+    engine guards, as in engine_report; then an invalid spec; then a
+    failed column, or the error of its batched row; then the breakdown
+    of chi2(i beta) and the degenerate heat split.
     Blended cells are validated once per axis value: validate checks
     each field on its own, so with (x_a, y_b) a valid cell, cell (i, j)
     is valid when the specs at (x_i, y_b) and (x_a, y_j) both are, and
@@ -184,11 +192,6 @@ class _CellEvaluator:
         entries, calls = work_integrals(
             specs, mean_work=self.quantity is not Quantity.CHI_I_BETA,
             deficit=self.quantity is not Quantity.W_EXT)
-        self._tally(calls)
-        return entries
-
-    def _tally(self, calls) -> None:
-        """Add the integrals, points and stalls of batched calls."""
         stats = self.stats
         for res in calls:
             stats["integrals"] += res.points.size
@@ -196,6 +199,7 @@ class _CellEvaluator:
             stats["max_points"] = max(stats["max_points"],
                                       int(res.points.max()))
             stats["stalled"] += int(res.stalled.sum())
+        return entries
 
     def _integrate_columns(self, keys) -> None:
         """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
@@ -217,39 +221,37 @@ class _CellEvaluator:
         """The quantity at every (xs[i], ys[j]), NaN where the cell fails,
         and the error of each failed cell keyed by (i, j)."""
         errors: dict = {}
+        specs = None
+        if self.quantity is Quantity.FIGURE_OF_MERIT:
+            # the engine guards refuse a cell before anything else
+            specs = [self._row_specs(x, ys) for x in xs]
+            for i, row in enumerate(specs):
+                for j, spec in enumerate(row):
+                    try:
+                        _engine_guard(spec)
+                    except ValueError as exc:
+                        errors[i, j] = exc
         if self._column_axis is not None:
             w_bar, deficit = self._blend(xs, ys, errors)
-        elif self.quantity is Quantity.FIGURE_OF_MERIT:
-            return self._engine_rows(xs, ys, errors), errors
         else:
-            w_bar, deficit = self._integrate_rows(xs, ys, errors)
-        return self._values(xs, ys, w_bar, deficit, errors), errors
+            w_bar, deficit = self._integrate_rows(xs, ys, specs, errors)
+        return self._values(xs, ys, specs, w_bar, deficit, errors), errors
 
-    def _integrate_rows(self, xs, ys, errors: dict):
-        """W_bar and the deficit of every cell, one batched call per row."""
-        rows = []
+    def _integrate_rows(self, xs, ys, specs, errors: dict):
+        """W_bar and the deficit of every cell not failed yet, one batched
+        call per row; ``specs`` holds the cell specs, or None to build
+        each row's."""
+        both = np.full((len(xs), len(ys), 2), np.nan)
         for i, x in enumerate(xs):
-            entries = self._integrals(self._row_specs(x, ys))
-            for j, entry in enumerate(entries):
+            row = specs[i] if specs else self._row_specs(x, ys)
+            todo = [j for j in range(len(ys)) if (i, j) not in errors]
+            entries = self._integrals([row[j] for j in todo])
+            for j, entry in zip(todo, entries):
                 if isinstance(entry, Exception):
                     errors[i, j] = entry
-                    entries[j] = (math.nan, math.nan)
-            rows.append(entries)
-        both = np.array(rows, dtype=float)
-        return both[..., 0], both[..., 1]
-
-    def _engine_rows(self, xs, ys, errors: dict) -> np.ndarray:
-        """Figures of merit of :func:`engine_reports`, one call per row."""
-        values = np.full((len(xs), len(ys)), np.nan)
-        for i, x in enumerate(xs):
-            reports, calls = engine_reports(self._row_specs(x, ys))
-            self._tally(calls)
-            for j, report in enumerate(reports):
-                if isinstance(report, Exception):
-                    errors[i, j] = report
                 else:
-                    values[i, j] = report.figure_of_merit
-        return values
+                    both[i, j] = entry
+        return both[..., 0], both[..., 1]
 
     def _blend(self, xs, ys, errors: dict):
         """W_bar and the deficit of every cell from its column's ends."""
@@ -271,21 +273,11 @@ class _CellEvaluator:
         w0, d0, w1, d1 = ends.T[:, :, None]
         w_bar = (1.0 - p) * w0 + p * w1
         deficit = (1.0 - p) * d0 + p * d1
-        fom = self.quantity is Quantity.FIGURE_OF_MERIT
-        if not fom:
-            # the engine guards check p themselves, before any validation
-            self._refuse_invalid(xs, ys, errors)
+        self._refuse_invalid(xs, ys, errors)
         for k, column in failed:
             for other in range(len(xs) if p_on_x else len(ys)):
-                i, j = (other, k) if p_on_x else (k, other)
-                errors.setdefault((i, j), column)
-                if fom:  # as in engine_report: the guards, then validity
-                    spec = self._row_specs(xs[i], [ys[j]])[0]
-                    try:
-                        _engine_guard(spec)
-                        require_valid(spec)
-                    except ValueError as exc:
-                        errors[i, j] = exc
+                errors.setdefault((other, k) if p_on_x else (k, other),
+                                  column)
         return (w_bar.T, deficit.T) if p_on_x else (w_bar, deficit)
 
     def _refuse_invalid(self, xs, ys, errors: dict) -> None:
@@ -316,24 +308,24 @@ class _CellEvaluator:
                 except ValueError as exc:
                     errors[i, j] = exc
 
-    def _values(self, xs, ys, w_bar, deficit, errors: dict) -> np.ndarray:
+    def _values(self, xs, ys, specs, w_bar, deficit,
+                errors: dict) -> np.ndarray:
         """The quantity at every cell not failed yet from its integrals; a
-        cell that the quantity refuses gets its error instead."""
+        cell that the quantity refuses gets its error instead.  ``specs``
+        holds the cell specs of a figure of merit, else None."""
         ok = np.ones(w_bar.shape, dtype=bool)
         for cell in errors:
             ok[cell] = False
         values = np.full(w_bar.shape, np.nan)
         quantity = self.quantity
         if quantity is Quantity.FIGURE_OF_MERIT:
-            for i, x in enumerate(xs):
-                js = np.flatnonzero(ok[i]).tolist()
-                specs = self._row_specs(x, [ys[j] for j in js])
-                for j, spec in zip(js, specs):
-                    try:
-                        values[i, j] = _engine_report(
-                            spec, w_bar[i, j], deficit[i, j]).figure_of_merit
-                    except CELL_ERRORS as exc:
-                        errors[i, j] = exc
+            for i, j in np.argwhere(ok).tolist():
+                try:
+                    values[i, j] = _engine_report(
+                        specs[i][j], w_bar[i, j],
+                        deficit[i, j]).figure_of_merit
+                except CELL_ERRORS as exc:
+                    errors[i, j] = exc
             return values
         if quantity is Quantity.W_EXT:
             values[ok] = -w_bar[ok]

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .model import SystemSpec, beta_q
-from .quadrature import Integrals
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
                         i_beta_deficit, w_ext2, work_integrals)
 
@@ -113,20 +112,21 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     the work into both baths and is reported as DISSIPATOR with a NaN
     figure of merit.
     """
-    (report,), _ = engine_reports([spec])
+    (report,) = engine_reports([spec])
     if isinstance(report, Exception):
         raise report
     return report
 
 
 def engine_reports(specs: Sequence[SystemSpec]
-                   ) -> tuple[list[Union[EngineReport, Exception]],
-                              list[Integrals]]:
+                   ) -> list[Union[EngineReport, Exception]]:
     """:func:`engine_report` of each spec, from one batched call per integral.
 
     The specs share coupling, l_c and drive.  Where engine_report raises
-    for a spec, its entry is the error instead of a report.  Also returns
-    the calls' :class:`Integrals`, which carry points and stalls.
+    for a spec, its entry is the error instead of a report.  A spec that
+    the engine guards refuse is never integrated; the others meet
+    validity, then a failed integral, then the chi2(i beta) breakdown and
+    the degenerate heat split, the order a sweep's cells keep.
     """
     reports: list = [None] * len(specs)
     todo = []
@@ -137,7 +137,7 @@ def engine_reports(specs: Sequence[SystemSpec]
             reports[k] = exc
         else:
             todo.append(k)
-    entries, calls = work_integrals([specs[k] for k in todo])
+    entries, _ = work_integrals([specs[k] for k in todo])
     for k, entry in zip(todo, entries):
         if not isinstance(entry, Exception):
             try:
@@ -145,7 +145,7 @@ def engine_reports(specs: Sequence[SystemSpec]
             except (ValueError, PerturbativeBreakdownError) as exc:
                 entry = exc
         reports[k] = entry
-    return reports, calls
+    return reports
 
 
 def _engine_guard(spec: SystemSpec) -> float:

@@ -275,7 +275,7 @@ def check_engine_bounds() -> CheckResult:
             for report in engine_reports([
                     _spec(float(beta), 5.0,
                           QubitSpec(coupling, 0.05, float(p)))
-                    for beta in betas])[0]:
+                    for beta in betas]):
                 if isinstance(report, ValueError):
                     continue  # degenerate temperatures
                 if isinstance(report, Exception):

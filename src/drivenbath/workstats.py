@@ -28,6 +28,10 @@ NEGATIVE_DENSITY_TOL = 1e-12
 #: density floor below which a reverse/forward ratio is meaningless
 CROOKS_FLOOR = 1e-300
 
+#: rounding slack, as a fraction of max|v|, between a sampled v grid and
+#: the even lattice it stands for
+GRID_RTOL = 16.0 * np.finfo(float).eps
+
 
 class ConstraintError(ValueError):
     """Positivity of the second-order work distribution is violated."""
@@ -435,7 +439,8 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     Every v_j must be k_j h for an integer k_j, where h is the grid
     spacing; ``InversionPlan.v_grid()`` and ``linspace(0, v_max, n)`` both
     are.  Any other grid raises ValueError.  chi2 is sampled once per
-    lattice index 0..max k_j by ``quadrature.oscillatory_pair`` (both
+    lattice index 0..max k_j by ``quadrature.oscillatory_pair`` on the
+    lattice (h, max k_j + 1), which it takes as given (both
     drive-weighted channel transforms come from one ``ChannelTable.pair``
     call on its nodes), and v < 0 takes
     the complex conjugate, so mirrored samples are exact conjugates and
@@ -452,13 +457,13 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     v_abs_max = float(v_abs.max(initial=0.0))
     h = abs(v[-1] - v[0]) / (v.size - 1) if v.size > 1 else v_abs_max or 1.0
     if not (h > 0.0 and np.all(np.abs(v_abs - np.rint(v_abs / h) * h)
-                               <= quadrature.GRID_RTOL * v_abs_max)):
+                               <= GRID_RTOL * v_abs_max)):
         raise ValueError("v must be an evenly spaced grid on the lattice "
                          "v_j = k_j h with integer k_j")
     k = np.rint(v_abs / h).astype(np.intp)
     a_mp, a_pm = quadrature.oscillatory_pair(
         lambda w: tuple(g[0] for g in table.pair(w[None], rows)),
-        h * np.arange(k.max(initial=0) + 1), spec.source,
+        h, int(k.max(initial=0)) + 1, spec.source,
         FrequencyGrid.for_source(spec.source), table.edges[0],
         table.singular_exponents[0])
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)

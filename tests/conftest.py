@@ -1,11 +1,13 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drivenbath import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
-                        SystemSpec)
+                        SystemSpec, lambda_weight)
 from drivenbath.green import channel_table
+from drivenbath.quadrature import _build_panels, _gl_nodes_weights
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -46,6 +48,19 @@ def green_pair(spec):
     return SimpleNamespace(channels=channels, g_mp=channel(0),
                            g_pm=channel(1), edges=table.edges[0],
                            singular_exponent=table.singular_exponents[0])
+
+
+def dense_phase_sum(pair, v, source, grid, breakpoints=(),
+                    singular_exponent=None, rows=2048):
+    """The same sums as oscillatory_pair, one e^{i w v} per (v, node)."""
+    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    nodes, weights = _gl_nodes_weights(panels, float(np.max(np.abs(v))))
+    measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
+    f1, f2 = pair(nodes)
+    c = np.stack([measure * f1, measure * f2], axis=1)
+    out = np.concatenate([np.exp(1j * np.outer(v[i:i + rows], nodes)) @ c
+                          for i in range(0, v.size, rows)])
+    return out[:, 0], out[:, 1]
 
 
 @pytest.fixture

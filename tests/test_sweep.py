@@ -151,6 +151,12 @@ def spin_plan(nx=16, ny=16, p_range=(0.0, 1.0), beta_range=(0.1, 100.0)):
                      fixed=fixed)
 
 
+def gap_beta_from_zero_plan(p):
+    return SweepPlan(x=Axis("omega_gap", 0.0, 0.1, n=16),
+                     y=Axis("beta", 0.0, 10.0, n=16),
+                     fixed=make_spec(alpha=5.0, coupling="fermion", p=p))
+
+
 #: out-of-range p, the engine guard and the chi2(i beta) breakdown
 REFUSAL_PLANS = [
     (spin_plan(p_range=(-0.2, 1.0)), Quantity.W_EXT),
@@ -171,6 +177,10 @@ REFUSAL_PLANS = [
                  y=Axis("omega_gap", -0.01, 0.1, n=16),
                  fixed=spin_plan().fixed), quantity)
       for quantity in Quantity),
+    # no p axis: the engine guards come first, a gapless qubit before
+    # beta = 0, and at p 0.4 they refuse every cell
+    *((gap_beta_from_zero_plan(p), Quantity.FIGURE_OF_MERIT)
+      for p in (0.9, 0.4)),
 ]
 
 #: plans with p on either axis, beta on either or neither, and none
@@ -343,8 +353,8 @@ class TestRunSweep:
         # integrals into the quantity or the cell's error
         original = sweepmod._CellEvaluator._values
 
-        def flaky(self, xs, ys, w_bar, deficit, errors):
-            values = original(self, xs, ys, w_bar, deficit, errors)
+        def flaky(self, xs, ys, specs, w_bar, deficit, errors):
+            values = original(self, xs, ys, specs, w_bar, deficit, errors)
             for i, p in enumerate(xs):
                 for j, beta in enumerate(ys):
                     if p == 0.0 and beta == 0.1:
@@ -363,7 +373,7 @@ class TestRunSweep:
         plan = spin_plan()
         xs = plan.x.values()
 
-        def saddle(self, ps, betas, w_bar, deficit, errors):
+        def saddle(self, ps, betas, specs, w_bar, deficit, errors):
             values = np.full(w_bar.shape, math.nan)
             for i, p in enumerate(ps):
                 for j, beta in enumerate(betas):
@@ -439,6 +449,26 @@ class TestRunSweep:
         others[i, j] = False
         assert np.array_equal(result.grid[others], clean.grid[others],
                               equal_nan=True)
+
+    @pytest.mark.parametrize("p, batches", [(0.9, [15] * 30), (0.4, [])])
+    def test_engine_guards_refuse_before_integrating(self, monkeypatch, p,
+                                                     batches):
+        # without a p axis the guarded cells never reach the batched rule:
+        # no gap-0 cell at p 0.9 (the row at x_0), none at all at p 0.4;
+        # each other row batches its 15 cells with beta > 0, per integral
+        sizes = []
+        original = ws.integrate_rows
+
+        def recorded(f, source, grids, *args):
+            sizes.append(len(grids))
+            return original(f, source, grids, *args)
+
+        monkeypatch.setattr(ws, "integrate_rows", recorded)
+        monkeypatch.setattr(sweepmod, "MAX_FAILED_FRACTION", 1.0)
+        result = run_sweep(gap_beta_from_zero_plan(p),
+                           Quantity.FIGURE_OF_MERIT)
+        assert sizes == batches
+        assert result.metadata["integrals"] == sum(batches)
 
     def test_metadata_and_failures_empty_on_clean_run(self):
         result = run_sweep(spin_plan(), Quantity.W_EXT)

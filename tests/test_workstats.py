@@ -18,7 +18,8 @@ from drivenbath.model import ALPHA_MIN
 from drivenbath.workstats import (CROOKS_FLOOR, WorkDistribution,
                                   i_beta_deficit)
 
-from conftest import dense_drive_integral, green_pair, make_spec
+from conftest import (dense_drive_integral, dense_phase_sum, green_pair,
+                      make_spec)
 
 
 class TestChi2:
@@ -65,9 +66,9 @@ class TestChi2:
         original = quadrature.oscillatory_pair
         sizes = []
 
-        def counted(pair, v, *args, **kwargs):
-            sizes.append(np.size(v))
-            return original(pair, v, *args, **kwargs)
+        def counted(pair, h, n, *args, **kwargs):
+            sizes.append(n)
+            return original(pair, h, n, *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "oscillatory_pair", counted)
         spec = make_spec(t_int=t_int)
@@ -79,9 +80,33 @@ class TestChi2:
         assert np.array_equal(tail[n // 2 + 1:].view(float),
                               mirrored.view(float))
 
+    @pytest.mark.parametrize("start", [-3200.0, -1024.0, 1024.0])
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    def test_field_on_offset_grids_matches_dense_phase_sum(self, alpha,
+                                                           coupling, start):
+        # the sampler covers the lattice from 0 only; an offset grid is
+        # read off it, and v < 0 by conjugation
+        spec = make_spec(alpha=alpha, coupling=coupling, p=0.8)
+        pair = green_pair(spec)
+        v = start + 32.0 * np.arange(201)
+        tail = chi2_field(spec, v).tail
+        # v = 0 is added to the reference only for the scale: far from it
+        # the samples are cancelled many orders below the integrand mass
+        d_mp, d_pm = dense_phase_sum(pair.channels, np.r_[0.0, v],
+                                     spec.source,
+                                     FrequencyGrid.for_source(spec.source),
+                                     pair.edges, pair.singular_exponent)
+        dense_tail = 0.5 * (d_mp + np.conj(d_pm))
+        assert np.max(np.abs(tail - dense_tail[1:])) <= \
+            1e-12 * np.max(np.abs(dense_tail))
+
     @pytest.mark.parametrize("v", [[0.0, 13.0, 500.0, 6400.0],
                                    [-120.0, -3.0, 0.0, 17.0, 640.0],
-                                   np.arange(0.5, 10.0), [2.0, 2.0]])
+                                   np.arange(0.5, 10.0), [2.0, 2.0],
+                                   [0.0, 1.0, 2.0 + 1e-9, 3.0],
+                                   [0.0, np.nan, 2.0]])
     def test_field_rejects_grids_off_an_even_lattice(self, v):
         with pytest.raises(ValueError, match="evenly spaced"):
             chi2_field(make_spec(), np.asarray(v))
