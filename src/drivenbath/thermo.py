@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
 
 from .model import SystemSpec, beta_q
-from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
-                        i_beta_deficit, w_ext2, work_integrals)
+from .workstats import (chi2_from_deficit, i_beta_deficit, w_ext2,
+                        work_integrals)
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -111,41 +110,16 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     bath (the COP expression turns negative), the point merely dissipates
     the work into both baths and is reported as DISSIPATOR with a NaN
     figure of merit.
+
+    A spec that the engine guards refuse is never integrated; the others
+    meet validity, then a failed integral, then the chi2(i beta) breakdown
+    and the degenerate heat split, the order a sweep's cells keep.
     """
-    (report,) = engine_reports([spec])
-    if isinstance(report, Exception):
-        raise report
-    return report
-
-
-def engine_reports(specs: Sequence[SystemSpec]
-                   ) -> list[Union[EngineReport, Exception]]:
-    """:func:`engine_report` of each spec, from one batched call per integral.
-
-    The specs share coupling, l_c and drive.  Where engine_report raises
-    for a spec, its entry is the error instead of a report.  A spec that
-    the engine guards refuse is never integrated; the others meet
-    validity, then a failed integral, then the chi2(i beta) breakdown and
-    the degenerate heat split, the order a sweep's cells keep.
-    """
-    reports: list = [None] * len(specs)
-    todo = []
-    for k, spec in enumerate(specs):
-        try:
-            _engine_guard(spec)  # refuse before integrating
-        except ValueError as exc:
-            reports[k] = exc
-        else:
-            todo.append(k)
-    entries, _ = work_integrals([specs[k] for k in todo])
-    for k, entry in zip(todo, entries):
-        if not isinstance(entry, Exception):
-            try:
-                entry = _engine_report(specs[k], *entry)
-            except (ValueError, PerturbativeBreakdownError) as exc:
-                entry = exc
-        reports[k] = entry
-    return reports
+    _engine_guard(spec)  # refuse before integrating
+    (entry,), _ = work_integrals([spec])
+    if isinstance(entry, Exception):
+        raise entry
+    return _engine_report(spec, *entry)
 
 
 def _engine_guard(spec: SystemSpec) -> float:
@@ -167,9 +141,11 @@ def _engine_report(spec: SystemSpec, w_bar: float,
     """First-law and mode bookkeeping of :func:`engine_report`.
 
     Takes the mean work and the i-beta deficit instead of integrating
-    them, so a caller that already holds both (a p-collapsed sweep) gets
-    the same report and the same refusals, which are checked here.  The
-    spec must be valid, as it is wherever its integrals were taken.
+    them, so a caller that already holds both gets the same report and
+    the same refusals, which are checked here: engine_report, each cell
+    of a figure-of-merit sweep and the engine-bounds check of verify,
+    whose cells are blended from their p = 0 and p = 1 ends.  The spec
+    must be valid, as it is wherever its integrals were taken.
     """
     bq = _engine_guard(spec)
     t_b, t_q = 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq

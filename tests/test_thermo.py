@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import drivenbath.workstats as ws
 from drivenbath import (EngineMode, chi2_at_i_beta, engine_report,
                         entropy_production, heat_flows, w_ext2)
 from drivenbath.thermo import default_mode_tol
@@ -113,12 +114,30 @@ class TestEngineReport:
             engine_report(make_spec(coupling="spin", p=0.5))
         with pytest.raises(ValueError, match="p > 1/2"):
             engine_report(make_spec(coupling="spin", p=0.2))
+        # beta 0 is invalid too, but the engine guard speaks first
+        with pytest.raises(ValueError, match="p > 1/2"):
+            engine_report(make_spec(beta=0.0, coupling="spin", p=0.4))
 
     def test_zero_beta_is_refused_by_validation(self):
         # the engine guard runs before validation and must not divide
         with pytest.raises(ValueError,
                            match="invalid system spec: beta must be > 0"):
             engine_report(make_spec(beta=0.0, coupling="fermion", p=0.9))
+
+    def test_guard_refuses_before_integrating(self, monkeypatch):
+        calls = []
+        original = ws.integrate_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ws, "integrate_rows", counted)
+        with pytest.raises(ValueError, match="p > 1/2"):
+            engine_report(make_spec(coupling="spin", p=0.4))
+        assert len(calls) == 0
+        engine_report(make_spec(coupling="spin", p=0.9))
+        assert len(calls) == 2  # the mean work and the i-beta deficit
 
     def test_heat_engine_point(self):
         spec = make_spec(beta=1.0, alpha=5.0, coupling="spin",
