@@ -54,14 +54,16 @@ _EPS_L1 = 1e-14
 _MAX_INTERVALS = 4096
 _MAX_STEPS = 40
 
-#: max phase advance of e^{i w v} per Gauss-Legendre subpanel
-_GL_PHASE = 20.0
+#: max phase of e^{i w v} per Gauss-Legendre subpanel, in the variable
+#: the rule integrates (see _gl_nodes_weights)
+_GL_PHASE = 40.0
 _GL_ORDER = 40
-#: most nodes one oscillatory sampling may use; |v| = 640,000 takes
-#: 109,920.  A sampling peaks at ~1.1 kB per node at 201 samples and
-#: ~18 kB at 65,536, most of it the phase tables (measured ru_maxrss).
-#: The cap counts the nodes before those with zero coefficients are
-#: dropped, so it does not depend on the integrand.
+#: most nodes one oscillatory sampling may use; a bare bath at
+#: |v| = 1,280,000 takes 109,920.  A sampling peaks at ~1.1 kB per node at
+#: 201 samples and ~18 kB at 65,536, most of it the phase tables
+#: (measured ru_maxrss).  The cap counts every subpanel, edge cuts
+#: included, before those nodes with zero coefficients are dropped, so it
+#: does not depend on the integrand.
 _GL_MAX_NODES = 1 << 17
 
 
@@ -423,19 +425,48 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
 
 # -- oscillatory sampling ---------------------------------------------------
 
+def _edge_cuts(t: float, power: float, rate: float) -> list[float]:
+    """Cuts of [0, t] on a power panel, stepping toward its edge t = 0.
+
+    The phase rate in t, rate power t^(power - 1), grows away from the
+    edge (power > 1), so it is largest at a subpanel's upper end.  Each
+    cut moves down by _GL_PHASE over the rate there, until [0, t] itself
+    advances at most _GL_PHASE at its upper end's rate.  Descending.
+    """
+    cuts = []
+    while power * rate * t ** power > _GL_PHASE:
+        t -= _GL_PHASE / (power * rate * t ** (power - 1.0))
+        cuts.append(t)
+    return cuts
+
+
 def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
     """Composite Gauss-Legendre nodes on the panels, in omega space.
 
-    Subpanels are split at equal *omega* increments so the phase of
-    e^{i w v} advances at most _GL_PHASE per subpanel regardless of the
-    endpoint transform.
+    Each 40-node subpanel is sized by the phase of e^{i w v} in t, the
+    variable the rule integrates: its t-width times the largest phase
+    rate |v| |dw/dt| on it should stay within _GL_PHASE.  A panel is
+    split at equal omega increments of at most _GL_PHASE / |v|, which on
+    an identity panel (dw/dt = 1) is that bound.  On a power panel
+    w = e +/- t^p the rate p |v| t^(p - 1) grows away from the edge:
+    the subpanel at the edge sees p times its mean rate, so it is cut
+    further toward the edge (:func:`_edge_cuts`); the next one sees at
+    most 2 ln 2 ~ 1.39 times its mean, and the rest less, which leaves
+    ~56 rad, inside the ~80 rad that 40 Gauss-Legendre nodes integrate
+    e^{i theta} to rounding.  Every subpanel is counted against
+    _GL_MAX_NODES before any array is built.
     """
     _, *params = np.array(panels).T
     ends = _panel_map(np.array([[0.0, p.length] for p in panels]), *params)[0]
     widths = np.abs(ends[:, 1] - ends[:, 0])
-    n_subs = [max(1, int(math.ceil(width * max(v_abs_max, 1.0) / _GL_PHASE)))
+    rate = max(v_abs_max, 1.0)
+    n_subs = [max(1, int(math.ceil(width * rate / _GL_PHASE)))
               for width in widths]
-    count = _GL_ORDER * sum(n_subs)
+    cuts = [[] if panel.power == 1.0 else
+            _edge_cuts((width / n_sub) ** (1.0 / panel.power), panel.power,
+                       rate)
+            for panel, width, n_sub in zip(panels, widths, n_subs)]
+    count = _GL_ORDER * (sum(n_subs) + sum(map(len, cuts)))
     if count > _GL_MAX_NODES:
         raise ValueError(
             f"sampling up to |v| = {v_abs_max:g} needs {count:,} "
@@ -444,13 +475,16 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
             f"~{count * 18e-3:,.0f} MB at 65,536)")
     # one line of nodes per subpanel: its panel, lower edge and half-width
     line_panel, lo, half = [], [], []
-    for k, (panel, width_omega, n_sub) in enumerate(
-            zip(panels, widths, n_subs)):
+    for k, (panel, width_omega, n_sub, edge) in enumerate(
+            zip(panels, widths, n_subs, cuts)):
         # equal omega increments mapped back to the transformed variable
         om_frac = np.linspace(0.0, 1.0, n_sub + 1)
-        t_edges = (om_frac * width_omega) ** (1.0 / panel.power) \
-            if panel.power != 1.0 else om_frac * panel.length
-        line_panel += [k] * n_sub
+        if panel.power == 1.0:
+            t_edges = om_frac * panel.length
+        else:
+            t_edges = (om_frac * width_omega) ** (1.0 / panel.power)
+            t_edges = np.concatenate([t_edges[:1], edge[::-1], t_edges[1:]])
+        line_panel += [k] * (t_edges.size - 1)
         lo.append(t_edges[:-1])
         half.append(0.5 * (t_edges[1:] - t_edges[:-1]))
     lo, half = np.concatenate(lo)[:, None], np.concatenate(half)[:, None]
@@ -490,7 +524,8 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
     ``pair(nodes)`` returns the real pair (f_1, f_2) at a 1-D node array:
     both come from one call on one composite Gauss-Legendre node set, from
     a 40-node rule built once at import, on panels split as in
-    ``integrate_rows``.  Splitting j = b B + m with B = ceil(sqrt(n))
+    ``integrate_rows`` and subpanels sized for the phase up to |v| =
+    |h| (n - 1) (:func:`_gl_nodes_weights`).  Splitting j = b B + m with B = ceil(sqrt(n))
     factors every phase exactly as e^{i w v_bB} e^{i w m h}: the block
     phases fold into the two coefficient vectors, and the samples are one
     complex product of the B x nodes table e^{i w m h} with that nodes x
@@ -582,5 +617,8 @@ def invert_samples(residual: np.ndarray, plan: InversionPlan):
     spectrum = np.fft.fftshift(np.fft.fft(residual))  # k ascending, as w
     k = np.fft.fftshift(np.fft.fftfreq(plan.n_fft, d=1.0 / plan.n_fft))
     w = 2.0 * math.pi * k / (plan.n_fft * plan.dv)
-    return w, (spectrum * plan.dv / (2.0 * math.pi)
-               * _unit_phases(plan.v_max * w))
+    density = spectrum * plan.dv / (2.0 * math.pi)
+    # the phase e^{i v_max w_k} is (-1)^k exactly, as n dv = 2 v_max; k
+    # starts at -n/2, which is even
+    np.negative(density[1::2], out=density[1::2])
+    return w, density

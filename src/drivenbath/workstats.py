@@ -138,8 +138,9 @@ def chi2(v: complex, spec: SystemSpec,
     row error, real part first, is raised.
     """
     require_valid(spec)
+    v = complex(v)
     if grid is None:
-        grid = _widened_grid(spec.source, complex(v).imag)
+        grid = _widened_grid(spec.source, v.imag)
 
     # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
     # difference is rounding noise that adaptive refinement would chase.
@@ -148,11 +149,17 @@ def chi2(v: complex, spec: SystemSpec,
     def f(table, w, rows):
         g_mp, g_pm = table.pair(w, rows * 0)
         imag = (rows == 1)[:, None]
-
-        def part(term):
-            return np.where(imag, term.imag, term.real)
-        return (part(-np.expm1(1j * w * v) * g_mp),
-                part(-np.expm1(-1j * w * v) * g_pm))
+        if v.imag:
+            def part(term):
+                return np.where(imag, term.imag, term.real)
+            return (part(-np.expm1(1j * w * v) * g_mp),
+                    part(-np.expm1(-1j * w * v) * g_pm))
+        # on real v, -expm1(+-i theta) = 2 sin^2(theta/2) -+ i sin theta,
+        # the bits of numpy's complex expm1, without its cos and exp
+        theta = w * v.real
+        half = np.sin(0.5 * theta)
+        trig = np.where(imag, np.sin(theta), 2.0 * half * half)
+        return np.where(imag, -trig, trig) * g_mp, trig * g_pm
 
     res = _rows(f, [spec, spec], [grid, grid])
     if res.errors != (None, None):

@@ -81,7 +81,7 @@ class TestWcf:
         # ~1.5x the node cap: refused before the nodes are built (without
         # the guard, two samples would still fit in a few tens of MB)
         out = tmp_path / "wcf.csv"
-        assert run(["wcf", "--vmax", "1.15e6", "--samples", "2",
+        assert run(["wcf", "--vmax", "2.3e6", "--samples", "2",
                     "--out", out]) == 2
         err = capsys.readouterr().err
         assert "needs 197,440 quadrature nodes, above the cap of 131,072" \

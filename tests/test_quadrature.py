@@ -428,12 +428,36 @@ class TestOscillatoryPair:
         assert len(calls) == 1 and calls[0] > 201
 
     def test_node_cap(self):
-        # |v| = 640,000 stays below the cap; 770,000 is refused
+        # |v| = 1,280,000 stays below the cap; 1,540,000 is refused
         panels = _build_panels(adaptive_grid().omega_max, (), None)
-        assert _gl_nodes_weights(panels, 640000.0)[0].size == 109_880
+        assert _gl_nodes_weights(panels, 1280000.0)[0].size == 109_880
         with pytest.raises(ValueError, match="needs 132,200 quadrature "
                            "nodes, above the cap of 131,072"):
-            _gl_nodes_weights(panels, 770000.0)
+            _gl_nodes_weights(panels, 1540000.0)
+
+    def test_node_cap_counts_the_edge_cuts(self, monkeypatch):
+        # alpha 0.1: 7 equal-omega subpanels per side of the edge at 0, and
+        # 2 more toward it on each; the cap counts all 18 before building
+        panels = _build_panels(adaptive_grid().omega_max, (0.0,), -0.9)
+        size = _gl_nodes_weights(panels, 6400.0)[0].size
+        assert size == 720
+        monkeypatch.setattr(quadrature, "_GL_MAX_NODES", size - 1)
+        with pytest.raises(ValueError, match=f"needs {size:,} quadrature"):
+            _gl_nodes_weights(panels, 6400.0)
+
+    @pytest.mark.parametrize("power", [2.0 + 1e-9, 2.5, 4.0, 20.0])
+    @pytest.mark.parametrize("rate", [1.0, 6400.0, 1.28e6])
+    def test_edge_cuts_bound_each_piece_by_its_largest_rate(self, power,
+                                                            rate):
+        # the edge subpanel of a panel one omega budget wide: each piece's
+        # t-width times p |v| t^(p - 1) at its upper end is <= the budget
+        t = (quadrature._GL_PHASE / rate) ** (1.0 / power)
+        cuts = quadrature._edge_cuts(t, power, rate)
+        assert len(cuts) <= 2
+        edges = [t, *cuts, 0.0]
+        for upper, lower in zip(edges[:-1], edges[1:]):
+            assert (upper - lower) * power * rate * upper ** (power - 1.0) \
+                <= quadrature._GL_PHASE * (1.0 + 1e-12)
 
 
 @pytest.fixture
@@ -475,9 +499,9 @@ class TestZeroCoefficientNodes:
         # the lattice chi2_field samples, h k for k = 0 .. n - 1
         lattice = abs(v[-1] - v[0]) / (v.size - 1) * np.arange(n)
         nodes = all_nodes(spec)
-        assert nodes.size == 1120
+        assert nodes.size == 560
         table, shift = phase_tables
-        assert table.shape[1] == shift.shape[0] == 560
+        assert table.shape[1] == shift.shape[0] == 280
         block = table.shape[0]
         np.testing.assert_array_equal(
             shift, np.outer(nodes[nodes > 0.0], lattice[::block]))
@@ -491,7 +515,7 @@ class TestZeroCoefficientNodes:
                          adaptive_grid(), pair.edges, pair.singular_exponent)
         nodes = all_nodes(spec)
         kept = nodes[nodes > -0.02]
-        assert (kept.size, nodes.size) == (840, 1160)
+        assert (kept.size, nodes.size) == (440, 600)
         table, shift = phase_tables
         np.testing.assert_array_equal(
             shift, np.outer(kept, v[::table.shape[0]]))
@@ -504,7 +528,7 @@ class TestZeroCoefficientNodes:
         args = (pair.channels, 32.0, 201, spec.source, adaptive_grid(),
                 pair.edges, pair.singular_exponent)
         got = oscillatory_pair(*args)
-        assert phase_tables[0].shape[1] == all_nodes(spec).size == 1120
+        assert phase_tables[0].shape[1] == all_nodes(spec).size == 560
         for g, w in zip(got, exp_phase_pair(*args, keep_zeros=True)):
             assert g.tobytes() == w.tobytes()
 
@@ -598,15 +622,15 @@ class TestInversion:
     @pytest.mark.parametrize("v_max, n_fft", [(6400.0, 1 << 16),
                                               (200.0, 1 << 12),
                                               (3.7, 1 << 14)])
-    def test_bits_match_sorted_complex_exponential(self, v_max, n_fft):
-        # fftshift orders k as argsort did, and the cos/sin phases are
-        # np.exp(1j * v_max * w) bit for bit
-        def sorted_exp(residual, plan):
+    def test_bits_match_sorted_exact_sign(self, v_max, n_fft):
+        # fftshift orders k as argsort did, and the phase e^{i v_max w_k}
+        # is applied as its exact value (-1)^k
+        def sorted_sign(residual, plan):
             spectrum = np.fft.fft(residual)
             k = np.fft.fftfreq(plan.n_fft, d=1.0 / plan.n_fft)
             w = 2.0 * math.pi * k / (plan.n_fft * plan.dv)
             density = spectrum * plan.dv / (2.0 * math.pi) \
-                * np.exp(1j * plan.v_max * w)
+                * np.where(k % 2 == 0.0, 1.0, -1.0)
             order = np.argsort(k)
             return w[order], density[order]
 
@@ -615,7 +639,7 @@ class TestInversion:
         residual = rng.standard_normal(n_fft) \
             + 1j * rng.standard_normal(n_fft)
         for got, want in zip(invert_samples(residual, plan),
-                             sorted_exp(residual, plan)):
+                             sorted_sign(residual, plan)):
             assert got.tobytes() == want.tobytes()
 
     def test_gaussian_pair_matches_analytic_density(self):

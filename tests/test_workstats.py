@@ -13,7 +13,7 @@ from drivenbath import (ConstraintError, Coupling, FrequencyGrid,
                         invert_samples, lambda_weight,
                         mean_work_finite_difference,
                         positivity_check, w_ext2, wdf2, wdf_nonperturbative)
-from drivenbath import verify
+from drivenbath import quadrature, verify
 from drivenbath.model import ALPHA_MIN
 from drivenbath.workstats import (CROOKS_FLOOR, WorkDistribution,
                                   i_beta_deficit)
@@ -401,6 +401,63 @@ class TestWorkExtraction:
                          omega_gap=0.03, p=0.9)
         fd = mean_work_finite_difference(spec)
         assert fd == pytest.approx(-w_ext2(spec), rel=1e-6)
+
+
+WCF_GRID = np.linspace(0.0, 6400.0, 201)  # `wcf`'s default samples
+
+#: (bath alpha, coupling, gap) of the fields checked against a denser rule:
+#: the bare bath from deep sub-Ohmic to alpha 20, and the three couplings
+#: with the gap outside the window (1.0 at every alpha, 0.05 at alpha >= 1)
+DENSER_ALPHAS = (0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 2.0, 5.0, 12.0, 20.0)
+QUBIT_FIELDS = [(alpha, coupling, gap)
+                for coupling in ("spin", "fermion", "topological")
+                for gap in (1.0, 0.05)
+                for alpha in DENSER_ALPHAS if gap == 1.0 or alpha >= 1.0]
+
+
+def denser_field_miss(monkeypatch, spec, v):
+    """max |T - T_16| / max |T_16|: the field's tail against the tail of
+    the same sampler with every subpanel's phase budget cut 16-fold."""
+    tail = chi2_field(spec, v).tail
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_GL_PHASE", quadrature._GL_PHASE / 16.0)
+        dense = chi2_field(spec, v).tail
+    return np.max(np.abs(tail - dense)) / np.max(np.abs(dense))
+
+
+class TestFieldRule:
+    """The Gauss-Legendre sampling of chi2 fields, against the adaptive
+    rule and against itself at 16 times the subpanels."""
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(alpha=alpha), id=f"bare-{alpha}")
+        for alpha in (0.1, 0.2, 0.3)] + [pytest.param(
+            dict(alpha=0.1, coupling="topological", omega_gap=0.02, p=0.9),
+            id="topological-0.1")])
+    def test_sub_ohmic_field_matches_adaptive_chi2(self, kwargs):
+        # chi2(v) = 1 - (...)/2 keeps only ~1e-16 absolute near 1, hence the
+        # floor
+        spec = make_spec(**kwargs)
+        field = chi2_field(spec, WCF_GRID)
+        scale = np.max(np.abs(field.tail))
+        want = np.array([chi2(v, spec) for v in WCF_GRID])
+        assert np.max(np.abs(field.chi2_values() - want)) <= \
+            1e-14 * scale + 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("v", [
+        pytest.param(WCF_GRID, id="wcf"),
+        pytest.param(default_plan(make_spec().source).v_grid(), id="plan")])
+    @pytest.mark.parametrize("alpha", DENSER_ALPHAS)
+    def test_bare_bath_field_is_converged(self, monkeypatch, alpha, v):
+        assert denser_field_miss(monkeypatch, make_spec(alpha=alpha), v) \
+            <= 1e-14
+
+    @pytest.mark.parametrize("alpha, coupling, gap", QUBIT_FIELDS)
+    def test_qubit_field_is_converged(self, monkeypatch, alpha, coupling,
+                                      gap):
+        spec = make_spec(alpha=alpha, coupling=coupling, omega_gap=gap,
+                         p=0.8)
+        assert denser_field_miss(monkeypatch, spec, WCF_GRID) <= 5e-14
 
 
 def chi_all_orders(v, spec):
