@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,16 +90,16 @@ class ChannelTable:
     shift k, g_mp takes ``occupations[k][0]`` and g_pm
     ``occupations[k][1]``, so both terms share the shift's support mask
     and its density S(w - shift).  ``edges`` holds each spec's support
-    edges (candidate kinks), where quadrature splits its panels;
-    ``singular_exponents`` holds alpha - 1 for a sub-Ohmic spec, whose
-    edges are integrable power singularities, and None otherwise.
+    edges (candidate kinks), where quadrature splits its panels, and
+    ``edge_powers`` the power m of the map w = e +/- t^m by which both
+    rules reach them (see :func:`_edge_power`).
     """
 
     params: np.ndarray
     l_c: float
     occupations: tuple[tuple[Callable, Callable], ...]
     edges: tuple[tuple[float, ...], ...]
-    singular_exponents: tuple[Optional[float], ...]
+    edge_powers: tuple[float, ...]
 
     def beta(self, rows: np.ndarray):
         """beta of the lines of ``rows`` (ascending) as a column, or as a
@@ -167,6 +167,25 @@ class ChannelTable:
                      .reshape(omega.shape) for total in totals)
 
 
+def _edge_power(alpha: float) -> float:
+    """The power m of the map w = e +/- t^m at a support edge e.
+
+    Next to an edge, at x = w - e -> 0, every channel term is a power
+    series in x times x^(alpha - 1) (Bose occupations ~ 1/(beta x)) or
+    x^alpha.  Below alpha 1, m = 2/alpha makes the integrable singularity
+    x^(alpha - 1) dx smooth in t.  At any other non-integer alpha the
+    derivatives are singular like x^(alpha - floor(alpha)); m = 2 turns
+    x^g dx into 2 t^(2g + 1) dt, with more than twice as many bounded
+    derivatives, so the adaptive rule bisects toward the edge far fewer
+    times.  An integer alpha is smooth on each side: m = 1, no map.
+    2/alpha is computed as 2/(1 + (alpha - 1)), which can differ in the
+    last bit below alpha 1/2; the sub-Ohmic nodes are pinned to it.
+    """
+    if alpha < 1.0:
+        return 2.0 / (1.0 + (alpha - 1.0))
+    return 1.0 if float(alpha).is_integer() else 2.0
+
+
 def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
     """The channel table of ``specs``, which share coupling and l_c.
 
@@ -206,5 +225,4 @@ def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
         params=np.array([[s.beta for s in specs], alpha, norm, *terms]),
         l_c=l_c, occupations=occupations,
         edges=tuple((0.0,) if g == 0.0 else (-g, g) for g in gaps),
-        singular_exponents=tuple(a - 1.0 if a < 1.0 else None
-                                 for a in alpha))
+        edge_powers=tuple(map(_edge_power, alpha)))

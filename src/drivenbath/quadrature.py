@@ -4,10 +4,13 @@ The only measure this artifact integrates against is the squared Fourier
 amplitude of the Gaussian drive, |lam(w)|^2 dw / 2pi.  Its e^{-2 w^2 t^2}
 envelope dominates every polynomially bounded spectral factor, so the
 window is sized from the drive alone.  Integrands may declare support
-edges (kinks) and, for sub-Ohmic spectra, an integrable power singularity
-|w - e|^(a-1); panels are split at the edges and singular endpoints are
-regularized by the substitution w = e +/- t^(2/a), whose exponent is known
-analytically, instead of extrapolation.
+edges (kinks) and the power m of a map w = e +/- t^m that reaches them;
+panels are split at the edges and, with m != 1, each edge is approached
+in t.  The channels take m from their exponent alpha, known analytically
+(see ``green``): m = 2/a regularizes the integrable singularity
+|w - e|^(a-1) of a sub-Ohmic spectrum, and m = 2 smooths the singular
+derivatives at any other non-integer a, instead of extrapolation or
+bisection toward the edge.
 
 An integrand returns a pair (a, b) of real arrays whose sum is what is
 integrated.  The pair carries the two uncancelled terms of a small
@@ -133,21 +136,17 @@ def power(base: np.ndarray, exponent) -> np.ndarray:
 
 def _build_panels(omega_max: float,
                   breakpoints: Sequence[float],
-                  singular_exponent: Optional[float]) -> list[_Panel]:
+                  power: float) -> list[_Panel]:
     pts = [-omega_max]
     interior = sorted({float(b) for b in breakpoints
                        if -omega_max < b < omega_max})
     pts.extend(interior)
     pts.append(omega_max)
 
-    singular = set(interior) if singular_exponent is not None else set()
-    if singular_exponent is not None:
-        # |w-e|^(a-1) with a = 1 + exponent; w = e + t^m, m = 2/a makes the
-        # transformed integrand vanish linearly at the endpoint.
-        power = 2.0 / (1.0 + singular_exponent)
-    else:
-        power = 1.0
-
+    # with power m != 1 both panels at an edge e reach it as w = e +/- t^m
+    # (the channels' m: green._edge_power); a panel between two edges is
+    # halved so that each half has one mapped end
+    singular = set(interior) if power != 1.0 else set()
     panels: list[_Panel] = []
 
     def add(a: float, b: float, left_sing: bool, right_sing: bool) -> None:
@@ -384,8 +383,7 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
 
 def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
                    breakpoints: Sequence[Sequence[float]],
-                   singular_exponents: Sequence[Optional[float]]
-                   ) -> Integrals:
+                   edge_powers: Sequence[float]) -> Integrals:
     """Integrals of a batch of integrands against dw/2pi |lam(w)|^2.
 
     Row r integrates ``f`` on ``grids[r]``; the drive is shared.
@@ -393,11 +391,11 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
     belongs to row ``rows[i]``, and returns a pair (a, b) of real arrays
     of that shape (see the module docstring).  ``breakpoints[r]``
     mark support edges of row r's integrand inside the window; with
-    ``singular_exponents[r]`` in (-1, 0) each edge is additionally
-    treated as an integrable |w - e|^exponent endpoint via the power
-    substitution.  The adaptive rows share one refinement loop with one
-    call of ``f`` per step, and each keeps the tolerance and exits that it
-    has alone, so a row's value is the same to the bit in any batch.
+    ``edge_powers[r]`` = m != 1 each edge is additionally reached by the
+    power substitution w = e +/- t^m (m = 1: identity panels only).  The
+    adaptive rows share one refinement loop with one call of ``f`` per
+    step, and each keeps the tolerance and exits that it has alone, so a
+    row's value is the same to the bit in any batch.
     A row whose integrand gives a non-finite sample fails alone; the
     other rows keep their values.
     """
@@ -406,9 +404,9 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
     stalled, errors = np.zeros(n, dtype=bool), [None] * n
     built: dict = {}
     row_panels: list = []
-    for row, (grid, edges, exponent) in enumerate(
-            zip(grids, breakpoints, singular_exponents)):
-        key = (grid.omega_max, tuple(edges), exponent)
+    for row, (grid, edges, edge_power) in enumerate(
+            zip(grids, breakpoints, edge_powers)):
+        key = (grid.omega_max, tuple(edges), edge_power)
         if key not in built:
             built[key] = _build_panels(*key)
         panels = built[key]
@@ -517,7 +515,7 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
                      source: DrivenSource,
                      grid: FrequencyGrid,
                      breakpoints: Sequence[float],
-                     singular_exponent: Optional[float]):
+                     edge_power: float):
     """Sample F_k(v) = int dw/2pi |lam|^2 f_k(w) e^{i w v} for k = 1, 2
     on the lattice v_j = j h, j = 0 .. n - 1.
 
@@ -541,7 +539,7 @@ def oscillatory_pair(pair: Callable[[np.ndarray], tuple],
     complex arrays of length n, sample j at v_j.
     """
     v_abs_max = abs(h) * (n - 1)
-    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    panels = _build_panels(grid.omega_max, breakpoints, edge_power)
     nodes, weights = _gl_nodes_weights(panels, v_abs_max)
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
     f1, f2 = pair(nodes)

@@ -108,7 +108,7 @@ def _rows(integrand, specs: Sequence[SystemSpec],
     table = channel_table(specs)
     return integrate_rows(
         lambda omega, rows: integrand(table, omega, rows), specs[0].source,
-        grids, table.edges, table.singular_exponents)
+        grids, table.edges, table.edge_powers)
 
 
 def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
@@ -472,7 +472,7 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
         lambda w: tuple(g[0] for g in table.pair(w[None], rows)),
         h, int(k.max(initial=0)) + 1, spec.source,
         FrequencyGrid.for_source(spec.source), table.edges[0],
-        table.singular_exponents[0])
+        table.edge_powers[0])
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)
     # T(v) = (A_mp(v) + conj(A_pm(v)))/2 for v >= 0, conjugate below
     tail = 0.5 * (a_mp + np.conj(a_pm))[k]

@@ -28,8 +28,8 @@ def green_pair(spec):
 
     ``channels(w)`` gives (g_mp, g_pm) at a 1-D node array, the pair
     ``oscillatory_pair`` takes; ``g_mp`` and ``g_pm`` give one channel at
-    any shape (a scalar gives a float).  ``edges`` and
-    ``singular_exponent`` are the spec's panel metadata.
+    any shape (a scalar gives a float).  ``edges`` and ``edge_power``
+    are the spec's panel metadata.
     """
     table = channel_table([spec])
     rows = np.zeros(1, dtype=np.intp)
@@ -47,13 +47,13 @@ def green_pair(spec):
 
     return SimpleNamespace(channels=channels, g_mp=channel(0),
                            g_pm=channel(1), edges=table.edges[0],
-                           singular_exponent=table.singular_exponents[0])
+                           edge_power=table.edge_powers[0])
 
 
 def dense_phase_sum(pair, v, source, grid, breakpoints=(),
-                    singular_exponent=None, rows=2048):
+                    edge_power=1.0, rows=2048):
     """The same sums as oscillatory_pair, one e^{i w v} per (v, node)."""
-    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    panels = _build_panels(grid.omega_max, breakpoints, edge_power)
     nodes, weights = _gl_nodes_weights(panels, float(np.max(np.abs(v))))
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
     f1, f2 = pair(nodes)

@@ -114,8 +114,17 @@ class TestQubitPair:
 
     def test_sub_ohmic_flags_singular_exponent(self):
         pair = green_pair(make_spec(alpha=0.5))
-        assert pair.singular_exponent == pytest.approx(-0.5)
-        assert green_pair(make_spec(alpha=2.0)).singular_exponent is None
+        assert pair.edge_power == 4.0
+        assert green_pair(make_spec(alpha=2.0)).edge_power == 1.0
+
+    @pytest.mark.parametrize("alpha, power", [
+        (0.1, 2.0 / (1.0 - 0.9)), (0.5, 4.0), (0.999, 2.0 / 0.999),
+        (1.0, 1.0), (1.001, 2.0), (1.5, 2.0), (2.0, 1.0), (4.7, 2.0),
+        (5.0, 1.0), (50.0, 1.0)])
+    def test_every_non_integer_alpha_maps_its_edges(self, alpha, power):
+        for coupling in (None, "spin", "fermion", "topological"):
+            spec = make_spec(alpha=alpha, coupling=coupling)
+            assert green_pair(spec).edge_power == power
 
     def test_extreme_sweep_corner_is_finite(self):
         pair = green_pair(make_spec(beta=1000.0, alpha=5.0, coupling="spin",

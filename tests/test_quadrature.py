@@ -8,7 +8,7 @@ import pytest
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, default_plan, invert_samples,
                         lambda_weight, oscillatory_pair, w_ext2)
-from drivenbath.green import ChannelTable
+from drivenbath.green import ChannelTable, _edge_power
 from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
                                    _unit_phases, integrate_rows)
@@ -29,7 +29,7 @@ def trapezoid_grid(source=DEFAULT_SOURCE, n=1 << 16):
                    n_points=n)
 
 
-def integrate_pair(f, grid, breakpoints=(), singular_exponent=None):
+def integrate_pair(f, grid, breakpoints=(), edge_power=1.0):
     """The integral of the pair ``f(omega)`` = (a, b) against the default
     drive measure.
 
@@ -37,13 +37,13 @@ def integrate_pair(f, grid, breakpoints=(), singular_exponent=None):
     QuadratureError if it failed.
     """
     return integrate_rows(lambda omega, rows: f(omega), DEFAULT_SOURCE,
-                          [grid], [breakpoints], [singular_exponent]).value()
+                          [grid], [breakpoints], [edge_power]).value()
 
 
-def integrate_one(f, grid, breakpoints=(), singular_exponent=None):
+def integrate_one(f, grid, breakpoints=(), edge_power=1.0):
     """The integral of one array ``f(omega)``, as the pair (f, 0)."""
     return integrate_pair(lambda omega: (f(omega), 0.0), grid, breakpoints,
-                          singular_exponent)
+                          edge_power)
 
 
 def integrate_complex(f, grid, breakpoints=()):
@@ -54,7 +54,7 @@ def integrate_complex(f, grid, breakpoints=()):
         return np.where((rows == 1)[:, None], out.imag, out.real), 0.0
 
     res = integrate_rows(parts, DEFAULT_SOURCE, [grid] * 2,
-                         [breakpoints] * 2, [None] * 2)
+                         [breakpoints] * 2, [1.0] * 2)
     assert res.errors == (None, None)
     return complex(*res.values)
 
@@ -133,7 +133,7 @@ class TestIntegrateLambda:
             out[m] = w[m] ** -0.5
             return out
 
-        kwargs = dict(breakpoints=(0.0,), singular_exponent=-0.5)
+        kwargs = dict(breakpoints=(0.0,), edge_power=4.0)
         a = integrate_one(f, adaptive_grid(), **kwargs)
         t = integrate_one(f, trapezoid_grid(), **kwargs)
         assert a == pytest.approx(t, rel=1e-9)
@@ -251,7 +251,7 @@ class TestKronrodRule:
             return np.cos(40.0 * omega), np.abs(omega)
 
         res = integrate_rows(f, DEFAULT_SOURCE, [adaptive_grid()] * 2,
-                             [(0.0,), (-0.01, 0.02)], [None, -0.5])
+                             [(0.0,), (-0.01, 0.02)], [1.0, 4.0])
         assert len(shapes) > 1
         assert all(shape[1] == 31 for shape in shapes)
         assert sum(shape[0] for shape in shapes) * 31 == res.points.sum()
@@ -292,7 +292,7 @@ class TestRunawayRefinement:
         grid = replace(default_i_beta_grid(spec), rule=Rule.TRAPEZOID,
                        n_points=1 << 18)
         kwargs = dict(breakpoints=pair.edges,
-                      singular_exponent=pair.singular_exponent)
+                      edge_power=pair.edge_power)
         reference = 0.5 * integrate_pair(f, grid, **kwargs)
         l1 = 0.5 * integrate_one(
             lambda w: sum(np.abs(term) for term in f(w)), grid, **kwargs)
@@ -315,14 +315,14 @@ class TestRunawayRefinement:
         assert value == pytest.approx(reference, rel=1e-12)
 
 
-def exp_phase_pair(pair, h, n, source, grid, breakpoints, singular_exponent,
+def exp_phase_pair(pair, h, n, source, grid, breakpoints, edge_power,
                    keep_zeros=False):
     """oscillatory_pair with its phase tables built by the complex
     exponential and its coefficients joined by hstack, as before the
     tables were filled from cos and sin.  Nodes whose two coefficients are
     both 0.0 are dropped, as oscillatory_pair drops them, unless
     ``keep_zeros``: then every node is summed, as before the drop."""
-    panels = _build_panels(grid.omega_max, breakpoints, singular_exponent)
+    panels = _build_panels(grid.omega_max, breakpoints, edge_power)
     nodes, weights = _gl_nodes_weights(panels, abs(h) * (n - 1))
     measure = lambda_weight(nodes, source) / (2.0 * math.pi) * weights
     f1, f2 = pair(nodes)
@@ -344,7 +344,7 @@ class TestOscillatoryPair:
         f2 = lambda w: np.exp(-np.abs(w))  # noqa: E731
         a1, a2 = oscillatory_pair(lambda w: (f1(w), f2(w)), 1.0, 6401,
                                   DEFAULT_SOURCE, adaptive_grid(),
-                                  breakpoints=(0.0,), singular_exponent=None)
+                                  breakpoints=(0.0,), edge_power=1.0)
         for vv in (0.0, 13.0, 500.0, 6400.0):
             k = int(vv)
             direct1 = integrate_complex(
@@ -373,7 +373,7 @@ class TestOscillatoryPair:
         pair = green_pair(spec)
         v = h * np.arange(n)
         kwargs = dict(breakpoints=pair.edges,
-                      singular_exponent=pair.singular_exponent)
+                      edge_power=pair.edge_power)
         a_mp, a_pm = oscillatory_pair(pair.channels, h, n, spec.source,
                                       adaptive_grid(), **kwargs)
         rows = np.unique(np.r_[np.arange(0, n, 11), n - 1])
@@ -398,7 +398,7 @@ class TestOscillatoryPair:
         pair = green_pair(spec)
         args = (pair.channels, h, n, spec.source, adaptive_grid())
         kwargs = dict(breakpoints=pair.edges,
-                      singular_exponent=pair.singular_exponent)
+                      edge_power=pair.edge_power)
         got = oscillatory_pair(*args, **kwargs)
         want = exp_phase_pair(*args, **kwargs)
         for g, w in zip(got, want):
@@ -423,13 +423,13 @@ class TestOscillatoryPair:
             return np.exp(-np.abs(w)), np.exp(-np.abs(w))
 
         oscillatory_pair(pair, 32.0, 201, DEFAULT_SOURCE, adaptive_grid(),
-                         breakpoints=(), singular_exponent=None)
+                         breakpoints=(), edge_power=1.0)
         # one pair call on all nodes
         assert len(calls) == 1 and calls[0] > 201
 
     def test_node_cap(self):
         # |v| = 1,280,000 stays below the cap; 1,540,000 is refused
-        panels = _build_panels(adaptive_grid().omega_max, (), None)
+        panels = _build_panels(adaptive_grid().omega_max, (), 1.0)
         assert _gl_nodes_weights(panels, 1280000.0)[0].size == 109_880
         with pytest.raises(ValueError, match="needs 132,200 quadrature "
                            "nodes, above the cap of 131,072"):
@@ -438,7 +438,8 @@ class TestOscillatoryPair:
     def test_node_cap_counts_the_edge_cuts(self, monkeypatch):
         # alpha 0.1: 7 equal-omega subpanels per side of the edge at 0, and
         # 2 more toward it on each; the cap counts all 18 before building
-        panels = _build_panels(adaptive_grid().omega_max, (0.0,), -0.9)
+        panels = _build_panels(adaptive_grid().omega_max, (0.0,),
+                               _edge_power(0.1))
         size = _gl_nodes_weights(panels, 6400.0)[0].size
         assert size == 720
         monkeypatch.setattr(quadrature, "_GL_MAX_NODES", size - 1)
@@ -482,7 +483,7 @@ def all_nodes(spec, v_abs_max=6400.0):
     """The Gauss-Legendre nodes of ``spec``'s channels before the drop."""
     pair = green_pair(spec)
     panels = _build_panels(adaptive_grid(spec.source).omega_max, pair.edges,
-                           pair.singular_exponent)
+                           pair.edge_power)
     return _gl_nodes_weights(panels, v_abs_max)[0]
 
 
@@ -512,7 +513,7 @@ class TestZeroCoefficientNodes:
         pair = green_pair(spec)
         v = 32.0 * np.arange(201)
         oscillatory_pair(pair.channels, 32.0, 201, spec.source,
-                         adaptive_grid(), pair.edges, pair.singular_exponent)
+                         adaptive_grid(), pair.edges, pair.edge_power)
         nodes = all_nodes(spec)
         kept = nodes[nodes > -0.02]
         assert (kept.size, nodes.size) == (440, 600)
@@ -526,7 +527,7 @@ class TestZeroCoefficientNodes:
         spec = make_spec(coupling=coupling, omega_gap=1.0, p=0.8)
         pair = green_pair(spec)
         args = (pair.channels, 32.0, 201, spec.source, adaptive_grid(),
-                pair.edges, pair.singular_exponent)
+                pair.edges, pair.edge_power)
         got = oscillatory_pair(*args)
         assert phase_tables[0].shape[1] == all_nodes(spec).size == 560
         for g, w in zip(got, exp_phase_pair(*args, keep_zeros=True)):
@@ -540,7 +541,7 @@ class TestZeroCoefficientNodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = oscillatory_pair(zeros, 32.0, n, DEFAULT_SOURCE,
-                                   adaptive_grid(), (0.0,), None)
+                                   adaptive_grid(), (0.0,), 1.0)
         for part in got:
             assert part.dtype == complex and part.shape == (n,)
             assert not part.any()
@@ -558,7 +559,7 @@ class TestZeroCoefficientNodes:
                          p=0.8)
         pair = green_pair(spec)
         args = (pair.channels, h, n, spec.source, adaptive_grid(),
-                pair.edges, pair.singular_exponent)
+                pair.edges, pair.edge_power)
         for got, want in zip(oscillatory_pair(*args),
                              exp_phase_pair(*args, keep_zeros=True)):
             assert np.max(np.abs(got - want)) <= \
@@ -712,6 +713,32 @@ class TestBatchedRule:
             stalled += int(batch.stalled.sum())
         if rows is i_beta_deficit_rows:
             assert stalled > 0  # the spin cell above
+
+    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
+    @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
+                                          "topological"])
+    def test_integer_and_t2_edges_in_one_batch(self, monkeypatch, rows,
+                                               coupling):
+        # integer alpha keeps identity panels and non-integer alpha >= 1
+        # maps its edges by t^2, so both kinds of line meet in the batch's
+        # _panel_map and pair calls
+        alphas = (1.0, 1.083, 2.0, 1.5, 5.0, 3.3, 4.0, 1.597)
+        betas = (0.1, 1.0, 10.0, 1000.0, 0.3, 3.0, 30.0, 100.0)
+        specs = [make_spec(alpha=alpha, beta=beta, coupling=coupling,
+                           omega_gap=0.02, p=0.3)
+                 for alpha, beta in zip(alphas, betas)]
+        powers = []
+        panel_map = quadrature._panel_map
+
+        def recording(t, anchor, sign, line_powers):
+            powers.append(set(line_powers.tolist()))
+            return panel_map(t, anchor, sign, line_powers)
+
+        monkeypatch.setattr(quadrature, "_panel_map", recording)
+        batch = rows(specs)
+        assert powers[0] == {1.0, 2.0}
+        for i, spec in enumerate(specs):
+            self.assert_rows_equal(batch, i, rows([spec]))
 
     def test_singletons_are_batches_of_one(self):
         for specs in _batch_specs(7):

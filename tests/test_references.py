@@ -13,9 +13,16 @@ agree to 1.5e-31 relative or better:
   the i-beta deficit, split at +/- gap (at 0 for the bare bath);
 - each piece between split points halved, and each half integrated in
   the offset x from its own end, x = u^(1/alpha) below alpha 1 (which
-  makes the edge's x^(alpha - 1) dx smooth in u), by tanh-sinh
-  (``mp.quad``) over 2 and 4 equal pieces of u.  A channel term whose
-  shift is that end takes x itself, so no digit of x is lost at an edge.
+  makes the edge's x^(alpha - 1) dx smooth in u) and x itself from
+  alpha 1 on, by tanh-sinh (``mp.quad``) over 2 and 4 equal pieces of u.
+  A channel term whose shift is that end takes x itself, so no digit of
+  x is lost at an edge.
+
+The three cells at non-integer alpha above 1, whose edges are inside the
+window, take each parameter as the exact value of its double.  Their
+edges carry x^(alpha - 1) with a non-integer power, which tanh-sinh
+integrates in x at its double-exponential rate: with x = u^2 instead,
+every value agrees to all 20 digits stored.
 
 A value passes within 1e-11 of itself; chi2(v) within 1e-11 |1 - chi2|
 plus 2^-52, the rounding of a value near 1.  The references store
@@ -162,6 +169,27 @@ REFERENCES = [
     }),
     (("spin", 0.5, 1.0, 0.003, 0.5), {
         "w_ext2": -1.136861471863192147e-6,
+    }),
+    (("spin", 1.128, 67.2, 0.0218, 0.0), {
+        "w_ext2": -1.4164504894625662654e-7,
+        "i_beta_deficit": -5.0228160006842886287e-7,
+        "channel_sum_integral": 3.6088085686031225637e-4,
+        "chi2_small": (2.2756367406096979209e-9, -1.4164327543192444094e-7),
+        "chi2_large": (1.5647815884337972097e-4, -7.6533206321717450164e-6),
+    }),
+    (("topological", 1.217, 0.885, 0.00695, 0.738), {
+        "w_ext2": 2.1521351616756069434e-8,
+        "i_beta_deficit": -1.9222058158990583893e-8,
+        "channel_sum_integral": 2.7736535373816103191e-5,
+        "chi2_small": (2.2407235845741725102e-10, 2.1521120162579834388e-8),
+        "chi2_large": (1.2725696441578072919e-5, 1.5463216034185220941e-6),
+    }),
+    (("spin", 1.5, 1.0, 0.003, 0.5), {
+        "w_ext2": -1.3060388688835786327e-8,
+        "i_beta_deficit": 1.3207941757177091717e-9,
+        "channel_sum_integral": 1.3932073835373724567e-3,
+        "chi2_small": (1.1739603720028106174e-8, -1.3060206491538770527e-8),
+        "chi2_large": (6.9133500600175413241e-4, -5.0879877667067412194e-7),
     }),
 ]
 
