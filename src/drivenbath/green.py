@@ -108,10 +108,17 @@ class ChannelTable:
             return float(self.params[_BETA, rows[0]])
         return self.params[_BETA, rows][:, None]
 
-    def pair(self, omega: np.ndarray,
-             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, omega: np.ndarray, rows: np.ndarray,
+             near) -> tuple[np.ndarray, np.ndarray]:
         """(g_mp, g_pm) at ``omega`` of shape (k, m), whose line i belongs
-        to spec ``rows[i]``; ``rows`` is ascending."""
+        to spec ``rows[i]``; ``rows`` is ascending.
+
+        ``near`` is None or the adaptive rule's (edge, offset): a (k, 1)
+        column of the support edge each line's panel maps (NaN where
+        none) and the exact offset omega - edge of every node.  A term
+        whose shift is its line's edge takes x = offset, every digit of
+        which survives next to a nonzero edge.
+        """
         if rows[0] == rows[-1]:
             params = self.params[:, rows[0]].tolist()
         else:
@@ -121,19 +128,28 @@ class ChannelTable:
         # an occupation overflowing at huge beta x takes its intended
         # limit (s/inf -> 0); the support mask keeps beta x positive
         with np.errstate(over="ignore", under="ignore"):
-            return self._channels(omega, params)
+            return self._channels(omega, params, near)
 
-    def _channels(self, omega: np.ndarray, params) -> tuple:
+    def _channels(self, omega: np.ndarray, params, near) -> tuple:
         """(g_mp, g_pm) at ``omega`` (k, m); a row of ``params`` is a float
-        shared by all nodes or holds one value per line of ``omega``."""
+        shared by all nodes or holds one value per line of ``omega``.
+        With ``near`` = (edge, offset), x = w - shift is the offset on the
+        lines whose mapped edge is that shift (see :meth:`pair`)."""
         m = omega.shape[1]
         w = omega.reshape(-1)
         totals = [None, None]
         n_shifts = len(self.occupations)
         for k, occupations in enumerate(self.occupations):
             shift = params[_WEIGHTS + 2 * n_shifts + k]
-            x = w - shift if isinstance(shift, float) else \
-                (omega - shift[:, None]).reshape(-1)
+            if not isinstance(shift, float):
+                shift = shift[:, None]
+                x = (omega - shift).reshape(-1)
+            else:
+                x = w - shift
+            if near is not None:
+                edge, offset = near
+                np.copyto(x.reshape(omega.shape), offset,
+                          where=edge == shift)
             on = x > 0.0
             n_on = np.count_nonzero(on)
             if not n_on:

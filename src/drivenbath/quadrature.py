@@ -25,14 +25,22 @@ integrand call per step on all open intervals.  Each row keeps its own
 tolerance, tol = max(1e-14 int(|a| + |b|), 1e-12 |I|): the first term
 is the floor that the rounding of the terms sets, below which refinement
 would chase noise.  A row leaves the loop when the summed error estimate
-of its intervals is at most tol.  Refinement that runs out of steps or
-intervals above tol stalls: the row leaves with its current estimate,
-the open intervals included, and is flagged.  A row's value does not
-depend on the rest of the batch, to the bit, by construction: every node
-value is an elementwise function of its own row, each interval's rule is
-its own matrix product, each row's sums run over its own intervals in a
-fixed order, and a non-finite sample fails its row alone.  A single
-integral is a batch of one.
+of its intervals is at most tol.  A row fails alone, with a
+QuadratureError message, on a non-finite sample or when refinement runs
+out of steps or intervals above tol (a stall); no row leaves with an
+unconverged estimate.  A row's value does not depend on the rest of the
+batch, to the bit, by construction: every node value is an elementwise
+function of its own row, each interval's rule is its own matrix
+product, and each row's sums run over its own intervals in a fixed
+order.  A single integral is a batch of one.
+
+A nonzero mapped edge e at w = e +/- t^m is also handed to the
+integrand, with each node's exact offset +/- t^m from it.  The integrand
+can then take the distance x = w - e to the edge as that offset instead
+of forming the difference again, which would keep none of its digits
+below the rounding of e: next to the edge of a spin qubit the Bose
+factor 1/(beta x) turns that rounding into a staircase that no
+refinement resolves.
 """
 
 from __future__ import annotations
@@ -98,19 +106,20 @@ class _Panel(NamedTuple):
 
 def _panel_map(t: np.ndarray, anchor: np.ndarray, sign: np.ndarray,
                powers: np.ndarray):
-    """(omega, Jacobian) of panel nodes ``t``, shape (k, m).
+    """(omega, Jacobian, offset) of panel nodes ``t``, shape (k, m).
 
     Line i lies on a panel with ``anchor[i]``, ``sign[i]`` and
-    ``powers[i]``: omega = anchor + sign t^power, with Jacobian
-    |domega/dt| = power t^(power - 1).  The Jacobian is None when every
-    line has the identity map (power 1, sign +1); on the identity lines
-    of a mixed call t^1 = t and 1 t^0 = 1 hold exactly.
+    ``powers[i]``: omega = anchor + offset with the offset sign t^power
+    exact, and Jacobian |domega/dt| = power t^(power - 1).  The Jacobian
+    and the offset are None when every line has the identity map (power
+    1, sign +1); on the identity lines of a mixed call t^1 = t and
+    1 t^0 = 1 hold exactly.
     """
     if (powers == 1.0).all():
-        return anchor[:, None] + t, None
+        return anchor[:, None] + t, None, None
     p = powers[:, None]
-    return (anchor[:, None] + sign[:, None] * power(t, p),
-            p * power(t, p - 1.0))
+    offset = sign[:, None] * power(t, p)
+    return anchor[:, None] + offset, p * power(t, p - 1.0), offset
 
 
 def power(base: np.ndarray, exponent) -> np.ndarray:
@@ -171,6 +180,16 @@ def _build_panels(omega_max: float,
     return panels
 
 
+def _edge(panel: _Panel) -> float:
+    """The support edge that ``panel`` maps in t, NaN if none.
+
+    At an anchor of 0, omega - 0 already is the exact offset sign t^m,
+    so only a nonzero anchor of a power panel counts.
+    """
+    return panel.anchor if panel.power != 1.0 and panel.anchor != 0.0 \
+        else math.nan
+
+
 def _failure(bad: np.ndarray, omegas: np.ndarray) -> Optional[str]:
     """The QuadratureError message for the first flagged sample, if any."""
     if not bad.any():
@@ -184,13 +203,11 @@ class Integrals:
 
     A failed row holds NaN in ``values`` and its QuadratureError message
     in ``errors`` (None elsewhere).  ``points`` counts the integrand
-    points each row took, and ``stalled`` flags the rows whose refinement
-    ran out of steps or intervals above their tolerance.
+    points each row took.
     """
 
     values: np.ndarray
     points: np.ndarray
-    stalled: np.ndarray
     errors: tuple[Optional[str], ...]
 
     def value(self):
@@ -206,8 +223,10 @@ def _trapezoid_row(f, row: int, source: DrivenSource, panels: list[_Panel],
     total = 0.0
     for panel in panels:
         t = np.linspace(0.0, panel.length, n)
-        om, jac = _panel_map(t[None, :], *np.array([panel]).T[1:])
-        a, b = f(om, np.array([row]))
+        om, jac, offset = _panel_map(t[None, :], *np.array([panel]).T[1:])
+        edge = _edge(panel)
+        near = None if math.isnan(edge) else (np.full((1, 1), edge), offset)
+        a, b = f(om, np.array([row]), near)
         vals = lambda_weight(om, source) * (a + b) / (2.0 * math.pi)
         message = _failure(~np.isfinite(vals), om)
         if message is not None:
@@ -252,11 +271,11 @@ _RULES[1:31:2, 0] -= _W_LOW
 
 
 def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
-              stalled, errors) -> None:
+              errors) -> None:
     """Globally adaptive nested pair G15/K31 (31 nodes), all rows at once.
 
-    Fills ``values``, ``points``, ``stalled`` and ``errors`` of every row
-    whose entry of ``row_panels`` is a panel list.  One refinement loop
+    Fills ``values``, ``points`` and ``errors`` of every row whose entry
+    of ``row_panels`` is a panel list.  One refinement loop
     runs over the open intervals of every (row, panel) pair and evaluates
     ``f`` once per step, on all their nodes.  The intervals stay grouped
     by row, then panel, and every sum over a row's intervals is taken over
@@ -265,15 +284,16 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
     leaves the loop when the summed |K31 - G15| of its intervals, open and
     retired, is at most tol.  Otherwise it bisects its intervals whose
     error exceeds their length share of tol and retires the others with
-    their K31 estimates.  Past _MAX_STEPS steps or _MAX_INTERVALS
-    open intervals, or with nothing left to bisect, the row stalls: it
-    leaves with its open intervals' K31 estimates.  A non-finite
-    sample fails its row alone.
+    their K31 estimates.  A row that is still above tol past _MAX_STEPS
+    steps or _MAX_INTERVALS open intervals, or with nothing left to
+    bisect, has stalled and fails alone, as a non-finite sample fails
+    its row.  ``f`` gets ``near`` as :func:`integrate_rows` says, with
+    each panel's edge (:func:`_edge`) fixed once, before the loop.
     """
     # per open row: its index, open intervals, total panel length and the
     # summed error, value and L1 of its retired intervals
     active, counts, total_len, done = [], [], [], []
-    prow, anchor, sign, powers, length = [], [], [], [], []
+    prow, anchor, sign, powers, length, edge = [], [], [], [], [], []
     for row, panels in enumerate(row_panels):
         panels = [p for p in panels or () if p.length > 0.0]
         if not panels:
@@ -288,9 +308,13 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             sign.append(p.sign)
             powers.append(p.power)
             length.append(p.length)
+            edge.append(_edge(p))
     if not active:
         return
     prow, anchor, sign, powers = map(np.array, (prow, anchor, sign, powers))
+    edge = np.array(edge)[:, None]
+    if np.isnan(edge).all():
+        edge = None
     pid = np.arange(len(length))
     lo = np.zeros(len(length))
     half = 0.5 * np.array(length)
@@ -302,14 +326,16 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             k = lo.size
             starts = [0, *itertools.accumulate(counts[:-1])]
             rows = prow[pid]
-            om, jac = _panel_map(
+            om, jac, offset = _panel_map(
                 (lo + half)[:, None] + half[:, None] * _X_BOTH,
                 anchor[pid], sign[pid], powers[pid])
             measure = lambda_weight(om, source)
             if jac is not None:
                 measure *= jac
             del jac
-            a, b = f(om, rows)
+            a, b = f(om, rows, None if edge is None or offset is None
+                     else (edge[pid], offset))
+            del offset
             norm = np.abs(a)
             norm += np.abs(b)
             vals = np.empty((k, 1, 62))
@@ -349,9 +375,12 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
                     values[row] = value / (2.0 * math.pi)
                 elif (not n_split[i] or counts[i] > _MAX_INTERVALS
                       or step == _MAX_STEPS - 1):
-                    # stalled above tol
-                    values[row] = value / (2.0 * math.pi)
-                    stalled[row] = True
+                    errors[row] = (
+                        f"adaptive refinement stalled after "
+                        f"{points[row]:,} points: error "
+                        f"{err_sum / (2.0 * math.pi):.3g} above tolerance "
+                        f"{tol / (2.0 * math.pi):.3g}")
+                    values[row] = math.nan
                 else:
                     stay.append(i)
             if not stay:
@@ -387,21 +416,24 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
     """Integrals of a batch of integrands against dw/2pi |lam(w)|^2.
 
     Row r integrates ``f`` on ``grids[r]``; the drive is shared.
-    ``f(omega, rows)`` gets nodes ``omega`` of shape (k, m), whose line i
-    belongs to row ``rows[i]``, and returns a pair (a, b) of real arrays
-    of that shape (see the module docstring).  ``breakpoints[r]``
+    ``f(omega, rows, near)`` gets nodes ``omega`` of shape (k, m), whose
+    line i belongs to row ``rows[i]``, and returns a pair (a, b) of real
+    arrays of that shape (see the module docstring).  ``near`` is None,
+    or (edge, offset): per line the nonzero support edge that its panel
+    maps in t (NaN for a line that maps none) as a (k, 1) column, and
+    each node's exact offset omega - edge, shape (k, m).  ``breakpoints[r]``
     mark support edges of row r's integrand inside the window; with
     ``edge_powers[r]`` = m != 1 each edge is additionally reached by the
     power substitution w = e +/- t^m (m = 1: identity panels only).  The
     adaptive rows share one refinement loop with one call of ``f`` per
     step, and each keeps the tolerance and exits that it has alone, so a
-    row's value is the same to the bit in any batch.
-    A row whose integrand gives a non-finite sample fails alone; the
-    other rows keep their values.
+    row's value is the same to the bit in any batch.  A row whose
+    integrand gives a non-finite sample, or whose refinement stalls above
+    its tolerance, fails alone; the other rows keep their values.
     """
     n = len(grids)
     values, points = np.zeros(n), np.zeros(n, dtype=np.int64)
-    stalled, errors = np.zeros(n, dtype=bool), [None] * n
+    errors = [None] * n
     built: dict = {}
     row_panels: list = []
     for row, (grid, edges, edge_power) in enumerate(
@@ -416,9 +448,8 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
             points[row] = grid.n_points * len(panels)
             panels = None
         row_panels.append(panels)
-    _adaptive(f, source, row_panels, values, points, stalled, errors)
-    return Integrals(values=values, points=points, stalled=stalled,
-                     errors=tuple(errors))
+    _adaptive(f, source, row_panels, values, points, errors)
+    return Integrals(values=values, points=points, errors=tuple(errors))
 
 
 # -- oscillatory sampling ---------------------------------------------------
@@ -486,8 +517,8 @@ def _gl_nodes_weights(panels: list[_Panel], v_abs_max: float):
         lo.append(t_edges[:-1])
         half.append(0.5 * (t_edges[1:] - t_edges[:-1]))
     lo, half = np.concatenate(lo)[:, None], np.concatenate(half)[:, None]
-    nodes, jac = _panel_map(lo + half * (_X_GL + 1.0),
-                            *(a[line_panel] for a in params))
+    nodes, jac, _ = _panel_map(lo + half * (_X_GL + 1.0),
+                               *(a[line_panel] for a in params))
     weights = half * _W_GL
     if jac is not None:
         weights *= jac

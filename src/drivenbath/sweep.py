@@ -172,8 +172,7 @@ class _CellEvaluator:
 
     def __init__(self, plan: SweepPlan, quantity: Quantity):
         self.plan, self.quantity = plan, quantity
-        self.stats = {"integrals": 0, "points": 0, "max_points": 0,
-                      "stalled": 0}
+        self.stats = {"integrals": 0, "points": 0, "max_points": 0}
         self._columns: dict = {}
         # with a p axis, the other axis indexes the columns
         self._column_axis = plan.y if plan.x.name == "p" else \
@@ -198,7 +197,6 @@ class _CellEvaluator:
             stats["points"] += int(res.points.sum())
             stats["max_points"] = max(stats["max_points"],
                                       int(res.points.max()))
-            stats["stalled"] += int(res.stalled.sum())
         return entries
 
     def _integrate_columns(self, keys) -> None:
@@ -358,9 +356,9 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     whose center evaluation fails falls back to the corner mean and is
     listed too, with the message prefixed by "center: ".
     ``metadata["integrals"]`` counts the drive-weighted integrals taken,
-    ``"points"`` their integrand points, ``"max_points"`` the most one
-    integral took and ``"stalled"`` the integrals whose refinement
-    stalled above its tolerance.
+    ``"points"`` their integrand points and ``"max_points"`` the most
+    one integral took; an integral whose refinement stalls above its
+    tolerance fails its cell with a QuadratureError.
     """
     xs, ys = plan.x.values(), plan.y.values()
     value_at = _CellEvaluator(plan, quantity)

@@ -103,8 +103,8 @@ def check_gapless_reduction() -> CheckResult:
     w = np.linspace(-0.06, 0.06, 241)[None]
     rows = np.zeros(1, dtype=np.intp)
     worst = 0.0
-    for a, b in zip(channel_table([bare]).pair(w, rows),
-                    channel_table([gapless]).pair(w, rows)):
+    for a, b in zip(channel_table([bare]).pair(w, rows, None),
+                    channel_table([gapless]).pair(w, rows, None)):
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
         worst = max(worst, float(np.max(np.abs(a - b) / scale
                                         * (np.abs(a) + np.abs(b) > 0))))

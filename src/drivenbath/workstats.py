@@ -100,15 +100,16 @@ def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
 
 def _rows(integrand, specs: Sequence[SystemSpec],
           grids: Sequence[FrequencyGrid]) -> Integrals:
-    """Integrals of ``integrand(table, omega, rows)`` for a batch of specs.
+    """Integrals of ``integrand(table, omega, rows, near)`` for a batch of
+    specs.
 
     The specs must be valid and share coupling, l_c and drive; row r
     integrates on ``grids[r]`` with the support edges of spec r.
     """
     table = channel_table(specs)
     return integrate_rows(
-        lambda omega, rows: integrand(table, omega, rows), specs[0].source,
-        grids, table.edges, table.edge_powers)
+        lambda omega, rows, near: integrand(table, omega, rows, near),
+        specs[0].source, grids, table.edges, table.edge_powers)
 
 
 def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
@@ -146,8 +147,8 @@ def chi2(v: complex, spec: SystemSpec,
     # difference is rounding noise that adaptive refinement would chase.
     # Both rows are the one spec, and rows * 0 keeps pair on its
     # one-spec path.
-    def f(table, w, rows):
-        g_mp, g_pm = table.pair(w, rows * 0)
+    def f(table, w, rows, near):
+        g_mp, g_pm = table.pair(w, rows * 0, near)
         imag = (rows == 1)[:, None]
         if v.imag:
             def part(term):
@@ -190,8 +191,8 @@ def i_beta_deficit_rows(specs: Sequence[SystemSpec],
     ``grid`` each row takes its own :func:`default_i_beta_grid`, widened
     from the one drive-only window of the batch.
     """
-    def f(table, w, rows):
-        g_mp, g_pm = table.pair(w, rows)
+    def f(table, w, rows, near):
+        g_mp, g_pm = table.pair(w, rows, near)
         beta = table.beta(rows)
         return (-np.expm1(-beta * w) * g_mp, -np.expm1(beta * w) * g_pm)
 
@@ -277,7 +278,7 @@ def wdf2(spec: SystemSpec,
         np.asarray(w_grid, dtype=float)
     # g_mp(W) from line 0 and g_pm(-W) from line 1 of one pair call
     g_mp, g_pm = channel_table([spec]).pair(
-        np.stack([w, -w]).reshape(2, -1), np.zeros(2, dtype=np.intp))
+        np.stack([w, -w]).reshape(2, -1), np.zeros(2, dtype=np.intp), None)
     dens = lambda_weight(w, spec.source) / (4.0 * math.pi) * (
         g_mp[0] + g_pm[1]).reshape(w.shape)
     dens, clipped = _clip_density(dens)
@@ -314,8 +315,8 @@ def w_ext2_rows(specs: Sequence[SystemSpec],
     The specs must be valid and share coupling, l_c and drive, so they
     share one window.
     """
-    def f(table, w, rows):
-        g_mp, g_pm = table.pair(w, rows)
+    def f(table, w, rows, near):
+        g_mp, g_pm = table.pair(w, rows, near)
         return w * g_mp, -w * g_pm
 
     out = _rows(f, specs, [_grid_for(specs[0], grid)] * len(specs))
@@ -331,7 +332,7 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
     :func:`i_beta_deficit`) raise, the entry is the error they raise
     first: the ValueError of an invalid spec, else the QuadratureError of
     the mean work, then of the deficit.  Also returns the calls'
-    :class:`Integrals`, which carry points and stalls.
+    :class:`Integrals`, which carry their points.
     """
     entries: list = [None] * len(specs)
     valid = []
@@ -469,7 +470,7 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
                          "v_j = k_j h with integer k_j")
     k = np.rint(v_abs / h).astype(np.intp)
     a_mp, a_pm = quadrature.oscillatory_pair(
-        lambda w: tuple(g[0] for g in table.pair(w[None], rows)),
+        lambda w: tuple(g[0] for g in table.pair(w[None], rows, None)),
         h, int(k.max(initial=0)) + 1, spec.source,
         FrequencyGrid.for_source(spec.source), table.edges[0],
         table.edge_powers[0])

@@ -35,7 +35,7 @@ def green_pair(spec):
     rows = np.zeros(1, dtype=np.intp)
 
     def channels(w):
-        g_mp, g_pm = table.pair(w[None], rows)
+        g_mp, g_pm = table.pair(w[None], rows, None)
         return g_mp[0], g_pm[0]
 
     def channel(c):

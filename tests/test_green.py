@@ -195,7 +195,7 @@ class TestChannelTableRows:
             + offsets
         above = np.linspace(5.1, 5.4, 13) + offsets
         for omega in (straddle, above):
-            g_mp, g_pm = table.pair(omega, rows)
+            g_mp, g_pm = table.pair(omega, rows, None)
             for line, row in enumerate(rows):
                 pair = green_pair(specs[row])
                 assert np.array_equal(g_mp[line], pair.g_mp(omega[line]))
@@ -333,7 +333,7 @@ class TestSharedShifts:
         specs, rows = seeded_batch(seed, coupling, shared_alpha)
         table = channel_table(specs)
         for omega in probe_lines(specs, rows):
-            assert_same_bits(table.pair(omega, rows),
+            assert_same_bits(table.pair(omega, rows, None),
                              per_term_pair(specs, omega, rows))
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
@@ -348,9 +348,9 @@ class TestSharedShifts:
             table = channel_table(specs)
             for omega in lines:
                 want = per_term_pair(specs, omega, rows)
-                assert_same_bits(table.pair(omega, rows), want)
-                assert_same_bits(channel_table([spec]).pair(omega, rows * 0),
-                                 want)
+                assert_same_bits(table.pair(omega, rows, None), want)
+                assert_same_bits(
+                    channel_table([spec]).pair(omega, rows * 0, None), want)
                 pair = green_pair(spec)
                 assert_same_bits((pair.g_mp(omega), pair.g_pm(omega)), want)
                 assert pair.g_pm(float(omega[0, 0])) == want[1][0, 0]
@@ -373,8 +373,28 @@ class TestSharedShifts:
                  for b, a, g in ((1.0, 0.5, 0.05), (30.0, 3.0, 0.2))]
         rows = np.array(rows)
         omega = np.linspace(1.0, 2.0, 15) + np.zeros((2, 1))
-        channel_table(specs).pair(omega, rows)
+        channel_table(specs).pair(omega, rows, None)
         assert calls == [omega.size] * shifts
+
+
+    @pytest.mark.parametrize("gaps", [[0.01], [0.01, 0.003]],
+                             ids=["one-spec", "two-specs"])
+    def test_mapped_edge_takes_exact_offset(self, gaps):
+        # at p = 1 a spin g_mp is the bare bath's at x = w - gap; handed
+        # the rule's (edge, offset), it takes x = offset to the bit,
+        # where w - gap keeps none of the offset's digits below gap's
+        specs = [make_spec(alpha=0.3, coupling="spin", omega_gap=gap, p=1.0)
+                 for gap in gaps]
+        rows = np.arange(len(gaps))
+        edge = np.array(gaps)[:, None]
+        offset = np.geomspace(1e-30, 1e-3, 28) + np.zeros_like(edge)
+        omega = edge + offset
+        table = channel_table(specs)
+        want = channel_table([make_spec(alpha=0.3)]).pair(offset, rows * 0,
+                                                           None)[0]
+        assert table.pair(omega, rows, (edge, offset))[0].tobytes() == \
+            want.tobytes()
+        assert not np.array_equal(table.pair(omega, rows, None)[0], want)
 
 
 class TestPublicApi:

@@ -238,9 +238,9 @@ class TestChannelEvaluations:
         monkeypatch.setattr(ws, "atom_weight2", lambda spec: 0.0)
         original, lines = ChannelTable.pair, []
 
-        def counted(self, omega, rows):
+        def counted(self, omega, rows, near):
             lines.append(omega.copy())
-            return original(self, omega, rows)
+            return original(self, omega, rows, near)
 
         monkeypatch.setattr(ChannelTable, "pair", counted)
         spec = make_spec(coupling=coupling, omega_gap=0.01, p=0.7)
