@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: wcf, wdf, wext, engine, sweep, verify.  Physical defaults
-match the reference figure conventions (lambda0 = 0.01, t_int = 100,
-l_c = 1); every value can come from an INI-style config file and be
+match the reference figure conventions (lambda0 = 0.01, t_int = 100);
+every value is in units of the bath cutoff length, which is therefore no
+setting.  Every value can come from an INI-style config file and be
 overridden by a flag.  Exit codes: 0 success, 1 numerical/verification
 failure, 2 usage or configuration error.
 
@@ -57,7 +58,6 @@ def _common(out: str) -> tuple[_Setting, ...]:
         _Setting("bath.alpha", "--alpha", default=5.0, help="Ohmic exponent"),
         _Setting("bath.beta", "--beta", default=1.0,
                  help="bath inverse temperature"),
-        _Setting("bath.lc", "--lc", default=1.0, help="bath cutoff length"),
         _Setting("drive.lambda0", "--lambda0", default=0.01,
                  help="drive amplitude"),
         _Setting("drive.tint", "--tint", default=100.0,
@@ -172,7 +172,7 @@ def _build_spec(s: dict) -> SystemSpec:
         qubit = QubitSpec(coupling=Coupling(s["coupling"]),
                           omega_gap=s["omega"], p_ground=s["p"])
     spec = SystemSpec(
-        beta=s["beta"], spectrum=OhmicSpectrum(alpha=s["alpha"], l_c=s["lc"]),
+        beta=s["beta"], spectrum=OhmicSpectrum(alpha=s["alpha"]),
         source=DrivenSource(lambda0=s["lambda0"], t_int=s["tint"]),
         qubit=qubit)
     report = validate(spec)

@@ -84,9 +84,9 @@ _BETA, _ALPHA, _NORM, _WEIGHTS = 0, 1, 2, 3
 class ChannelTable:
     """The channel terms of a batch of specs, one column per spec.
 
-    The specs share the coupling (or the bare bath) and l_c; ``params``
-    holds beta, alpha, the Ohmic norm, the weights and the shifts as rows
-    with one value per spec.  Each channel has one term per shift: at
+    The specs share the coupling (or the bare bath); ``params`` holds
+    beta, alpha, the Ohmic norm, the weights and the shifts as rows with
+    one value per spec.  Each channel has one term per shift: at
     shift k, g_mp takes ``occupations[k][0]`` and g_pm
     ``occupations[k][1]``, so both terms share the shift's support mask
     and its density S(w - shift).  ``edges`` holds each spec's support
@@ -96,7 +96,6 @@ class ChannelTable:
     """
 
     params: np.ndarray
-    l_c: float
     occupations: tuple[tuple[Callable, Callable], ...]
     edges: tuple[tuple[float, ...], ...]
     edge_powers: tuple[float, ...]
@@ -167,11 +166,11 @@ class ChannelTable:
                         a.repeat(m) if lines is None else a[lines]
                         for a in node]
             beta, alpha, norm, *weights = node
-            # Ohmic density 2 l_c (l_c x)^a e^{-(l_c x)^2} / Gamma((1+a)/2)
-            lx = self.l_c * x
-            s = norm * power(lx, alpha) * np.exp(-lx * lx)
+            # Ohmic density 2 x^a e^{-x^2} / Gamma((1+a)/2), in units of
+            # the cutoff length
+            s = norm * power(x, alpha) * np.exp(-x * x)
             bx = beta * x
-            del x, lx  # large in a 128-row call; the terms need s and bx
+            del x  # large in a 128-row call; the terms need s and bx
             for i, weight in enumerate(weights):
                 term = weight * occupations[i](s, bx)
                 if partial:
@@ -203,7 +202,7 @@ def _edge_power(alpha: float) -> float:
 
 
 def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
-    """The channel table of ``specs``, which share coupling and l_c.
+    """The channel table of ``specs``, which share one coupling.
 
     Bare bath: g_mp = S_b(w) = S(w)/(1 - e^{-bw}) and g_pm = e^{-bw} S_b(w),
     which satisfy detailed balance g_mp = e^{bw} g_pm on w > 0.  With a
@@ -216,12 +215,11 @@ def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
     Both are affine in p with coefficients evaluated identically, so the
     p-mixture identity holds to the bit level.
     """
-    first = specs[0]
-    qubit, l_c = first.qubit, first.spectrum.l_c
-    if any((s.qubit is None) != (qubit is None) or s.spectrum.l_c != l_c
+    qubit = specs[0].qubit
+    if any((s.qubit is None) != (qubit is None)
            or (qubit is not None and s.qubit.coupling is not qubit.coupling)
            for s in specs):
-        raise ValueError("a channel table needs one coupling and one l_c")
+        raise ValueError("a channel table needs one coupling")
     alpha = [s.spectrum.alpha for s in specs]
     if qubit is None:
         s1, _, d1, _ = _OCCUPATIONS[Coupling.SPIN]
@@ -236,9 +234,9 @@ def channel_table(specs: Sequence[SystemSpec]) -> ChannelTable:
         gaps = [s.qubit.omega_gap for s in specs]
         gap = np.array(gaps)
         terms = [1.0 - p, p, p, 1.0 - p, -gap, gap]
-    norm = [2.0 * l_c / math.gamma((1.0 + a) / 2.0) for a in alpha]
+    norm = [2.0 / math.gamma((1.0 + a) / 2.0) for a in alpha]
     return ChannelTable(
         params=np.array([[s.beta for s in specs], alpha, norm, *terms]),
-        l_c=l_c, occupations=occupations,
+        occupations=occupations,
         edges=tuple((0.0,) if g == 0.0 else (-g, g) for g in gaps),
         edge_powers=tuple(map(_edge_power, alpha)))

@@ -1,8 +1,9 @@
 """Configuration types for driven-bath work statistics.
 
-All quantities are expressed in units of the bath cutoff length, i.e.
-``l_c = 1`` fixes the unit of time and inverse energy.  Every type here is
-an immutable value object and safe to share across threads.
+All quantities are expressed in units of the bath cutoff length: the
+cutoff l_c = 1 is the unit of time and inverse energy, so no type carries
+it.  Every type here is an immutable value object and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-#: minimum t_int / l_c ratio before a drive counts as adiabatic
+#: minimum t_int, in cutoff lengths, before a drive counts as adiabatic
 ADIABATIC_RATIO_MIN = 10.0
 
 #: largest supported Ohmic exponent (gamma-function accuracy degrades beyond)
@@ -56,12 +57,12 @@ class OhmicSpectrum:
     """Ohmic-family quasiparticle spectral density parameters.
 
     ``alpha`` is the low-frequency exponent (sub-Ohmic below 1, Ohmic at 1,
-    super-Ohmic above); ``l_c`` is the inverse UV cutoff.  The density is
+    super-Ohmic above).  The UV cutoff length is the unit, so the density
+    is S(w) = 2 w^alpha e^{-w^2} / Gamma((1+alpha)/2) on w > 0 and
     identically zero at negative frequencies (thermal stability).
     """
 
     alpha: float
-    l_c: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,9 @@ class ValidationReport:
 def validate(spec: SystemSpec) -> ValidationReport:
     """Check all physical parameter ranges of ``spec``.
 
-    Range violations are errors, and beta, l_c, lambda0, t_int and the
-    gap must also be finite; a drive too fast for the adiabatic
-    regime (t_int < ADIABATIC_RATIO_MIN * l_c) is only a warning, as is a
+    Range violations are errors, and beta, lambda0, t_int and the gap
+    must also be finite; a drive too fast for the adiabatic regime
+    (t_int < ADIABATIC_RATIO_MIN cutoff lengths) is only a warning, as is a
     qubit population pinned at exactly 0 or 1 (its effective temperature
     is then infinite, which engine analysis rejects).
     """
@@ -152,13 +153,11 @@ def validate(spec: SystemSpec) -> ValidationReport:
         errors.append(f"alpha must be >= {ALPHA_MIN:g}")
     elif spec.spectrum.alpha > ALPHA_MAX:
         errors.append(f"alpha must be <= {ALPHA_MAX:g}")
-    l_c_valid = positive("l_c", spec.spectrum.l_c)
     positive("lambda0", spec.source.lambda0)
-    if (positive("t_int", spec.source.t_int) and l_c_valid
-            and spec.source.t_int / spec.spectrum.l_c < ADIABATIC_RATIO_MIN):
+    if (positive("t_int", spec.source.t_int)
+            and spec.source.t_int < ADIABATIC_RATIO_MIN):
         warnings.append(
-            "non-adiabatic drive: t_int/l_c = "
-            f"{spec.source.t_int / spec.spectrum.l_c:g} < "
+            f"non-adiabatic drive: t_int = {spec.source.t_int:g} < "
             f"{ADIABATIC_RATIO_MIN:g}")
 
     q = spec.qubit

@@ -39,7 +39,7 @@ class CheckResult:
 
 def _spec(beta: float, alpha: float, qubit: Optional[QubitSpec] = None,
           source: DrivenSource = DEFAULT_SOURCE) -> SystemSpec:
-    return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha, l_c=1.0),
+    return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha),
                       source=source, qubit=qubit)
 
 

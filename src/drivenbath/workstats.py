@@ -76,20 +76,20 @@ def _grid_for(spec: SystemSpec,
     return grid if grid is not None else FrequencyGrid.for_source(spec.source)
 
 
-def _widened_grid(source: DrivenSource, im_v: float,
+def _widened_grid(source: DrivenSource, beta: float,
                   base: Optional[FrequencyGrid] = None) -> FrequencyGrid:
-    """Drive window for e^{i w v} with Im v = ``im_v``.
+    """Drive window for the i beta probe at inverse temperature ``beta``.
 
-    That factor grows like e^{|Im v| |w|} before the drive envelope cuts
-    it, so the Gaussian peak of the integrand is shifted by
-    |Im v|/(4 t_int^2); the window is widened by that amount to keep the
-    truncated tail below TAIL_EPS of the peak (drive-only sizing misses a
-    ~1e-11 tail at |Im v| ~ 1e3).  Real v keeps the drive-only window.
-    ``base`` is the drive-only window of ``source`` when already at hand.
+    Its integrand carries e^{+-beta w}, which grows like e^{beta |w|}
+    before the drive envelope cuts it, so the Gaussian peak of the
+    integrand is shifted by beta/(4 t_int^2); the window is widened by
+    that amount to keep the truncated tail below TAIL_EPS of the peak
+    (drive-only sizing misses a ~1e-11 tail at beta ~ 1e3).  ``base`` is
+    the drive-only window of ``source`` when already at hand.
     """
     if base is None:
         base = FrequencyGrid.for_source(source)
-    shift = abs(im_v) / (4.0 * source.t_int ** 2)
+    shift = beta / (4.0 * source.t_int ** 2)
     return FrequencyGrid(base.omega_max + shift, base.n_points, base.rule)
 
 
@@ -103,7 +103,7 @@ def _rows(integrand, specs: Sequence[SystemSpec],
     """Integrals of ``integrand(table, omega, rows, near)`` for a batch of
     specs.
 
-    The specs must be valid and share coupling, l_c and drive; row r
+    The specs must be valid and share coupling and drive; row r
     integrates on ``grids[r]`` with the support edges of spec r.
     """
     table = channel_table(specs)
@@ -126,38 +126,31 @@ def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
     return np.linspace(-w_max, w_max, n)
 
 
-def chi2(v: complex, spec: SystemSpec,
+def chi2(v: float, spec: SystemSpec,
          grid: Optional[FrequencyGrid] = None) -> complex:
-    """Second-order characteristic function at transform variable v.
+    """Second-order characteristic function at real transform variable v.
 
-    chi2(0) = 1 identically (the integrand vanishes), and for real v the
-    value at -v is the complex conjugate.  At complex v the default
-    window is widened for the growth of e^{i w v} (see
-    :func:`default_i_beta_grid`).  The real and imaginary parts are two
-    rows of one batched call, each against its own tolerance (the
-    imaginary part can sit ten orders below the real part); the first
-    row error, real part first, is raised.
+    chi2(0) = 1 identically (the integrand vanishes), and the value at -v
+    is the complex conjugate.  v must be real: it goes through ``float``,
+    so a Python complex raises ``TypeError``.  The continuation to
+    v = i beta is :func:`chi2_at_i_beta`.  The real and imaginary parts
+    are two rows of one batched call, each against its own tolerance
+    (the imaginary part can sit ten orders below the real part); the
+    first row error, real part first, is raised.
     """
     require_valid(spec)
-    v = complex(v)
-    if grid is None:
-        grid = _widened_grid(spec.source, v.imag)
+    v = float(v)
+    grid = _grid_for(spec, grid)
 
-    # expm1 keeps 1 - e^{iwv} accurate at small |wv|, where the plain
-    # difference is rounding noise that adaptive refinement would chase.
-    # Both rows are the one spec, and rows * 0 keeps pair on its
-    # one-spec path.
+    # on real v, -expm1(+-i theta) = 2 sin^2(theta/2) -+ i sin theta, the
+    # bits of numpy's complex expm1 without its cos and exp: accurate at
+    # small |wv|, where the plain difference is rounding noise that
+    # adaptive refinement would chase.  Both rows are the one spec, and
+    # rows * 0 keeps pair on its one-spec path.
     def f(table, w, rows, near):
         g_mp, g_pm = table.pair(w, rows * 0, near)
         imag = (rows == 1)[:, None]
-        if v.imag:
-            def part(term):
-                return np.where(imag, term.imag, term.real)
-            return (part(-np.expm1(1j * w * v) * g_mp),
-                    part(-np.expm1(-1j * w * v) * g_pm))
-        # on real v, -expm1(+-i theta) = 2 sin^2(theta/2) -+ i sin theta,
-        # the bits of numpy's complex expm1, without its cos and exp
-        theta = w * v.real
+        theta = w * v
         half = np.sin(0.5 * theta)
         trig = np.where(imag, np.sin(theta), 2.0 * half * half)
         return np.where(imag, -trig, trig) * g_mp, trig * g_pm
@@ -187,7 +180,7 @@ def i_beta_deficit_rows(specs: Sequence[SystemSpec],
                         grid: Optional[FrequencyGrid] = None) -> Integrals:
     """:func:`i_beta_deficit` of each of ``specs`` in one batched call.
 
-    The specs must be valid and share coupling, l_c and drive; without
+    The specs must be valid and share coupling and drive; without
     ``grid`` each row takes its own :func:`default_i_beta_grid`, widened
     from the one drive-only window of the batch.
     """
@@ -312,7 +305,7 @@ def w_ext2_rows(specs: Sequence[SystemSpec],
                 grid: Optional[FrequencyGrid] = None) -> Integrals:
     """:func:`w_ext2` of each of ``specs`` in one batched call.
 
-    The specs must be valid and share coupling, l_c and drive, so they
+    The specs must be valid and share coupling and drive, so they
     share one window.
     """
     def f(table, w, rows, near):
@@ -327,7 +320,7 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
                    deficit: bool = True) -> tuple[list, list[Integrals]]:
     """(W_bar, i-beta deficit) of each spec, one batched call per integral.
 
-    The specs share coupling, l_c and drive; an integral not asked for is
+    The specs share coupling and drive; an integral not asked for is
     NaN.  Where the direct calls (-:func:`w_ext2`, then
     :func:`i_beta_deficit`) raise, the entry is the error they raise
     first: the ValueError of an invalid spec, else the QuadratureError of

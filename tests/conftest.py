@@ -12,13 +12,13 @@ from drivenbath.quadrature import _build_panels, _gl_nodes_weights
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
 
-def make_spec(beta=1.0, alpha=5.0, lc=1.0, lambda0=0.01, t_int=100.0,
+def make_spec(beta=1.0, alpha=5.0, lambda0=0.01, t_int=100.0,
               coupling=None, omega_gap=0.05, p=1.0):
     qubit = None
     if coupling is not None:
         qubit = QubitSpec(coupling=Coupling(coupling), omega_gap=omega_gap,
                           p_ground=p)
-    return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha, l_c=lc),
+    return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha),
                       source=DrivenSource(lambda0=lambda0, t_int=t_int),
                       qubit=qubit)
 

@@ -440,6 +440,18 @@ class TestConfig:
         assert run(["wext", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_cutoff_length_is_not_a_setting(self, tmp_path, capsys):
+        # l_c = 1 is the unit, so neither the flag nor the key exists
+        out = tmp_path / "wext.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["wext", "--lc", "2", "--out", out])
+        assert exc.value.code == 2
+        cfg = tmp_path / "lc.ini"
+        cfg.write_text("[bath]\nlc = 2\n")
+        assert run(["wext", "--config", cfg, "--out", out]) == 2
+        assert "unknown key 'lc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[weird]\nx = 1\n")
@@ -457,9 +469,8 @@ class TestConfig:
         (["wext", "--tint", "inf"], "t_int"),
         (["wext", "--beta", "inf"], "beta"),
         (["wext", "--lambda0", "inf"], "lambda0"),
-        (["wext", "--lc", "inf"], "l_c"),
     ], ids=["wext-omega-nan", "engine-omega-nan", "omega-inf", "tint-inf",
-            "beta-inf", "lambda0-inf", "lc-inf"])
+            "beta-inf", "lambda0-inf"])
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys, args,
                                              field):
         out = tmp_path / "out"
@@ -579,8 +590,6 @@ PRECEDENCE = [
      2.0, 3.0, 5.0, lambda c: _SPEC(c).spectrum.alpha),
     ("bath.beta", ["wext"], ["--beta", "2"], "beta = 3", "beta = 3",
      2.0, 3.0, 1.0, lambda c: _SPEC(c).beta),
-    ("bath.lc", ["wext"], ["--lc", "2"], "lc = 3", "lc = 3",
-     2.0, 3.0, 1.0, lambda c: _SPEC(c).spectrum.l_c),
     ("drive.lambda0", ["wext"], ["--lambda0", "0.02"], "lambda0 = 0.03",
      "lambda0 = 0.03", 0.02, 0.03, 0.01,
      lambda c: _SPEC(c).source.lambda0),

@@ -21,10 +21,10 @@ def causal_spectral(pair):
 
 
 def ohmic(w, spec):
-    """Closed-form Ohmic density 2 l (l w)^a e^{-(l w)^2} / Gamma((1+a)/2)."""
-    a, lc = spec.spectrum.alpha, spec.spectrum.l_c
-    x = lc * np.maximum(w, 0.0)
-    return 2.0 * lc * x ** a * np.exp(-x * x) / math.gamma((1.0 + a) / 2.0)
+    """Closed-form Ohmic density 2 w^a e^{-w^2} / Gamma((1+a)/2)."""
+    a = spec.spectrum.alpha
+    x = np.maximum(w, 0.0)
+    return 2.0 * x ** a * np.exp(-x * x) / math.gamma((1.0 + a) / 2.0)
 
 
 def retarded_im(spec):
@@ -212,7 +212,7 @@ def per_term_pair(specs, omega, rows):
     operations on the same inputs, so the same bits.
     """
     first = specs[0]
-    n, l_c = len(specs), first.spectrum.l_c
+    n = len(specs)
     alpha = [s.spectrum.alpha for s in specs]
     if first.qubit is None:
         s1, _, d1, _ = green._OCCUPATIONS[Coupling.SPIN]
@@ -226,7 +226,7 @@ def per_term_pair(specs, omega, rows):
         # g_mp = p s1(w - D) + (1-p) s2(w + D),
         # g_pm = p d1(w + D) + (1-p) d2(w - D)
         weights_shifts = [p, 1.0 - p, p, 1.0 - p, gap, -gap, -gap, gap]
-    norm = [2.0 * l_c / math.gamma((1.0 + a) / 2.0) for a in alpha]
+    norm = [2.0 / math.gamma((1.0 + a) / 2.0) for a in alpha]
     table = np.array([[s.beta for s in specs], alpha, norm,
                       *weights_shifts])
     if rows[0] == rows[-1]:
@@ -258,9 +258,8 @@ def per_term_pair(specs, omega, rows):
                         a.repeat(m) if lines is None else a[lines]
                         for a in node]
             beta, a, norm_, weight = node
-            lx = l_c * x
             term = weight * occupations[i](
-                norm_ * quadrature.power(lx, a) * np.exp(-lx * lx),
+                norm_ * quadrature.power(x, a) * np.exp(-x * x),
                 beta * x)
             if partial:
                 full = np.zeros(w.shape)
@@ -444,7 +443,7 @@ class TestPublicApi:
                         if p.default is not p.empty]
         assert sorted(options) == sorted([
             "Axis.n", "Axis.scale", "FrequencyGrid.n_points",
-            "FrequencyGrid.rule", "InversionPlan.n_fft", "OhmicSpectrum.l_c",
+            "FrequencyGrid.rule", "InversionPlan.n_fft",
             "SystemSpec.qubit", "channel_sum_integral(grid)", "chi2(grid)",
             "chi2_at_i_beta(grid)", "default_w_grid(n)",
             "extract_zero_contour(center_fn)", "w_ext2(grid)",

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drivenbath import (Coupling, FrequencyGrid, QubitSpec, beta_q, validate,
-                        w_ext2, with_param)
+from drivenbath import (Coupling, FrequencyGrid, OhmicSpectrum, QubitSpec,
+                        beta_q, validate, w_ext2, with_param)
 from drivenbath.model import ALPHA_MIN
 
 from conftest import make_spec
@@ -72,7 +72,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, kwarg", [
-        ("beta", "beta"), ("l_c", "lc"), ("lambda0", "lambda0"),
+        ("beta", "beta"), ("lambda0", "lambda0"),
         ("t_int", "t_int"), ("omega_gap", "omega_gap")])
     def test_non_finite_value_is_error(self, field, kwarg, value):
         # a NaN gap passes "< 0" and +inf passes every "> 0"
@@ -80,9 +80,14 @@ class TestValidate:
         assert report.errors == (f"{field} must be finite",)
 
     def test_fast_drive_warns_non_adiabatic(self):
-        report = validate(make_spec(t_int=1.0, lc=1.0))
+        report = validate(make_spec(t_int=1.0))
         assert report.is_valid
         assert any("non-adiabatic" in w for w in report.warnings)
+
+    def test_cutoff_length_is_the_unit(self):
+        # l_c = 1 fixes the units, so the spectrum takes alpha alone
+        with pytest.raises(TypeError):
+            OhmicSpectrum(alpha=5.0, l_c=1.0)
 
     def test_pinned_population_warns(self):
         report = validate(make_spec(coupling="spin", p=1.0))

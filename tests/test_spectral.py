@@ -24,13 +24,13 @@ from drivenbath import Coupling
 from conftest import green_pair, make_spec
 
 
-def channels(coupling, p, beta=1.0, alpha=1.0, lc=1.0):
-    return green_pair(make_spec(beta=beta, alpha=alpha, lc=lc,
+def channels(coupling, p, beta=1.0, alpha=1.0):
+    return green_pair(make_spec(beta=beta, alpha=alpha,
                                 coupling=coupling, omega_gap=0.0, p=p))
 
 
-def ohmic(w, alpha=1.0, lc=1.0):
-    return 2.0 * channels("topological", 1.0, alpha=alpha, lc=lc).g_mp(w)
+def ohmic(w, alpha=1.0):
+    return 2.0 * channels("topological", 1.0, alpha=alpha).g_mp(w)
 
 
 class TestOhmicDensity:
@@ -42,11 +42,11 @@ class TestOhmicDensity:
         # 2 * 1 * 1 * e^{-1} / Gamma(1)
         assert ohmic(1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
-    @pytest.mark.parametrize("alpha,lc", [(0.5, 1.0), (2.0, 1.0), (5.0, 0.7)])
-    def test_peak_location(self, alpha, lc):
-        w = np.linspace(1e-4, 6.0 / lc, 200001)
-        peak = w[np.argmax(ohmic(w, alpha, lc))]
-        assert peak == pytest.approx(math.sqrt(alpha / 2.0) / lc, rel=1e-3)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
+    def test_peak_location(self, alpha):
+        w = np.linspace(1e-4, 6.0, 200001)
+        peak = w[np.argmax(ohmic(w, alpha))]
+        assert peak == pytest.approx(math.sqrt(alpha / 2.0), rel=1e-3)
 
     def test_vectorized_matches_scalar(self):
         w = np.array([-1.0, 0.5, 2.0])
@@ -118,17 +118,17 @@ class TestLogistic:
         assert out.stdout.strip() == "[]"
 
     def test_fermi_occupation_matches_libm_formula(self):
-        # S n_FD(x) at beta = 1: the particle channel at w = x > 0 and the
-        # hole channel, S (1 - n_FD(-x)), at w = -x; l_c = 1e-3 keeps S
-        # normal out to |x| = 700
+        # S n_FD(x) at beta w = |x|: the particle channel for x > 0 and the
+        # hole channel, S (1 - n_FD(-x)), for x < 0; beta = 1024 and
+        # w = |x|/1024 make beta w exact and keep S normal out to |x| = 700
         xs = np.concatenate([np.linspace(-700.0, 700.0, 14001),
                              [-1e-300, 1e-300, 1e-12, 36.7, 709.0 - 9.0]])
         xs = xs[xs != 0.0]
-        w = np.abs(xs)
-        expected = ohmic(w, lc=1e-3) * [1.0 / (1.0 + math.exp(x)) for x in xs]
+        w = np.abs(xs) / 1024.0
+        expected = ohmic(w) * [1.0 / (1.0 + math.exp(x)) for x in xs]
         got = np.where(xs > 0.0,
-                       channels("fermion", 1.0, lc=1e-3).g_mp(w),
-                       channels("fermion", 0.0, lc=1e-3).g_mp(w))
+                       channels("fermion", 1.0, 1024.0).g_mp(w),
+                       channels("fermion", 0.0, 1024.0).g_mp(w))
         assert _within_ulps(got, expected)
 
     def test_fermion_channels_match_libm_formula(self):
