@@ -131,14 +131,17 @@ def chi2(v: float, spec: SystemSpec,
     """Second-order characteristic function at real transform variable v.
 
     chi2(0) = 1 identically (the integrand vanishes), and the value at -v
-    is the complex conjugate.  v must be real: it goes through ``float``,
-    so a Python complex raises ``TypeError``.  The continuation to
+    is the complex conjugate.  v must be real: a complex v, Python or
+    numpy, raises ``TypeError``.  The continuation to
     v = i beta is :func:`chi2_at_i_beta`.  The real and imaginary parts
     are two rows of one batched call, each against its own tolerance
     (the imaginary part can sit ten orders below the real part); the
     first row error, real part first, is raised.
     """
     require_valid(spec)
+    if np.iscomplexobj(v):
+        # float() only warns on a numpy complex and drops its imaginary part
+        raise TypeError(f"chi2 takes real v, got {v!r}")
     v = float(v)
     grid = _grid_for(spec, grid)
 

@@ -180,6 +180,12 @@ class TestChannelTableRows:
     for some.  Each line must give its own spec's channels to the bit.
     """
 
+    @pytest.mark.parametrize("other", [None, "fermion"])
+    def test_table_needs_one_coupling(self, other):
+        specs = [make_spec(coupling="spin"), make_spec(coupling=other)]
+        with pytest.raises(ValueError, match="needs one coupling"):
+            channel_table(specs)
+
     @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
                                           "topological"])
     def test_lines_equal_their_green_pair(self, coupling):

@@ -171,10 +171,14 @@ class TestChi2AtImaginaryBeta:
         spec = make_spec(coupling="spin", omega_gap=0.05, p=1.0)
         assert chi2_at_i_beta(spec) == 1.0 - i_beta_deficit(spec)
 
-    def test_chi2_takes_real_v_only(self):
-        # the continuation to v = i beta is chi2_at_i_beta alone
+    @pytest.mark.parametrize("v", [10j, np.complex128(10j),
+                                   np.complex64(10j)],
+                             ids=["complex", "complex128", "complex64"])
+    def test_chi2_takes_real_v_only(self, v):
+        # the continuation to v = i beta is chi2_at_i_beta alone; a numpy
+        # complex must not fall through float() to chi2(0) = 1
         with pytest.raises(TypeError):
-            chi2(1j * 10.0, make_spec())
+            chi2(v, make_spec())
 
     def test_real_v_keeps_the_drive_window(self):
         spec = make_spec(beta=10.0, alpha=1.0, coupling="fermion",
