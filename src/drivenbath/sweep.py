@@ -14,10 +14,11 @@ share one cell stage, and a failed cell records the error its direct
 call raises first: for a figure of merit the engine guards, which keep
 the cell out of every integral; then an invalid spec; then a failed row
 or column integral; then chi2(i beta) <= 0 and the degenerate heat
-split.  The cells of a grid are evaluated on arrays, not one by one:
-blended specs are validated once per axis value, the blend is a
-broadcast, and W_ext, chi2(i beta) and Delta S are array expressions
-with the bits of the scalar formulas.
+split.  The cells of a grid are evaluated on arrays, not one by one: the
+engine guards run once per distinct qubit and validation once per axis
+value, the blend is a broadcast, and W_ext, chi2(i beta), Delta S and
+the figure of merit are array expressions with the bits of the scalar
+formulas.
 Contours are marching-squares polylines in the axis scale space (log
 axes interpolate geometrically).  Every cell is classified at once, and
 only the cells the contour crosses are visited, in row-major order;
@@ -31,15 +32,17 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
 from .model import SystemSpec, require_valid, validate, with_param
 from .quadrature import QuadratureError
-from .thermo import _engine_guard, _engine_report
-from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
-                        work_integrals)
+from .thermo import (_breakdowns, _engine_guard, _engine_reports,
+                     _entropy_productions, default_mode_tol)
+from .workstats import (PerturbativeBreakdownError, _i_beta_grids,
+                        _work_rows, work_integrals)
 
 SWEEP_PARAMETERS = ("p", "beta", "omega_gap", "alpha")
 
@@ -143,36 +146,36 @@ class _CellEvaluator:
     """The quantity on a grid of plan points, tallying the integrals taken.
 
     One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
-    Without a p axis a sweep row, all y at one x, is integrated in one
-    batched call per integral.  With one, W_bar and the deficit are
-    affine in p (channel_table builds both qubit channels as p (...) +
-    (1 - p) (...)), so each column, one value of the other axis, is
-    integrated once at p = 0 and p = 1, all columns of the grid in one
-    call per integral, and the grid gets (1 - p) I_0 + p I_1 by
-    broadcasting, exact at both endpoints.  Columns are cached by axis
-    value, so saddle centres reuse them.
+    Without a p axis each sweep row, all y at one x, is one batch step of
+    workstats: one channel table and one batched call per integral, with
+    one i-beta window per beta value of the sweep.  With one, W_bar and
+    the deficit are affine in p (channel_table builds both qubit
+    channels as p (...) + (1 - p) (...)), so each column, one value of
+    the other axis, is integrated once at p = 0 and p = 1, all columns
+    of the grid in one call per integral, and the grid gets (1 - p) I_0
+    + p I_1 by broadcasting, exact at both endpoints.  Columns are cached
+    by axis value, so saddle centres reuse them.
 
-    Both layouts take the same steps: the engine guards of every cell
-    (figure of merit only), then each cell's integrals (a row batch of
-    the cells not refused yet, or the blend of their columns), then the
-    quantity from them.  A failed cell holds the error
-    that its direct evaluation raises first: for a figure of merit the
-    engine guards, as in engine_report; then an invalid spec; then a
-    failed column, or the error of its batched row; then the breakdown
-    of chi2(i beta) and the degenerate heat split.
-    Blended cells are validated once per axis value: validate checks
-    each field on its own, so with (x_a, y_b) a valid cell, cell (i, j)
-    is valid when the specs at (x_i, y_b) and (x_a, y_j) both are, and
-    only a cell for which one of them fails builds its own spec to learn
-    its message.  W_ext, chi2(i beta) and Delta S are formed on arrays;
-    the log of Delta S is math.log1p per cell (np.log1p differs from it
-    in the last bit on some inputs), and the figure of merit is
-    _engine_report per cell.
+    Both layouts take the same steps: the engine guards (figure of merit
+    only), then validity, then each cell's integrals (a row batch of the
+    cells not refused yet, or the blend of their columns), then the
+    quantity from them.  A failed cell holds the error that its direct
+    evaluation raises first: for a figure of merit the engine guards, as
+    in engine_report; then an invalid spec; then a failed column, or the
+    error of its batched row; then the breakdown of chi2(i beta) and the
+    degenerate heat split.  The guards read only the qubit, so they run
+    once per distinct qubit: per value of a p or gap axis.  Validity is
+    checked once per axis value (see _refuse_invalid).  The quantity is
+    formed on arrays, with the bits of the scalar formulas: W_ext and
+    chi2(i beta) directly, Delta S and the figure of merit by thermo's
+    cell entropy production and engine bookkeeping.
     """
 
     def __init__(self, plan: SweepPlan, quantity: Quantity):
         self.plan, self.quantity = plan, quantity
         self.stats = {"integrals": 0, "points": 0, "max_points": 0}
+        self._wanted = dict(mean_work=quantity is not Quantity.CHI_I_BETA,
+                            deficit=quantity is not Quantity.W_EXT)
         self._columns: dict = {}
         # with a p axis, the other axis indexes the columns
         self._column_axis = plan.y if plan.x.name == "p" else \
@@ -186,18 +189,23 @@ class _CellEvaluator:
         row = with_param(plan.fixed, plan.x.name, x)
         return [with_param(row, plan.y.name, y) for y in ys]
 
-    def _integrals(self, specs: list) -> list:
-        """(W_bar, deficit) or the error of each spec; NaN where unused."""
-        entries, calls = work_integrals(
-            specs, mean_work=self.quantity is not Quantity.CHI_I_BETA,
-            deficit=self.quantity is not Quantity.W_EXT)
+    def _beta(self, xs, ys) -> np.ndarray:
+        """beta of every cell, as an array broadcastable to the grid."""
+        plan = self.plan
+        if plan.x.name == "beta":
+            return np.asarray(xs, dtype=float)[:, None]
+        if plan.y.name == "beta":
+            return np.asarray(ys, dtype=float)[None, :]
+        return np.full((1, 1), plan.fixed.beta)
+
+    def _count(self, calls) -> None:
+        """Add the integrals and points of ``calls`` to the stats."""
         stats = self.stats
         for res in calls:
             stats["integrals"] += res.points.size
             stats["points"] += int(res.points.sum())
             stats["max_points"] = max(stats["max_points"],
                                       int(res.points.max()))
-        return entries
 
     def _integrate_columns(self, keys) -> None:
         """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
@@ -209,7 +217,8 @@ class _CellEvaluator:
         name = self._column_axis.name
         ends = [with_param(with_param(self.plan.fixed, name, key), "p", p)
                 for key in keys for p in (0.0, 1.0)]
-        entries = self._integrals(ends)
+        entries, calls = work_integrals(ends, **self._wanted)
+        self._count(calls)
         for c, key in enumerate(keys):
             pair = entries[2 * c:2 * c + 2]
             failed = [e for e in pair if isinstance(e, Exception)]
@@ -219,36 +228,67 @@ class _CellEvaluator:
         """The quantity at every (xs[i], ys[j]), NaN where the cell fails,
         and the error of each failed cell keyed by (i, j)."""
         errors: dict = {}
-        specs = None
+        beta_q = None
         if self.quantity is Quantity.FIGURE_OF_MERIT:
             # the engine guards refuse a cell before anything else
-            specs = [self._row_specs(x, ys) for x in xs]
-            for i, row in enumerate(specs):
-                for j, spec in enumerate(row):
-                    try:
-                        _engine_guard(spec)
-                    except ValueError as exc:
-                        errors[i, j] = exc
+            beta_q = self._engine_guards(xs, ys, errors)
+        self._refuse_invalid(xs, ys, errors)
         if self._column_axis is not None:
             w_bar, deficit = self._blend(xs, ys, errors)
         else:
-            w_bar, deficit = self._integrate_rows(xs, ys, specs, errors)
-        return self._values(xs, ys, specs, w_bar, deficit, errors), errors
+            w_bar, deficit = self._integrate_rows(xs, ys, errors)
+        return self._values(xs, ys, beta_q, w_bar, deficit, errors), errors
 
-    def _integrate_rows(self, xs, ys, specs, errors: dict):
-        """W_bar and the deficit of every cell not failed yet, one batched
-        call per row; ``specs`` holds the cell specs, or None to build
-        each row's."""
+    def _engine_guards(self, xs, ys, errors: dict) -> np.ndarray:
+        """beta_q of every cell, broadcastable to the grid, recording the
+        error of each cell that the engine guards refuse.
+
+        The guards read only the qubit, so they run once per value of a p
+        or gap axis (per cell when both are axes), and once in all
+        without either.
+        """
+        plan = self.plan
+        axes = [values if axis.name in ("p", "omega_gap") else [None]
+                for axis, values in ((plan.x, xs), (plan.y, ys))]
+        beta_q = np.full((len(axes[0]), len(axes[1])), np.nan)
+        for i, x in enumerate(axes[0]):
+            at = plan.fixed if x is None else \
+                with_param(plan.fixed, plan.x.name, x)
+            for j, y in enumerate(axes[1]):
+                try:
+                    beta_q[i, j] = _engine_guard(
+                        at if y is None else with_param(at, plan.y.name, y))
+                except ValueError as exc:
+                    for cell in product(
+                            range(len(xs)) if x is None else [i],
+                            range(len(ys)) if y is None else [j]):
+                        errors[cell] = exc
+        return beta_q
+
+    def _integrate_rows(self, xs, ys, errors: dict):
+        """W_bar and the deficit of every cell not failed yet, one batch
+        step per row, with one i-beta window per beta value."""
+        todo = np.ones((len(xs), len(ys)), dtype=bool)
+        for cell in errors:
+            todo[cell] = False
+        beta = self._beta(xs, ys)
+        betas = np.broadcast_to(beta, todo.shape)
+        keys = beta.ravel().tolist()
+        window = dict(zip(keys, _i_beta_grids(self.plan.fixed.source, keys)))
         both = np.full((len(xs), len(ys), 2), np.nan)
         for i, x in enumerate(xs):
-            row = specs[i] if specs else self._row_specs(x, ys)
-            todo = [j for j in range(len(ys)) if (i, j) not in errors]
-            entries = self._integrals([row[j] for j in todo])
-            for j, entry in zip(todo, entries):
-                if isinstance(entry, Exception):
-                    errors[i, j] = entry
-                else:
-                    both[i, j] = entry
+            cells = np.flatnonzero(todo[i])
+            if not cells.size:
+                continue
+            values, failed, calls = _work_rows(
+                self._row_specs(x, np.asarray(ys)[cells]),
+                [window[b] for b in betas[i, cells].tolist()],
+                **self._wanted)
+            self._count(calls)
+            both[i, cells] = values
+            for j, message in zip(cells.tolist(), failed):
+                if message:
+                    errors[i, j] = QuadratureError(message)
         return both[..., 0], both[..., 1]
 
     def _blend(self, xs, ys, errors: dict):
@@ -271,7 +311,6 @@ class _CellEvaluator:
         w0, d0, w1, d1 = ends.T[:, :, None]
         w_bar = (1.0 - p) * w0 + p * w1
         deficit = (1.0 - p) * d0 + p * d1
-        self._refuse_invalid(xs, ys, errors)
         for k, column in failed:
             for other in range(len(xs) if p_on_x else len(ys)):
                 errors.setdefault((other, k) if p_on_x else (k, other),
@@ -281,24 +320,30 @@ class _CellEvaluator:
     def _refuse_invalid(self, xs, ys, errors: dict) -> None:
         """Record the require_valid error of each invalid cell not failed.
 
-        The reference cell is the first valid one at y_0, else at x_0;
-        without one, every cell is checked on its own.
+        validate checks each field on its own, so with (x_a, y_b) a valid
+        cell, cell (i, j) is valid when the specs at (x_i, y_b) and
+        (x_a, y_j) both are: one validate per axis value, and only a cell
+        for which one of them fails builds its own spec to learn its
+        message.  The reference is the first valid spec at the fixed
+        spec's y, else at its x; without one, every cell is checked on
+        its own.
         """
         plan = self.plan
         x, y = plan.x.name, plan.y.name
 
-        def valid(name, value, axis, values) -> list:
-            at = with_param(plan.fixed, name, value)
+        def valid(at, axis, values) -> list:
             return [validate(with_param(at, axis, v)).is_valid
                     for v in values]
 
-        rows = valid(y, ys[0], x, xs)
+        rows = valid(plan.fixed, x, xs)
         if any(rows):
-            cols = valid(x, xs[rows.index(True)], y, ys)
+            cols = valid(with_param(plan.fixed, x, xs[rows.index(True)]),
+                         y, ys)
         else:
-            cols = valid(x, xs[0], y, ys)
+            cols = valid(plan.fixed, y, ys)
             if any(cols):
-                rows = valid(y, ys[cols.index(True)], x, xs)
+                rows = valid(with_param(plan.fixed, y, ys[cols.index(True)]),
+                             x, xs)
         for i, j in np.argwhere(~np.outer(rows, cols)).tolist():
             if (i, j) not in errors:
                 try:
@@ -306,45 +351,35 @@ class _CellEvaluator:
                 except ValueError as exc:
                     errors[i, j] = exc
 
-    def _values(self, xs, ys, specs, w_bar, deficit,
+    def _values(self, xs, ys, beta_q, w_bar, deficit,
                 errors: dict) -> np.ndarray:
         """The quantity at every cell not failed yet from its integrals; a
-        cell that the quantity refuses gets its error instead.  ``specs``
-        holds the cell specs of a figure of merit, else None."""
+        cell that the quantity refuses gets its error instead.  ``beta_q``
+        holds the engine guards' beta_q of a figure of merit,
+        broadcastable to the grid, else None."""
         ok = np.ones(w_bar.shape, dtype=bool)
         for cell in errors:
             ok[cell] = False
         values = np.full(w_bar.shape, np.nan)
-        quantity = self.quantity
-        if quantity is Quantity.FIGURE_OF_MERIT:
-            for i, j in np.argwhere(ok).tolist():
-                try:
-                    values[i, j] = _engine_report(
-                        specs[i][j], w_bar[i, j],
-                        deficit[i, j]).figure_of_merit
-                except CELL_ERRORS as exc:
-                    errors[i, j] = exc
-            return values
-        if quantity is Quantity.W_EXT:
+        if self.quantity is Quantity.W_EXT:
             values[ok] = -w_bar[ok]
             return values
-        chi = 1.0 - deficit
-        for i, j in np.argwhere(ok & (chi <= 0.0)).tolist():
-            try:
-                chi2_from_deficit(deficit[i, j])
-            except PerturbativeBreakdownError as exc:
-                errors[i, j] = exc
-                ok[i, j] = False
-        if quantity is Quantity.CHI_I_BETA:
-            values[ok] = chi[ok]
-            return values
-        plan = self.plan
-        beta = (np.asarray(xs, dtype=float)[:, None] if plan.x.name == "beta"
-                else np.asarray(ys, dtype=float)[None, :]
-                if plan.y.name == "beta" else plan.fixed.beta)
-        log_chi = [math.log1p(-d) for d in deficit[ok].tolist()]
-        values[ok] = np.broadcast_to(beta, ok.shape)[ok] * w_bar[ok] + \
-            np.array(log_chi)
+        beta = np.broadcast_to(self._beta(xs, ys), ok.shape)[ok]
+        if self.quantity is Quantity.FIGURE_OF_MERIT:
+            report, refused = _engine_reports(
+                w_bar[ok], deficit[ok], beta,
+                np.broadcast_to(beta_q, ok.shape)[ok],
+                default_mode_tol(self.plan.fixed))
+            got = report.figure_of_merit
+        elif self.quantity is Quantity.DELTA_S:
+            got, refused = _entropy_productions(w_bar[ok], deficit[ok], beta)
+        else:
+            got, refused = 1.0 - deficit[ok], _breakdowns(deficit[ok])
+        got[list(refused)] = np.nan
+        values[ok] = got
+        cells = np.argwhere(ok)
+        for k, exc in refused.items():
+            errors[tuple(cells[k].tolist())] = exc
         return values
 
 

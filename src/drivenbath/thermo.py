@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import SystemSpec, beta_q
-from .workstats import (chi2_from_deficit, i_beta_deficit, w_ext2,
-                        work_integrals)
+from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
+                        i_beta_deficit, w_ext2, work_integrals)
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -76,19 +78,59 @@ def _entropy_production(spec: SystemSpec, w_bar: float,
     return spec.beta * w_bar + math.log1p(-deficit)
 
 
-def heat_flows(w_bar: float, delta_s: float, t_b: float,
-               t_q: float) -> tuple[float, float]:
+def _entropy_productions(w_bar: np.ndarray, deficit: np.ndarray,
+                         beta) -> tuple[np.ndarray, dict]:
+    """:func:`_entropy_production` of cells, on arrays.
+
+    ``w_bar``, ``deficit`` and ``beta`` are 1-D arrays over the cells.
+    Returns Delta S, NaN at each cell whose chi2(i beta) = 1 - deficit is
+    not positive, and the :class:`PerturbativeBreakdownError` of each
+    such cell keyed by its index.  The log is math.log1p per cell: on an
+    AVX-512 host np.log1p differs from it in the last bit on some inputs.
+    """
+    errors = _breakdowns(deficit)
+    if errors:
+        deficit = deficit.copy()
+        deficit[list(errors)] = math.nan
+    log_chi = [math.log1p(-d) for d in deficit.tolist()]
+    with np.errstate(all="ignore"):
+        return beta * w_bar + np.array(log_chi), errors
+
+
+def _breakdowns(deficit: np.ndarray) -> dict:
+    """The :class:`PerturbativeBreakdownError` of each cell of ``deficit``
+    (1-D) whose chi2(i beta) = 1 - deficit is not positive, by index."""
+    errors = {}
+    for k in np.flatnonzero(1.0 - deficit <= 0.0).tolist():
+        try:
+            chi2_from_deficit(float(deficit[k]))
+        except PerturbativeBreakdownError as exc:
+            errors[k] = exc
+    return errors
+
+
+_DEGENERATE = "heat split undefined at T_B = T_Q"
+
+
+def heat_flows(w_bar, delta_s, t_b, t_q):
     """Solve the first-law pair for (Q_bath, Q_qubit).
 
     Q_b + Q_q = w_bar and Q_b/T_b + Q_q/T_q = delta_s; the solve is
     exactly linear in (w_bar, delta_s) and undefined at equal
-    temperatures (relative difference within DEGENERACY_TOL).
+    temperatures (relative difference within DEGENERACY_TOL).  Takes
+    floats or arrays, elementwise; any degenerate pair raises.
     """
-    if abs(t_b - t_q) <= DEGENERACY_TOL * max(abs(t_b), abs(t_q)):
-        raise ValueError("heat split undefined at T_B = T_Q")
+    if np.any(_degenerate(t_b, t_q)):
+        raise ValueError(_DEGENERATE)
     q_b = -t_b * (t_q * delta_s - w_bar) / (t_b - t_q)
     q_q = t_q * (t_b * delta_s - w_bar) / (t_b - t_q)
     return q_b, q_q
+
+
+def _degenerate(t_b, t_q):
+    """Whether T_B and T_Q agree within DEGENERACY_TOL, elementwise."""
+    return np.abs(t_b - t_q) <= DEGENERACY_TOL * np.maximum(np.abs(t_b),
+                                                           np.abs(t_q))
 
 
 def engine_report(spec: SystemSpec) -> EngineReport:
@@ -112,19 +154,30 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     figure of merit.
 
     A spec that the engine guards refuse is never integrated; the others
-    meet validity, then a failed integral, then the chi2(i beta) breakdown
-    and the degenerate heat split, the order a sweep's cells keep.
+    meet validity, then a failed integral, then the refusals of the
+    bookkeeping (chi2(i beta) breakdown, degenerate heat split), the
+    order a sweep's cells keep.  The bookkeeping is that of the sweeps
+    and of verify's engine-bounds check, on one cell; this is the one
+    integrating entry point.
     """
-    _engine_guard(spec)  # refuse before integrating
+    bq = _engine_guard(spec)  # refuse before integrating
     (entry,), _ = work_integrals([spec])
     if isinstance(entry, Exception):
         raise entry
-    return _engine_report(spec, *entry)
+    w_bar, deficit = entry
+    report, errors = _engine_reports(
+        np.array([w_bar]), np.array([deficit]), np.array([spec.beta]),
+        np.array([bq]), default_mode_tol(spec))
+    if errors:
+        raise errors[0]
+    return EngineReport(**{name: value.item()
+                           for name, value in vars(report).items()})
 
 
 def _engine_guard(spec: SystemSpec) -> float:
     """beta_q of an engine operating point, or ValueError if it is none.
 
+    Reads only the qubit, so a sweep runs it once per distinct qubit.
     Safe before validation: it divides by nothing but a nonzero gap.
     """
     if spec.qubit is None:
@@ -136,37 +189,63 @@ def _engine_guard(spec: SystemSpec) -> float:
     return beta_q(spec.qubit)
 
 
-def _engine_report(spec: SystemSpec, w_bar: float,
-                   deficit: float) -> EngineReport:
-    """First-law and mode bookkeeping of :func:`engine_report`.
+#: the modes in the order of their codes in :func:`_engine_reports`, then
+#: the mode of a refused cell
+_MODES = np.array([*EngineMode, None], dtype=object)
 
-    Takes the mean work and the i-beta deficit instead of integrating
-    them, so a caller that already holds both gets the same report and
-    the same refusals, which are checked here: engine_report, each cell
-    of a figure-of-merit sweep and the engine-bounds check of verify,
-    whose cells are blended from their p = 0 and p = 1 ends.  The spec
-    must be valid, as it is wherever its integrals were taken.
+
+def _engine_reports(w_bar: np.ndarray, deficit: np.ndarray,
+                    beta: np.ndarray, beta_q: np.ndarray,
+                    mode_tol: float) -> tuple[EngineReport, dict]:
+    """First-law and mode bookkeeping of :func:`engine_report`, on cells.
+
+    Takes each cell's mean work and i-beta deficit instead of integrating
+    them: engine_report on its one cell, each figure-of-merit sweep on
+    its cells and verify's engine-bounds check on cells blended from
+    their p = 0 and p = 1 ends.  ``w_bar``, ``deficit``, ``beta`` and
+    ``beta_q`` (what the engine guards return, +inf at p = 1) are 1-D
+    arrays over the cells, and ``mode_tol`` is their shared
+    ``default_mode_tol``.  The cells must be valid and past the guards.
+
+    Returns an :class:`EngineReport` whose fields are arrays over the
+    cells, ``mode`` an object array, and the error of each refused cell
+    keyed by its index, in the order of the scalar formulas: chi2(i beta)
+    <= 0, then the degenerate heat split, then a heat-engine denominator
+    1 + T_L dS/W_ext of exactly 0 (ZeroDivisionError).  A refused cell's
+    numbers are NaN and its mode None; every other element has the bits
+    of the scalar formulas.
     """
-    bq = _engine_guard(spec)
-    t_b, t_q = 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
-    mode_tol = default_mode_tol(spec)
-    delta_s = _entropy_production(spec, w_bar, deficit)
-    q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
-    t_h, t_l = max(t_b, t_q), min(t_b, t_q)
-    r = t_l / t_h
-
-    if w_bar < -mode_tol:
-        w_ext = -w_bar
-        fom = (1.0 - r) / (1.0 + t_l * delta_s / w_ext)
-        mode = EngineMode.HEAT_ENGINE
-    elif w_bar > mode_tol:
+    delta_s, errors = _entropy_productions(w_bar, deficit, beta)
+    # as in Python float arithmetic, an overflow or a NaN passes silently;
+    # only the one division that can meet an exact zero raises, below
+    with np.errstate(all="ignore"):
+        t_b = 1.0 / beta
+        t_q = 1.0 / beta_q  # 1/inf = 0: T_Q = 0 at p = 1
+        for k in np.flatnonzero(_degenerate(t_b, t_q)).tolist():
+            errors.setdefault(k, ValueError(_DEGENERATE))
+        if errors:
+            # NaN temperatures keep the refused cells out of the heat split
+            t_q[list(errors)] = math.nan
+        q_b, q_q = heat_flows(w_bar, delta_s, t_b, t_q)
+        t_h, t_l = np.maximum(t_b, t_q), np.minimum(t_b, t_q)
+        r = t_l / t_h
+        denominator = 1.0 + t_l * delta_s / -w_bar
+        eta = (1.0 - r) / denominator
         cop = r / (1.0 - r) * (1.0 - t_h * delta_s / w_bar)
-        if cop >= 0.0:
-            fom, mode = cop, EngineMode.REFRIGERATOR
-        else:
-            fom, mode = math.nan, EngineMode.DISSIPATOR
-    else:
-        fom = math.nan
-        mode = EngineMode.DEGENERATE
-    return EngineReport(w_bar=w_bar, delta_s=delta_s, q_b=q_b, q_q=q_q,
-                        mode=mode, figure_of_merit=fom, t_h=t_h, t_l=t_l, r=r)
+    engine, above = w_bar < -mode_tol, w_bar > mode_tol
+    fridge = above & (cop >= 0.0)
+    for k in np.flatnonzero(engine & (denominator == 0.0)).tolist():
+        errors[k] = ZeroDivisionError("float division by zero")
+    report = EngineReport(
+        w_bar=w_bar, delta_s=delta_s, q_b=q_b, q_q=q_q,
+        mode=_MODES[np.where(engine, 0, np.where(
+            fridge, 1, np.where(above, 2, 3)))],
+        figure_of_merit=np.where(engine, eta,
+                                 np.where(fridge, cop, math.nan)),
+        t_h=t_h, t_l=t_l, r=r)
+    if errors:
+        refused = list(errors)
+        for name, value in vars(report).items():
+            if name != "w_bar":
+                value[refused] = None if name == "mode" else math.nan
+    return report, errors

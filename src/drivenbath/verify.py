@@ -18,8 +18,8 @@ from . import sweep as sweepmod
 from . import workstats as ws
 from .green import channel_table
 from .model import (Coupling, DrivenSource, FrequencyGrid, OhmicSpectrum,
-                    QubitSpec, Rule, SystemSpec)
-from .thermo import EngineMode, _engine_report
+                    QubitSpec, Rule, SystemSpec, beta_q)
+from .thermo import EngineMode, _engine_reports, default_mode_tol
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -268,9 +268,9 @@ def check_engine_bounds() -> CheckResult:
     W_bar and the i-beta deficit are affine in p, so each coupling's
     betas are integrated at p = 0 and p = 1 only and every cell is
     blended from those ends, as a p-axis sweep does: the check bounds the
-    figure-of-merit map's own values.  A failed end raises; a cell that
-    the report refuses with ValueError (the heat split at T_B = T_Q) is
-    counted on the detail line.
+    figure-of-merit map's own values, through the sweeps' array engine
+    bookkeeping.  A failed end raises; a cell that the bookkeeping
+    refuses (the heat split at T_B = T_Q) is counted on the detail line.
     """
     eps = 1e-6
     ps = np.linspace(0.5 + eps, 1.0 - eps, 64)
@@ -279,9 +279,9 @@ def check_engine_bounds() -> CheckResult:
     counts = {mode: 0 for mode in EngineMode}
     refused = 0
     for coupling in Coupling:
-        entries, _ = ws.work_integrals([
-            _spec(float(beta), 5.0, QubitSpec(coupling, 0.05, p))
-            for beta in betas for p in (0.0, 1.0)])
+        ends = [_spec(float(beta), 5.0, QubitSpec(coupling, 0.05, p))
+                for beta in betas for p in (0.0, 1.0)]
+        entries, _ = ws.work_integrals(ends)
         for entry in entries:
             if isinstance(entry, Exception):
                 raise entry
@@ -289,28 +289,27 @@ def check_engine_bounds() -> CheckResult:
         w0, d0, w1, d1 = np.reshape(entries, (len(betas), 4)).T[:, :, None]
         w_bar = (1.0 - ps) * w0 + ps * w1
         deficit = (1.0 - ps) * d0 + ps * d1
-        for beta, w_row, d_row in zip(betas.tolist(), w_bar.tolist(),
-                                      deficit.tolist()):
-            for p, w, d in zip(ps.tolist(), w_row, d_row):
-                try:
-                    report = _engine_report(
-                        _spec(beta, 5.0, QubitSpec(coupling, 0.05, p)), w, d)
-                except ValueError:
-                    refused += 1
-                    continue
-                counts[report.mode] += 1
-                worst_ds = max(worst_ds, -report.delta_s)
-                worst_first = max(worst_first, abs(
-                    report.q_b + report.q_q - report.w_bar))
-                if report.mode is EngineMode.HEAT_ENGINE:
-                    over = max(-report.figure_of_merit,
-                               report.figure_of_merit - (1.0 - report.r))
-                    worst_eta = max(worst_eta, over)
-                elif report.mode is EngineMode.REFRIGERATOR:
-                    carnot = report.r / (1.0 - report.r)
-                    over = max(-report.figure_of_merit,
-                               report.figure_of_merit - carnot)
-                    worst_cop = max(worst_cop, over)
+        # beta_q once per qubit, by the scalar log of model.beta_q
+        bq = [beta_q(QubitSpec(coupling, 0.05, p)) for p in ps.tolist()]
+        report, errors = _engine_reports(
+            w_bar.ravel(), deficit.ravel(), np.repeat(betas, len(ps)),
+            np.tile(bq, len(betas)), default_mode_tol(ends[0]))
+        refused += len(errors)
+        for mode in EngineMode:
+            counts[mode] += int(np.count_nonzero(report.mode == mode))
+        done = np.ones(w_bar.size, dtype=bool)
+        done[list(errors)] = False
+        worst_ds = max(worst_ds, float(np.max(-report.delta_s[done],
+                                              initial=0.0)))
+        worst_first = max(worst_first, float(np.max(np.abs(
+            report.q_b + report.q_q - report.w_bar)[done], initial=0.0)))
+        fom, r = report.figure_of_merit, report.r
+        engine = report.mode == EngineMode.HEAT_ENGINE
+        worst_eta = max(worst_eta, float(np.max(np.maximum(
+            -fom, fom - (1.0 - r))[engine], initial=0.0)))
+        fridge = report.mode == EngineMode.REFRIGERATOR
+        worst_cop = max(worst_cop, float(np.max(np.maximum(
+            -fom, fom - r / (1.0 - r))[fridge], initial=0.0)))
     worst = max(worst_eta, worst_cop, worst_ds, worst_first)
     detail = (f"modes: {[f'{m.value}:{n}' for m, n in counts.items()]}, "
               f"refused {refused}, eta overshoot {worst_eta:.2e}, "

@@ -106,10 +106,16 @@ def _rows(integrand, specs: Sequence[SystemSpec],
     The specs must be valid and share coupling and drive; row r
     integrates on ``grids[r]`` with the support edges of spec r.
     """
-    table = channel_table(specs)
+    return _table_rows(integrand, channel_table(specs), specs[0].source,
+                       grids)
+
+
+def _table_rows(integrand, table: ChannelTable, source: DrivenSource,
+                grids: Sequence[FrequencyGrid]) -> Integrals:
+    """:func:`_rows` on the specs' channel table ``table``."""
     return integrate_rows(
         lambda omega, rows, near: integrand(table, omega, rows, near),
-        specs[0].source, grids, table.edges, table.edge_powers)
+        source, grids, table.edges, table.edge_powers)
 
 
 def default_w_grid(source: DrivenSource, n: int = 800) -> np.ndarray:
@@ -187,19 +193,25 @@ def i_beta_deficit_rows(specs: Sequence[SystemSpec],
     ``grid`` each row takes its own :func:`default_i_beta_grid`, widened
     from the one drive-only window of the batch.
     """
-    def f(table, w, rows, near):
-        g_mp, g_pm = table.pair(w, rows, near)
-        beta = table.beta(rows)
-        return (-np.expm1(-beta * w) * g_mp, -np.expm1(beta * w) * g_pm)
-
-    if grid is None:
-        source = specs[0].source
-        base = FrequencyGrid.for_source(source)
-        grids = [_widened_grid(source, s.beta, base) for s in specs]
-    else:
-        grids = [grid] * len(specs)
-    out = _rows(f, specs, grids)
+    grids = _i_beta_grids(specs[0].source, [s.beta for s in specs]) \
+        if grid is None else [grid] * len(specs)
+    out = _rows(_deficit_integrand, specs, grids)
     return replace(out, values=0.5 * out.values)
+
+
+def _i_beta_grids(source: DrivenSource,
+                  betas: Sequence[float]) -> list[FrequencyGrid]:
+    """The i-beta probe's window at each of ``betas`` for ``source``,
+    widened from its one drive-only window."""
+    base = FrequencyGrid.for_source(source)
+    return [_widened_grid(source, beta, base) for beta in betas]
+
+
+def _deficit_integrand(table: ChannelTable, w, rows, near):
+    """The integrand of twice the i-beta deficit."""
+    g_mp, g_pm = table.pair(w, rows, near)
+    beta = table.beta(rows)
+    return (-np.expm1(-beta * w) * g_mp, -np.expm1(beta * w) * g_pm)
 
 
 def chi2_at_i_beta(spec: SystemSpec,
@@ -311,12 +323,15 @@ def w_ext2_rows(specs: Sequence[SystemSpec],
     The specs must be valid and share coupling and drive, so they
     share one window.
     """
-    def f(table, w, rows, near):
-        g_mp, g_pm = table.pair(w, rows, near)
-        return w * g_mp, -w * g_pm
-
-    out = _rows(f, specs, [_grid_for(specs[0], grid)] * len(specs))
+    out = _rows(_mean_work_integrand, specs,
+                [_grid_for(specs[0], grid)] * len(specs))
     return replace(out, values=-0.5 * out.values)
+
+
+def _mean_work_integrand(table: ChannelTable, w, rows, near):
+    """The integrand of twice the mean work."""
+    g_mp, g_pm = table.pair(w, rows, near)
+    return w * g_mp, -w * g_pm
 
 
 def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
@@ -327,8 +342,9 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
     NaN.  Where the direct calls (-:func:`w_ext2`, then
     :func:`i_beta_deficit`) raise, the entry is the error they raise
     first: the ValueError of an invalid spec, else the QuadratureError of
-    the mean work, then of the deficit.  Also returns the calls'
-    :class:`Integrals`, which carry their points.
+    the mean work, then of the deficit.  The valid specs go through
+    :func:`_work_rows`, each with its own i-beta window.  Also returns
+    the calls' :class:`Integrals`, which carry their points.
     """
     entries: list = [None] * len(specs)
     valid = []
@@ -342,15 +358,44 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
     if not valid:
         return entries, []
     batch = [specs[k] for k in valid]
-    w_ext = w_ext2_rows(batch) if mean_work else None
-    probe = i_beta_deficit_rows(batch) if deficit else None
-    calls = [res for res in (w_ext, probe) if res is not None]
-    for pos, k in enumerate(valid):
-        failed = [res.errors[pos] for res in calls if res.errors[pos]]
-        entries[k] = QuadratureError(failed[0]) if failed else (
-            -float(w_ext.values[pos]) if mean_work else math.nan,
-            float(probe.values[pos]) if deficit else math.nan)
+    windows = _i_beta_grids(batch[0].source,
+                            [s.beta for s in batch]) if deficit else None
+    values, errors, calls = _work_rows(batch, windows, mean_work, deficit)
+    for k, pair, error in zip(valid, values.tolist(), errors):
+        entries[k] = QuadratureError(error) if error else tuple(pair)
     return entries, calls
+
+
+def _work_rows(specs: Sequence[SystemSpec],
+               windows: Optional[Sequence[FrequencyGrid]],
+               mean_work: bool, deficit: bool):
+    """W_bar and the i-beta deficit of valid specs, batched.
+
+    The batch step of :func:`work_integrals` and of the sweeps: the
+    specs must be valid and share coupling and drive, and ``windows``
+    holds the deficit's window of each (None without the deficit).  One
+    channel table serves both integrals, one :func:`integrate_rows`
+    call each, so every value has the bits of :func:`w_ext2` and
+    :func:`i_beta_deficit` on that window.  Returns an (n, 2) array of
+    (W_bar, deficit), NaN where not asked for or failed; each row's
+    first error message, the mean work's before the deficit's, or None;
+    and the calls' :class:`Integrals`.
+    """
+    table, source = channel_table(specs), specs[0].source
+    values = np.full((len(specs), 2), math.nan)
+    calls = []
+    if mean_work:
+        calls.append(_table_rows(
+            _mean_work_integrand, table, source,
+            [FrequencyGrid.for_source(source)] * len(specs)))
+        values[:, 0] = 0.5 * calls[-1].values
+    if deficit:
+        calls.append(_table_rows(_deficit_integrand, table, source,
+                                 windows))
+        values[:, 1] = 0.5 * calls[-1].values
+    errors = [next(filter(None, row), None)
+              for row in zip(*(res.errors for res in calls))]
+    return values, errors, calls
 
 
 def mean_work_finite_difference(spec: SystemSpec) -> float:

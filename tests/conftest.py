@@ -8,6 +8,9 @@ from drivenbath import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
                         SystemSpec, lambda_weight)
 from drivenbath.green import channel_table
 from drivenbath.quadrature import _build_panels, _gl_nodes_weights
+from drivenbath.thermo import (DEGENERACY_TOL, EngineMode, EngineReport,
+                               _engine_guard, _entropy_production,
+                               default_mode_tol)
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -21,6 +24,43 @@ def make_spec(beta=1.0, alpha=5.0, lambda0=0.01, t_int=100.0,
     return SystemSpec(beta=beta, spectrum=OhmicSpectrum(alpha=alpha),
                       source=DrivenSource(lambda0=lambda0, t_int=t_int),
                       qubit=qubit)
+
+
+def scalar_engine_report(spec, w_bar, deficit):
+    """First-law and mode bookkeeping of one cell in scalars.
+
+    The per-cell reference of ``thermo._engine_reports``: the same
+    refusals in the same order (the engine guards, chi2(i beta) <= 0, the
+    degenerate heat split, a zero heat-engine denominator) and the same
+    formulas, one Python float operation at a time.  The spec must be
+    valid.
+    """
+    bq = _engine_guard(spec)
+    t_b, t_q = 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
+    mode_tol = default_mode_tol(spec)
+    delta_s = _entropy_production(spec, w_bar, deficit)
+    if abs(t_b - t_q) <= DEGENERACY_TOL * max(abs(t_b), abs(t_q)):
+        raise ValueError("heat split undefined at T_B = T_Q")
+    q_b = -t_b * (t_q * delta_s - w_bar) / (t_b - t_q)
+    q_q = t_q * (t_b * delta_s - w_bar) / (t_b - t_q)
+    t_h, t_l = max(t_b, t_q), min(t_b, t_q)
+    r = t_l / t_h
+
+    if w_bar < -mode_tol:
+        w_ext = -w_bar
+        fom = (1.0 - r) / (1.0 + t_l * delta_s / w_ext)
+        mode = EngineMode.HEAT_ENGINE
+    elif w_bar > mode_tol:
+        cop = r / (1.0 - r) * (1.0 - t_h * delta_s / w_bar)
+        if cop >= 0.0:
+            fom, mode = cop, EngineMode.REFRIGERATOR
+        else:
+            fom, mode = math.nan, EngineMode.DISSIPATOR
+    else:
+        fom = math.nan
+        mode = EngineMode.DEGENERATE
+    return EngineReport(w_bar=w_bar, delta_s=delta_s, q_b=q_b, q_q=q_q,
+                        mode=mode, figure_of_merit=fom, t_h=t_h, t_l=t_l, r=r)
 
 
 def green_pair(spec):

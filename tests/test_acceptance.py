@@ -82,6 +82,15 @@ def test_criterion_11_engine_bounds():
     assert result.passed, result.detail
 
 
+def test_criterion_11_engine_bounds_population():
+    """The cells the bounds hold over, by mode: a bookkeeping change that
+    moves cells between modes, or refuses them, shows here."""
+    detail = verify.check_engine_bounds().detail
+    assert detail.startswith(
+        "modes: ['heat-engine:8286', 'refrigerator:2128', "
+        "'dissipator:1874', 'degenerate:0'], refused 0, "), detail
+
+
 def test_criterion_12_quadrature_oracle():
     result = report(verify.check_quadrature_oracle())
     assert result.passed, result.detail

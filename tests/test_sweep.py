@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import drivenbath.sweep as sweepmod
+import drivenbath.thermo as thermo
 import drivenbath.workstats as ws
 from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
                         SweepPlan, beta_q_marker, chi2_at_i_beta,
@@ -13,11 +13,10 @@ from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
 from drivenbath.green import ChannelTable
 from drivenbath.model import require_valid
 from drivenbath.sweep import CELL_ERRORS, SweepResult
-from drivenbath.thermo import (_engine_guard, _engine_report,
-                               _entropy_production)
+from drivenbath.thermo import _engine_guard, _entropy_production
 from drivenbath.workstats import chi2_from_deficit, work_integrals
 
-from conftest import make_spec
+from conftest import make_spec, scalar_engine_report
 
 #: what a cell of each quantity evaluates when integrated on its own
 DIRECT = {
@@ -69,7 +68,7 @@ def assert_matches_direct(result):
 def reference_cell_value(spec, quantity, w_bar, deficit):
     """One cell's quantity from its integrals, evaluated on its own spec."""
     if quantity is Quantity.FIGURE_OF_MERIT:
-        return _engine_report(spec, w_bar, deficit).figure_of_merit
+        return scalar_engine_report(spec, w_bar, deficit).figure_of_merit
     require_valid(spec)
     if quantity is Quantity.W_EXT:
         return -w_bar
@@ -397,19 +396,19 @@ class TestRunSweep:
     def test_failed_endpoint_integral_fails_its_column(self, monkeypatch):
         plan = spin_plan()
         beta = plan.y.values()[3]
-        original = ws.w_ext2_rows
+        original = ws._work_rows
 
-        def flaky(specs, grid=None):
+        def flaky(specs, windows, mean_work, deficit):
             # the batched rule fails the rows at this beta, as it fails a
             # row with a non-finite sample
-            result = original(specs, grid)
+            values, errors, calls = original(specs, windows, mean_work,
+                                             deficit)
             hit = [spec.beta == beta for spec in specs]
-            return replace(
-                result, values=np.where(hit, np.nan, result.values),
-                errors=tuple("non-finite integrand" if h else e
-                             for h, e in zip(hit, result.errors)))
+            values[hit] = np.nan
+            return values, ["non-finite integrand" if h else e
+                            for h, e in zip(hit, errors)], calls
 
-        monkeypatch.setattr(ws, "w_ext2_rows", flaky)
+        monkeypatch.setattr(ws, "_work_rows", flaky)
         column = tuple((i, 3, "non-finite integrand") for i in range(16))
         with pytest.raises(SweepError) as info:
             run_sweep(plan, Quantity.W_EXT)
@@ -560,6 +559,43 @@ class TestCellStage:
                      for i, j in sorted(errors)) == failures
         assert len(failures) == 11 * 64
         assert len(validated) <= len(xs) + len(ys) + len(failures)
+
+    def test_row_layout_keeps_guards_and_validation_per_axis_value(
+            self, monkeypatch):
+        # gap and beta from 0: the guards refuse the gapless row and
+        # validation the beta = 0 column.  The guards run once per gap,
+        # validate once per axis value, and only the invalid cells build
+        # their own spec; the i-beta windows are one per beta value
+        plan = gap_beta_from_zero_plan(0.9)
+        xs, ys = plan.x.values(), plan.y.values()
+        want, failures = reference_cells(plan, Quantity.FIGURE_OF_MERIT,
+                                         xs, ys)
+        evaluator = sweepmod._CellEvaluator(plan, Quantity.FIGURE_OF_MERIT)
+        checked = []
+        for module, name in ((sweepmod, "_engine_guard"),
+                             (thermo, "_engine_guard"),
+                             (sweepmod, "validate"),
+                             (sweepmod, "require_valid"),
+                             (ws, "require_valid")):
+            def counted(spec, check=getattr(module, name)):
+                checked.append(spec)
+                return check(spec)
+            monkeypatch.setattr(module, name, counted)
+        windows = []
+        widened = ws._widened_grid
+
+        def window(source, beta, base=None):
+            windows.append(beta)
+            return widened(source, beta, base)
+
+        monkeypatch.setattr(ws, "_widened_grid", window)
+        values, errors = evaluator.grid(xs, ys)
+        assert np.array_equal(values, want, equal_nan=True)
+        assert tuple((i, j, str(errors[i, j]))
+                     for i, j in sorted(errors)) == failures
+        assert len(failures) == 16 + 15
+        assert len(checked) <= len(xs) + len(ys) + len(failures)
+        assert sorted(windows) == sorted(ys)
 
 
 def per_cell_zero_contour(result, center_fn=None):

@@ -1,15 +1,21 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drivenbath.workstats as ws
-from drivenbath import (EngineMode, chi2_at_i_beta, engine_report,
-                        entropy_production, heat_flows, w_ext2)
-from drivenbath.thermo import default_mode_tol
+from drivenbath import (EngineMode, PerturbativeBreakdownError,
+                        chi2_at_i_beta, engine_report, entropy_production,
+                        heat_flows, w_ext2)
+from drivenbath.model import beta_q
+from drivenbath.sweep import CELL_ERRORS
+from drivenbath.thermo import (DEGENERACY_TOL, _engine_guard,
+                               _engine_reports, default_mode_tol)
 
-from conftest import make_spec
+from conftest import make_spec, scalar_engine_report
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 temps = st.floats(0.01, 100.0)
@@ -196,3 +202,117 @@ class TestEngineReport:
     def test_mode_tol_scales_with_drive(self):
         assert default_mode_tol(make_spec()) == \
             pytest.approx(1e-16 * 1e-4 * 100.0, rel=1e-12)
+
+
+#: the degeneracy band around W_bar = 0 of every cell drawn below
+MODE_TOL = default_mode_tol(make_spec())
+
+#: W_bar on both edges of the band and one ulp either side of them
+BAND_EDGES = [sign * w for sign in (1.0, -1.0) for w in (
+    MODE_TOL, math.nextafter(MODE_TOL, 0.0),
+    math.nextafter(MODE_TOL, math.inf))]
+
+
+def cell(beta=1.0, gap=0.05, p=0.9, w_bar=-1e-9, deficit=0.0):
+    return make_spec(beta=beta, coupling="spin", omega_gap=gap, p=p), \
+        w_bar, deficit
+
+
+def tied_beta(gap, p, factor):
+    """beta at ``factor`` times the qubit's beta_q: T_B next to T_Q."""
+    return factor * beta_q(make_spec(coupling="spin", omega_gap=gap,
+                                     p=p).qubit)
+
+
+#: one cell at each edge of the bookkeeping, and what the scalar
+#: reference makes of it
+EDGE_CELLS = {
+    # beta 1 and deficit 0: T_H dS / W_bar is exactly 1, so COP = 0
+    "cop-zero": (cell(beta=1.0, w_bar=1e-9, deficit=0.0),
+                 lambda r: r.mode is EngineMode.REFRIGERATOR
+                 and r.figure_of_merit == 0.0),
+    "dissipator": (cell(beta=1.0, w_bar=1e-9, deficit=-0.5),
+                   lambda r: r.mode is EngineMode.DISSIPATOR),
+    "p-one": (cell(p=1.0, w_bar=-1e-9),
+              lambda r: r.t_l == 0.0 and r.r == 0.0
+              and r.figure_of_merit == 1.0),
+    "band-inside": (cell(w_bar=-MODE_TOL),
+                    lambda r: r.mode is EngineMode.DEGENERATE),
+    "band-outside": (cell(w_bar=math.nextafter(-MODE_TOL, -math.inf)),
+                     lambda r: r.mode is EngineMode.HEAT_ENGINE),
+    "tied-temperatures": (cell(beta=tied_beta(0.05, 0.9, 1.0 + 5e-10)),
+                          ValueError),
+    "deficit-one": (cell(deficit=1.0), PerturbativeBreakdownError),
+    # T_L dS / W_ext = -1 exactly: T_L = T_B = 1, dS = W_bar = -1
+    "zero-denominator": (cell(gap=5.0, p=0.6, w_bar=-1.0, deficit=0.0),
+                         ZeroDivisionError),
+}
+
+
+@st.composite
+def engine_cells(draw):
+    """A valid qubit cell past the engine guards with its W_bar and
+    deficit, drawn toward the edges of EDGE_CELLS."""
+    p = draw(st.sampled_from([1.0, math.nextafter(0.5, 1.0)])
+             | st.floats(0.5, 1.0, exclude_min=True))
+    gap = draw(st.floats(1e-3, 5.0))
+    if p < 1.0 and draw(st.booleans()):
+        beta = tied_beta(gap, p, draw(st.sampled_from(
+            [1.0, 1.0 + 0.5 * DEGENERACY_TOL, 1.0 - 0.5 * DEGENERACY_TOL,
+             1.0 + 3.0 * DEGENERACY_TOL])))
+    else:
+        beta = draw(st.sampled_from([0.5, 1.0, 2.0])
+                    | st.floats(1e-3, 1e3))
+    w_bar = draw(st.sampled_from(BAND_EDGES) | st.sampled_from([-1.0, 1.0])
+                 | st.floats(-1e-6, 1e-6))
+    deficit = draw(st.sampled_from([0.0, 1.0, 1.5, math.nextafter(1.0, 0.0)])
+                   | st.floats(-1.0, 2.0))
+    return cell(beta, gap, p, w_bar, deficit)
+
+
+def same_bits(a, b):
+    """Equal as floats including the sign of zero, or both NaN; equal as
+    anything else."""
+    if isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or (
+            a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    return a is b
+
+
+class TestCellBookkeeping:
+    """thermo._engine_reports against the scalar per-cell reference."""
+
+    @pytest.mark.parametrize("name", list(EDGE_CELLS))
+    def test_edges_are_reached(self, name):
+        (spec, w_bar, deficit), expected = EDGE_CELLS[name]
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                scalar_engine_report(spec, w_bar, deficit)
+        else:
+            assert expected(scalar_engine_report(spec, w_bar, deficit))
+
+    @given(st.lists(engine_cells(), min_size=1, max_size=6))
+    @example([edge for edge, _ in EDGE_CELLS.values()])
+    @example([cell(w_bar=w) for w in BAND_EDGES])
+    @settings(max_examples=200, deadline=None)
+    def test_each_cell_matches_the_scalar_reference(self, cells):
+        specs, w_bar, deficit = zip(*cells)
+        report, errors = _engine_reports(
+            np.array(w_bar), np.array(deficit),
+            np.array([s.beta for s in specs]),
+            np.array([_engine_guard(s) for s in specs]), MODE_TOL)
+        for k, (spec, w, d) in enumerate(cells):
+            try:
+                want = scalar_engine_report(spec, w, d)
+            except CELL_ERRORS as exc:
+                assert type(errors[k]) is type(exc)
+                assert str(errors[k]) == str(exc)
+                assert report.mode[k] is None
+                assert math.isnan(report.figure_of_merit[k])
+                continue
+            assert k not in errors
+            for field in dataclasses.fields(want):
+                assert same_bits(getattr(report, field.name)[k].item()
+                                 if field.name != "mode"
+                                 else report.mode[k],
+                                 getattr(want, field.name)), field.name
