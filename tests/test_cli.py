@@ -336,6 +336,18 @@ def _structured_floats(rng):
     return np.concatenate([values, -values])
 
 
+def _off_tie(x):
+    """x, or the first double above it, whose 17 digits N * 10**(E - 16)
+    are not within 1e-9 of a rounding tie."""
+    while True:
+        a, b = x.as_integer_ratio()
+        e = math.floor(math.log10(x))
+        num, den = a * 10 ** max(16 - e, 0), b * 10 ** max(e - 16, 0)
+        if abs(2 * (num % den) - den) * 10 ** 9 >= 2 * den:
+            return x
+        x = math.nextafter(x, math.inf)
+
+
 class TestCsvKernel:
     """The numpy kernel behind _write_csv against Python's %.16e."""
 
@@ -408,6 +420,21 @@ class TestCsvKernel:
         _write_csv(path, "p,beta", *lines)
         assert len(calls) == -(-rows // _CSV_CHUNK) and sum(calls) == rows
         _assert_text(path, "# p,beta\n" + _reference_csv(lines))
+
+    def test_every_table_word_matches_python_formatting(self, tmp_path,
+                                                        monkeypatch):
+        # one cell per sign, leading digit 1-9 and exponent -290..289 (and
+        # the two zeros), each certified by the kernel
+        cells = [_off_tie(d * 1.0123456789012345 * 10.0 ** e)
+                 for d in range(1, 10) for e in range(-290, 290)]
+        table = np.concatenate([cells, [0.0]])[:, None] * [1.0, -1.0]
+        fallbacks, fmt = [], cli._fmt
+        monkeypatch.setattr(cli, "_fmt",
+                            lambda x: fallbacks.append(x) or fmt(x))
+        path = tmp_path / "t.csv"
+        _write_csv(path, "h", table)
+        assert len(table) == 9 * 580 + 1 and fallbacks == []
+        _assert_text(path, "# h\n" + _reference_csv([table]))
 
     def test_import_leaves_out_fractions_and_decimal(self):
         # the powers of ten come from Python ints, built on first use
@@ -703,3 +730,48 @@ class TestConfigPrecedence:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["from_config.csv", "from_flag.csv", "run.ini",
                            "wext.csv"]
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser; no call may leak into the next."""
+
+    COMMANDS = [
+        ["wdf", "--qubit", "none", "--alpha", "5", "--nonperturbative",
+         "--out", "a/wdf.csv"],
+        ["wext", "--qubit", "none", "--alpha", "2", "--out", "a/wext.csv"],
+        ["sweep", "--qubit", "spin", "--sweep-x", "p", "--x-range", "0,1",
+         "--sweep-y", "beta", "--y-range", "0.1,100", "--y-scale", "log",
+         "--nx", "16", "--ny", "16", "--out", "a/sweep"],
+        ["wdf", "--qubit", "none", "--alpha", "5", "--out", "b/wdf.csv"],
+    ]
+
+    @staticmethod
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_files_match_fresh_processes(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        first, *rest = self.COMMANDS
+        assert main(first) == 0
+        assert main(rest[0]) == 0
+        with pytest.raises(SystemExit) as exc:  # a usage error mid-parse
+            main(["wdf", "--nonperturbative", "--samples", "x"])
+        assert exc.value.code == 2
+        for argv in rest[1:]:
+            assert main(argv) == 0
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv in self.COMMANDS:
+            subprocess.run([sys.executable, "-m", "drivenbath.cli", *argv],
+                           cwd=fresh, env=env, check=True,
+                           capture_output=True)
+        written = self.files(here)
+        assert written == self.files(fresh)
+        assert sorted(str(p) for p in written if p.parts[0] == "b") == [
+            "b/wdf.csv"]
+        assert Path("a/wdf_nonperturbative.csv") in written

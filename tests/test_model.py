@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -115,11 +116,18 @@ class TestFrequencyGrid:
 
 class TestWithParam:
     def test_replaces_each_parameter(self):
+        # and keeps every other field, as dataclasses.replace does
         spec = make_spec(coupling="spin")
-        assert with_param(spec, "beta", 7.0).beta == 7.0
-        assert with_param(spec, "alpha", 2.0).spectrum.alpha == 2.0
-        assert with_param(spec, "p", 0.25).qubit.p_ground == 0.25
-        assert with_param(spec, "omega_gap", 3.0).qubit.omega_gap == 3.0
+        qubit = spec.qubit
+        assert with_param(spec, "beta", 7.0) == replace(spec, beta=7.0)
+        assert with_param(spec, "alpha", 2.0) == replace(
+            spec, spectrum=replace(spec.spectrum, alpha=2.0))
+        assert with_param(spec, "p", 0.25) == replace(
+            spec, qubit=replace(qubit, p_ground=0.25))
+        assert with_param(spec, "omega_gap", 3.0) == replace(
+            spec, qubit=replace(qubit, omega_gap=3.0))
+        bare = make_spec()
+        assert with_param(bare, "beta", 7.0) == replace(bare, beta=7.0)
 
     def test_qubit_parameters_need_qubit(self):
         with pytest.raises(ValueError, match="requires a qubit"):
