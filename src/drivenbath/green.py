@@ -118,20 +118,25 @@ class ChannelTable:
         whose shift is its line's edge takes x = offset, every digit of
         which survives next to a nonzero edge.
         """
-        if rows[0] == rows[-1]:
-            params = self.params[:, rows[0]].tolist()
-        else:
-            params = list(self.params[:, rows])
-            if (params[_ALPHA] == params[_ALPHA][0]).all():
-                params[_ALPHA] = float(params[_ALPHA][0])
+        params = self.params[:, rows[0]].tolist()
+        gather = False
+        if rows[0] != rows[-1]:
+            # a parameter that every spec shares stays a float
+            shared = (self.params == self.params[:, :1]).all(axis=1).tolist()
+            params = [value if same else self.params[i, rows]
+                      for i, (value, same) in enumerate(zip(params, shared))]
+            # the terms' values per node: all but the shifts
+            gather = not all(shared[:-len(self.occupations)])
         # an occupation overflowing at huge beta x takes its intended
         # limit (s/inf -> 0); the support mask keeps beta x positive
         with np.errstate(over="ignore", under="ignore"):
-            return self._channels(omega, params, near)
+            return self._channels(omega, params, near, gather)
 
-    def _channels(self, omega: np.ndarray, params, near) -> tuple:
+    def _channels(self, omega: np.ndarray, params, near,
+                  gather: bool) -> tuple:
         """(g_mp, g_pm) at ``omega`` (k, m); a row of ``params`` is a float
-        shared by all nodes or holds one value per line of ``omega``.
+        shared by all nodes or holds one value per line of ``omega``, and
+        ``gather`` says whether a row other than the shifts does.
         With ``near`` = (edge, offset), x = w - shift is the offset on the
         lines whose mapped edge is that shift (see :meth:`pair`)."""
         m = omega.shape[1]
@@ -160,7 +165,7 @@ class ChannelTable:
                 x = x[on]
             # the shift's values per node, made for it alone; floats stay
             node = [*params[:_WEIGHTS], *params[_WEIGHTS + 2 * k:][:2]]
-            if not isinstance(node[0], float):
+            if gather:
                 lines = np.flatnonzero(on) // m if partial else None
                 node = [a if isinstance(a, float) else
                         a.repeat(m) if lines is None else a[lines]

@@ -102,6 +102,11 @@ class FrequencyGrid:
     n_points: int = 4097
     rule: Rule = Rule.ADAPTIVE_GK
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.omega_max < math.inf:
+            raise ValueError("omega_max must be finite and > 0, got "
+                             f"{self.omega_max!r}")
+
     @classmethod
     def for_source(cls, source: DrivenSource) -> "FrequencyGrid":
         """Adaptive-rule window sized from the drive envelope alone.

@@ -32,7 +32,8 @@ unconverged estimate.  A row's value does not depend on the rest of the
 batch, to the bit, by construction: every node value is an elementwise
 function of its own row, each interval's rule is its own matrix
 product, and each row's sums run over its own intervals in a fixed
-order.  A single integral is a batch of one.
+order.  A single integral is a batch of one.  A run of rows with one
+panel layout is built once, and only its outer panels are sized per row.
 
 A nonzero mapped edge e at w = e +/- t^m is also handed to the
 integrand, with each node's exact offset +/- t^m from it.  The integrand
@@ -270,51 +271,34 @@ _RULES[:31, 0] = _RULES[:31, 1] = _RULES[31:, 2] = _W_K31
 _RULES[1:31:2, 0] -= _W_LOW
 
 
-def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
-              errors) -> None:
+def _adaptive(f, source: DrivenSource, active: Sequence[int], columns,
+              values, points, errors) -> None:
     """Globally adaptive nested pair G15/K31 (31 nodes), all rows at once.
 
-    Fills ``values``, ``points`` and ``errors`` of every row whose entry
-    of ``row_panels`` is a panel list.  One refinement loop
-    runs over the open intervals of every (row, panel) pair and evaluates
-    ``f`` once per step, on all their nodes.  The intervals stay grouped
-    by row, then panel, and every sum over a row's intervals is taken over
-    its own run of them, so a row's bits do not depend on the batch.  Per
-    row, with tol = max(_EPS_L1 int(|a| + |b|), _EPSREL |I|), the row
-    leaves the loop when the summed |K31 - G15| of its intervals, open and
-    retired, is at most tol.  Otherwise it bisects its intervals whose
-    error exceeds their length share of tol and retires the others with
-    their K31 estimates.  A row that is still above tol past _MAX_STEPS
-    steps or _MAX_INTERVALS open intervals, or with nothing left to
-    bisect, has stalled and fails alone, as a non-finite sample fails
-    its row.  ``f`` gets ``near`` as :func:`integrate_rows` says, with
-    each panel's edge (:func:`_edge`) fixed once, before the loop.
+    Fills ``values``, ``points`` and ``errors`` of the rows ``active``,
+    whose panels ``columns`` holds as :func:`_panel_columns` returns them.
+    One refinement loop runs over the open intervals of every (row, panel)
+    pair and evaluates ``f`` once per step, on all their nodes.  The
+    intervals stay grouped by row, then panel, and every sum over a row's
+    intervals is taken over its own run of them, so a row's bits do not
+    depend on the batch.  Per row, with tol = max(_EPS_L1 int(|a| + |b|),
+    _EPSREL |I|), the row leaves the loop when the summed |K31 - G15| of
+    its intervals, open and retired, is at most tol.  Otherwise it
+    bisects its intervals whose error exceeds their length share of tol
+    and retires the others with their K31 estimates.  A row that is still
+    above tol past _MAX_STEPS steps or _MAX_INTERVALS open intervals, or
+    with nothing left to bisect, has stalled and fails alone, as a
+    non-finite sample fails its row.  ``f`` gets ``near`` as
+    :func:`integrate_rows` says, with each panel's edge (:func:`_edge`)
+    fixed once, before the loop.
     """
     # per open row: its index, open intervals, total panel length and the
     # summed error, value and L1 of its retired intervals
-    active, counts, total_len, done = [], [], [], []
-    prow, anchor, sign, powers, length, edge = [], [], [], [], [], []
-    for row, panels in enumerate(row_panels):
-        panels = [p for p in panels or () if p.length > 0.0]
-        if not panels:
-            continue
-        active.append(row)
-        counts.append(len(panels))
-        total_len.append(sum(p.length for p in panels))
-        done.append((0.0, 0.0, 0.0))
-        for p in panels:
-            prow.append(row)
-            anchor.append(p.anchor)
-            sign.append(p.sign)
-            powers.append(p.power)
-            length.append(p.length)
-            edge.append(_edge(p))
-    if not active:
-        return
-    prow, anchor, sign, powers = map(np.array, (prow, anchor, sign, powers))
-    edge = np.array(edge)[:, None]
-    if np.isnan(edge).all():
-        edge = None
+    counts, total_len, length, anchor, sign, powers, edge = columns
+    done = [(0.0, 0.0, 0.0)] * len(active)
+    prow = np.array(active).repeat(counts)
+    anchor, sign, powers = map(np.array, (anchor, sign, powers))
+    edge = None if all(map(math.isnan, edge)) else np.array(edge)[:, None]
     pid = np.arange(len(length))
     lo = np.zeros(len(length))
     half = 0.5 * np.array(length)
@@ -410,6 +394,59 @@ def _adaptive(f, source: DrivenSource, row_panels: list, values, points,
             half = (0.5 * half).repeat(2)
 
 
+def _panel_columns(windows: Sequence[float],
+                   breakpoints: Sequence[Sequence[float]],
+                   edge_powers: Sequence[float]):
+    """The :func:`_build_panels` lists of rows as columns, to the bit.
+
+    Row r has window ``windows[r]``, edges ``breakpoints[r]`` and power
+    ``edge_powers[r]``.  Returns each row's panel count and total length
+    (summed left to right), then each panel's length, anchor, sign, power
+    and :func:`_edge`, row after row, as lists.  A run of rows with one
+    layout (edges, power and the edges inside the window) is built once,
+    at its first window; per row only the two outer panels, which reach
+    +-omega_max, are sized, as _build_panels sizes them.
+    """
+    def layout(row):
+        window, edges, edge_power = row
+        edges = tuple(edges)
+        return edges, edge_power, [b for b in edges if -window < b < window]
+
+    columns = [], [], [], [], [], [], []
+    counts, total_len, length, anchor, sign, powers, edge = columns
+    for (edges, edge_power, inside), run in itertools.groupby(
+            zip(windows, breakpoints, edge_powers), layout):
+        ws = [row[0] for row in run]
+        panels = _build_panels(ws[0], edges, edge_power)
+        k, n = len(ws), len(panels)
+        lengths, anchors, signs, maps = map(list, zip(*panels))
+        # b - a with a = -omega_max is b + omega_max, to the bit
+        if not inside:
+            lengths = [w + w for w in ws]
+            anchors = [-w for w in ws]
+        else:
+            lengths *= k
+            anchors *= k
+            lo, hi = min(inside), max(inside)
+            if edge_power == 1.0:
+                anchors[0::n] = [-w for w in ws]
+                lengths[0::n] = [lo + w for w in ws]
+                lengths[n - 1::n] = [w - hi for w in ws]
+            else:
+                inverse = 1.0 / edge_power
+                lengths[0::n] = [(lo + w) ** inverse for w in ws]
+                lengths[n - 1::n] = [(w - hi) ** inverse for w in ws]
+        counts += [n] * k
+        # each row's n lengths, summed left to right
+        total_len += map(sum, zip(*[iter(lengths)] * n))
+        length += lengths
+        anchor += anchors
+        sign += signs * k
+        powers += maps * k
+        edge += list(map(_edge, panels)) * k
+    return columns
+
+
 def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
                    breakpoints: Sequence[Sequence[float]],
                    edge_powers: Sequence[float]) -> Integrals:
@@ -425,30 +462,31 @@ def integrate_rows(f, source: DrivenSource, grids: Sequence[FrequencyGrid],
     mark support edges of row r's integrand inside the window; with
     ``edge_powers[r]`` = m != 1 each edge is additionally reached by the
     power substitution w = e +/- t^m (m = 1: identity panels only).  The
-    adaptive rows share one refinement loop with one call of ``f`` per
-    step, and each keeps the tolerance and exits that it has alone, so a
-    row's value is the same to the bit in any batch.  A row whose
-    integrand gives a non-finite sample, or whose refinement stalls above
-    its tolerance, fails alone; the other rows keep their values.
+    adaptive rows' panels are built once per run of consecutive rows
+    with one layout (:func:`_panel_columns`), and the rows share one
+    refinement loop with one call of ``f`` per step; each keeps the
+    tolerance and exits that it has alone, so a row's value is the same
+    to the bit in any batch.  A row whose integrand gives a non-finite
+    sample, or whose refinement stalls above its tolerance, fails alone;
+    the other rows keep their values.
     """
     n = len(grids)
     values, points = np.zeros(n), np.zeros(n, dtype=np.int64)
     errors = [None] * n
-    built: dict = {}
-    row_panels: list = []
+    adaptive = []
     for row, (grid, edges, edge_power) in enumerate(
             zip(grids, breakpoints, edge_powers)):
-        key = (grid.omega_max, tuple(edges), edge_power)
-        if key not in built:
-            built[key] = _build_panels(*key)
-        panels = built[key]
         if grid.rule is Rule.TRAPEZOID:
+            panels = _build_panels(grid.omega_max, edges, edge_power)
             values[row], errors[row] = _trapezoid_row(
                 f, row, source, panels, grid.n_points)
             points[row] = grid.n_points * len(panels)
-            panels = None
-        row_panels.append(panels)
-    _adaptive(f, source, row_panels, values, points, errors)
+        else:
+            adaptive.append((row, grid.omega_max, edges, edge_power))
+    if adaptive:
+        rows, *layout = zip(*adaptive)
+        _adaptive(f, source, rows, _panel_columns(*layout), values, points,
+                  errors)
     return Integrals(values=values, points=points, errors=tuple(errors))
 
 

@@ -280,9 +280,13 @@ def per_term_pair(specs, omega, rows):
         return tuple(channel(terms) for terms in channel_terms)
 
 
-def seeded_batch(seed, coupling, shared_alpha):
+def seeded_batch(seed, coupling, shared_alpha, shared=()):
     """Six specs with beta up to 10^3, a zero gap, p at 0 and 1, and
-    alpha shared or per spec (sub-Ohmic to 6); and ascending rows."""
+    alpha shared or per spec (sub-Ohmic to 6); and ascending rows.
+
+    Each of the parameters named in ``shared`` ("beta", "gap", "p")
+    takes the first spec's value in every spec.
+    """
     rng = np.random.default_rng(seed)
     betas = 10.0 ** rng.uniform(-1.0, 3.0, 6)
     betas[0] = 1e3
@@ -292,6 +296,9 @@ def seeded_batch(seed, coupling, shared_alpha):
     gaps[2] = 0.0
     ps = rng.uniform(0.0, 1.0, 6)
     ps[3], ps[4] = 0.0, 1.0
+    for name, values in (("beta", betas), ("gap", gaps), ("p", ps)):
+        if name in shared:
+            values[:] = values[0]
     specs = [make_spec(beta=float(b), alpha=float(a), coupling=coupling,
                        omega_gap=float(g), p=float(p))
              for b, a, g, p in zip(betas, alphas, gaps, ps)]
@@ -336,6 +343,23 @@ class TestSharedShifts:
     def test_multi_spec_batch_matches_per_term_loop(self, coupling, seed,
                                                     shared_alpha):
         specs, rows = seeded_batch(seed, coupling, shared_alpha)
+        table = channel_table(specs)
+        for omega in probe_lines(specs, rows):
+            assert_same_bits(table.pair(omega, rows, None),
+                             per_term_pair(specs, omega, rows))
+
+    @pytest.mark.parametrize("shared", [("gap", "p"), ("beta",)],
+                             ids=["sweep-row", "shared-beta"])
+    @pytest.mark.parametrize("shared_alpha", [True, False],
+                             ids=["shared-alpha", "per-row-alpha"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_shared_parameters_match_per_term_loop(self, coupling, seed,
+                                                   shared_alpha, shared):
+        # pair keeps every parameter that the lines' specs share as a
+        # float: in a sweep row only beta varies, and with a shared beta
+        # the weights and shifts still vary and must be gathered per node
+        specs, rows = seeded_batch(seed, coupling, shared_alpha, shared)
         table = channel_table(specs)
         for omega in probe_lines(specs, rows):
             assert_same_bits(table.pair(omega, rows, None),

@@ -113,6 +113,12 @@ class TestFrequencyGrid:
         assert math.exp(-2.0 * (grid.omega_max * 100.0) ** 2) == \
             pytest.approx(1e-16, rel=1e-10)
 
+    @pytest.mark.parametrize("omega_max", [0.0, -0.04, math.inf, math.nan])
+    def test_window_is_finite_and_positive(self, omega_max):
+        # a panel reaches +-omega_max, so a window with no panels is refused
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FrequencyGrid(omega_max)
+
 
 class TestWithParam:
     def test_replaces_each_parameter(self):

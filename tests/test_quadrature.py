@@ -1,20 +1,24 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenbath import (DrivenSource, FrequencyGrid, InversionPlan,
                         QuadratureError, Rule, default_plan, invert_samples,
                         lambda_weight, oscillatory_pair, w_ext2)
 from drivenbath.green import ChannelTable, _edge_power
 from drivenbath import quadrature
-from drivenbath.quadrature import (_build_panels, _gl_nodes_weights,
-                                   _unit_phases, integrate_rows)
-from drivenbath.workstats import (chi2_field, default_i_beta_grid,
-                                  i_beta_deficit, i_beta_deficit_rows,
-                                  w_ext2_rows)
+from drivenbath.quadrature import (_build_panels, _edge,
+                                   _gl_nodes_weights, _unit_phases,
+                                   integrate_rows)
+from drivenbath.workstats import (_widened_grid, chi2_field,
+                                  default_i_beta_grid, i_beta_deficit,
+                                  i_beta_deficit_rows, w_ext2_rows)
 
 from conftest import (DEFAULT_SOURCE, dense_phase_sum, green_pair,
                       make_spec)
@@ -673,6 +677,58 @@ class TestInversion:
         assert np.max(np.abs(density.real - expected)) < 1e-9
 
 
+def _layout_batches():
+    """Batches of rows for integrate_rows, as (grids, edges, powers).
+
+    Runs of one coupling's edges and power over ascending i-beta windows
+    (beta 1e-3 to 2e4): no edge, the bare edge 0, or +-gap with a gap
+    inside every window, at one row's window exactly (left out there),
+    beyond every window or between the run's first and last window.  The
+    last run always holds its gap only from beta 1 up, so the layout
+    changes mid-run.  Powers 1, 2 and 2/alpha (alpha sub-Ohmic); some
+    windows and gaps are numpy floats, and some rows take the trapezoid
+    rule.
+    """
+    base = adaptive_grid().omega_max
+
+    @st.composite
+    def batch(draw):
+        grids, edges, powers = [], [], []
+        for _ in range(draw(st.integers(1, 4))):
+            betas = sorted(draw(st.lists(st.floats(-3.0, math.log10(2e4)),
+                                         min_size=2, max_size=12)))
+            windows = [_widened_grid(DEFAULT_SOURCE, 10.0 ** b).omega_max
+                       for b in betas]
+            if draw(st.booleans()):
+                windows = [np.float64(w) for w in windows]
+            crossing = 0.5 * (windows[0] + windows[-1])
+            kind = draw(st.sampled_from(
+                ["none", "bare", "below", "at", "beyond", "crossing"]))
+            gap = {"below": 0.5 * base, "at": windows[len(windows) // 2],
+                   "beyond": 2.0 * windows[-1]}.get(kind, crossing)
+            if draw(st.booleans()):
+                gap = np.float64(gap)
+            run_edges = {"none": (), "bare": (0.0,)}.get(kind, (-gap, gap))
+            power = draw(st.sampled_from(
+                [1.0, 2.0, _edge_power(draw(st.floats(0.1, 0.95)))]))
+            for w in windows:
+                rule = draw(st.sampled_from([Rule.ADAPTIVE_GK] * 3
+                                            + [Rule.TRAPEZOID]))
+                grids.append(FrequencyGrid(w, 3, rule))
+                edges.append(run_edges)
+                powers.append(power)
+        power = draw(st.sampled_from([1.0, 2.0, _edge_power(0.3)]))
+        windows = [_widened_grid(DEFAULT_SOURCE, beta).omega_max
+                   for beta in (1e-3, 0.3, 1.0, 30.0, 2e4)]
+        gap = 0.5 * (windows[1] + windows[2])
+        grids += [FrequencyGrid(w) for w in windows]
+        edges += [(-gap, gap)] * len(windows)
+        powers += [power] * len(windows)
+        return grids, edges, powers
+
+    return batch()
+
+
 def _batch_specs(seed):
     """Seeded specs in groups that share coupling and drive.
 
@@ -708,6 +764,43 @@ def _batch_specs(seed):
     return groups
 
 
+class TestPanelRuns:
+    """integrate_rows builds the panels once per run of rows that share
+    their layout, and sizes the outer panels per row."""
+
+    @given(_layout_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_run_columns_equal_per_row_builds(self, batch):
+        grids, edges, powers = batch
+        seen = []
+
+        def capture(f, source, active, columns, values, points, errors):
+            seen.append((list(active), columns))
+
+        with mock.patch.object(quadrature, "_adaptive", capture):
+            res = integrate_rows(
+                lambda omega, rows, near: (np.zeros_like(omega), 0.0),
+                DEFAULT_SOURCE, grids, edges, powers)
+        (active, columns), = seen
+        assert active == [r for r, grid in enumerate(grids)
+                          if grid.rule is Rule.ADAPTIVE_GK]
+        want = [], [], [], [], [], [], []
+        for r, grid in enumerate(grids):
+            panels = _build_panels(grid.omega_max, edges[r], powers[r])
+            if grid.rule is Rule.TRAPEZOID:
+                assert res.points[r] == 3 * len(panels)
+                assert res.values[r] == 0.0 and res.errors[r] is None
+                continue
+            want[0].append(len(panels))
+            want[1].append(sum(p.length for p in panels))
+            for p in panels:
+                for column, value in zip(want[2:], (*p, _edge(p))):
+                    column.append(value)
+        assert columns[0] == want[0]
+        for got, ref in zip(columns[1:], want[1:]):
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
 class TestBatchedRule:
     """A row of the batched rule does not depend on the rest of its batch."""
 
@@ -728,6 +821,21 @@ class TestBatchedRule:
             batch = rows([specs[i] for i in order])
             for pos, i in enumerate(order):
                 self.assert_rows_equal(batch, pos, rows([specs[i]]))
+        # a sweep row: one gap and 48 ascending beta values, whose i-beta
+        # windows leave the gap out below beta ~ 300 and hold it above, so
+        # the panel layout changes mid-batch; identity edges at alpha 5,
+        # mapped by t^2 at alpha 2.5
+        base = adaptive_grid().omega_max
+        gap = base + 300.0 / (4.0 * DEFAULT_SOURCE.t_int ** 2)
+        betas = np.geomspace(0.1, 1e3, 48).tolist()
+        for coupling, alpha in (("fermion", 5.0), ("spin", 2.5)):
+            specs = [make_spec(beta=beta, alpha=alpha, coupling=coupling,
+                               omega_gap=gap, p=0.9) for beta in betas]
+            windows = [default_i_beta_grid(s).omega_max for s in specs]
+            assert min(windows) < gap < max(windows)
+            batch = rows(specs)
+            for i, spec in enumerate(specs):
+                self.assert_rows_equal(batch, i, rows([spec]))
 
     def test_stalled_row_fails_alone(self):
         # a jump without its breakpoint stalls; in a batch it fails with

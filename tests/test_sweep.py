@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import drivenbath.quadrature as quadrature
 import drivenbath.sweep as sweepmod
 import drivenbath.thermo as thermo
 import drivenbath.workstats as ws
@@ -596,6 +597,43 @@ class TestCellStage:
         assert len(failures) == 16 + 15
         assert len(checked) <= len(xs) + len(ys) + len(failures)
         assert sorted(windows) == sorted(ys)
+
+    def test_panels_built_once_per_layout_run(self, monkeypatch):
+        # the 48 x 48 gap x beta figure-of-merit map: each row's deficit
+        # call has one i-beta window per beta, and a gap just above the
+        # drive window lies inside the large-beta windows only, so that
+        # row's layout changes mid-batch.  Panels are built once per run of
+        # rows with one layout: at most once per integrate_rows call and
+        # once more per layout change (one build per row made 2,352)
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=48, scale="log"),
+                         y=Axis("beta", 0.1, 100.0, n=48, scale="log"),
+                         fixed=make_spec(alpha=5.0, coupling="fermion",
+                                         omega_gap=0.05, p=0.9))
+        builds, calls, changes = [], [], []
+        build = quadrature._build_panels
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        integrate = ws.integrate_rows
+
+        def counted_rows(f, source, grids, edges, powers):
+            calls.append(len(grids))
+            layouts = [(tuple(e), m, [b for b in e
+                                      if -g.omega_max < b < g.omega_max])
+                       for g, e, m in zip(grids, edges, powers)]
+            changes.append(sum(a != b for a, b in zip(layouts, layouts[1:])))
+            return integrate(f, source, grids, edges, powers)
+
+        monkeypatch.setattr(quadrature, "_build_panels", counted_build)
+        monkeypatch.setattr(ws, "integrate_rows", counted_rows)
+        evaluator = sweepmod._CellEvaluator(plan, Quantity.FIGURE_OF_MERIT)
+        values, errors = evaluator.grid(plan.x.values(), plan.y.values())
+        assert not errors and np.isfinite(values).any()
+        assert calls == [48] * (2 * 48)
+        assert sum(changes) >= 1
+        assert len(builds) <= len(calls) + sum(changes)
 
 
 def per_cell_zero_contour(result, center_fn=None):
