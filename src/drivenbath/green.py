@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,30 +120,33 @@ class ChannelTable:
         which survives next to a nonzero edge.
         """
         params = self.params[:, rows[0]].tolist()
-        gather = False
         if rows[0] != rows[-1]:
             # a parameter that every spec shares stays a float
-            shared = (self.params == self.params[:, :1]).all(axis=1).tolist()
             params = [value if same else self.params[i, rows]
-                      for i, (value, same) in enumerate(zip(params, shared))]
-            # the terms' values per node: all but the shifts
-            gather = not all(shared[:-len(self.occupations)])
+                      for i, (value, same) in enumerate(zip(params,
+                                                            self._shared))]
         # an occupation overflowing at huge beta x takes its intended
         # limit (s/inf -> 0); the support mask keeps beta x positive
         with np.errstate(over="ignore", under="ignore"):
-            return self._channels(omega, params, near, gather)
+            return self._channels(omega, params, near)
 
-    def _channels(self, omega: np.ndarray, params, near,
-                  gather: bool) -> tuple:
+    @cached_property
+    def _shared(self) -> list[bool]:
+        """Per row of ``params``: whether every spec has one value."""
+        return (self.params == self.params[:, :1]).all(axis=1).tolist()
+
+    def _channels(self, omega: np.ndarray, params, near) -> tuple:
         """(g_mp, g_pm) at ``omega`` (k, m); a row of ``params`` is a float
-        shared by all nodes or holds one value per line of ``omega``, and
-        ``gather`` says whether a row other than the shifts does.
+        shared by all nodes or holds one value per line of ``omega``.
         With ``near`` = (edge, offset), x = w - shift is the offset on the
         lines whose mapped edge is that shift (see :meth:`pair`)."""
         m = omega.shape[1]
         w = omega.reshape(-1)
         totals = [None, None]
         n_shifts = len(self.occupations)
+        # the terms take their values per node from every row but the shifts
+        gather = not all(isinstance(a, float)
+                         for a in params[:_WEIGHTS + 2 * n_shifts])
         for k, occupations in enumerate(self.occupations):
             shift = params[_WEIGHTS + 2 * n_shifts + k]
             if not isinstance(shift, float):

@@ -147,37 +147,24 @@ def power(base: np.ndarray, exponent) -> np.ndarray:
 def _build_panels(omega_max: float,
                   breakpoints: Sequence[float],
                   power: float) -> list[_Panel]:
-    pts = [-omega_max]
-    interior = sorted({float(b) for b in breakpoints
-                       if -omega_max < b < omega_max})
-    pts.extend(interior)
-    pts.append(omega_max)
+    """The panels of one window: :func:`_panel_columns` of one row."""
+    columns = _panel_columns([omega_max], [breakpoints], [power])
+    return list(map(_Panel, *columns[2:6]))
 
-    # with power m != 1 both panels at an edge e reach it as w = e +/- t^m
-    # (the channels' m: green._edge_power); a panel between two edges is
-    # halved so that each half has one mapped end
-    singular = set(interior) if power != 1.0 else set()
-    panels: list[_Panel] = []
 
-    def add(a: float, b: float, left_sing: bool, right_sing: bool) -> None:
-        if b <= a:
-            return
-        if left_sing and right_sing:
-            mid = 0.5 * (a + b)
-            add(a, mid, True, False)
-            add(mid, b, False, True)
-            return
-        if left_sing:
-            panels.append(_Panel(length=(b - a) ** (1.0 / power),
-                                 anchor=a, sign=1.0, power=power))
-        elif right_sing:
-            panels.append(_Panel(length=(b - a) ** (1.0 / power),
-                                 anchor=b, sign=-1.0, power=power))
-        else:
-            panels.append(_Panel(length=b - a, anchor=a, sign=1.0, power=1.0))
-
-    for a, b in zip(pts[:-1], pts[1:]):
-        add(a, b, a in singular, b in singular)
+def _between_edges(edges: list[float], power: float) -> list[_Panel]:
+    """The panels between consecutive ``edges`` (ascending); with power
+    m != 1 each is halved, so that each half has one mapped end."""
+    if power == 1.0:
+        return [_Panel(b - a, a, 1.0, 1.0) for a, b in zip(edges, edges[1:])]
+    inverse = 1.0 / power
+    panels = []
+    for a, b in zip(edges, edges[1:]):
+        mid = 0.5 * (a + b)
+        if mid > a:
+            panels.append(_Panel((mid - a) ** inverse, a, 1.0, power))
+        if b > mid:
+            panels.append(_Panel((b - mid) ** inverse, b, -1.0, power))
     return panels
 
 
@@ -394,18 +381,49 @@ def _adaptive(f, source: DrivenSource, active: Sequence[int], columns,
             half = (0.5 * half).repeat(2)
 
 
+def _run_panels(windows: list[float], inside: list[float], power: float):
+    """The panels of a run of rows that share their edges ``inside``
+    every window (ascending) and their power.
+
+    Returns the first row's panels and, per row, the lengths of the
+    outer panels, which reach +-omega_max, and the first one's anchor:
+    (panels, firsts, anchors, lasts), lasts empty with no edge inside.
+    """
+    # b - a with a = -omega_max is b + omega_max, to the bit
+    anchors = [-w for w in windows]
+    if not inside:
+        firsts = [w + w for w in windows]
+        return [_Panel(firsts[0], anchors[0], 1.0, 1.0)], firsts, anchors, []
+    lo, hi = inside[0], inside[-1]
+    firsts = [lo + w for w in windows]
+    lasts = [w - hi for w in windows]
+    if power == 1.0:
+        first = _Panel(firsts[0], anchors[0], 1.0, 1.0)
+    else:
+        inverse = 1.0 / power
+        firsts = [d ** inverse for d in firsts]
+        lasts = [d ** inverse for d in lasts]
+        anchors = [lo] * len(windows)
+        first = _Panel(firsts[0], lo, -1.0, power)
+    panels = [first, *_between_edges(inside, power),
+              _Panel(lasts[0], hi, 1.0, first.power)]
+    return panels, firsts, anchors, lasts
+
+
 def _panel_columns(windows: Sequence[float],
                    breakpoints: Sequence[Sequence[float]],
                    edge_powers: Sequence[float]):
-    """The :func:`_build_panels` lists of rows as columns, to the bit.
+    """The panels of rows, as columns.
 
-    Row r has window ``windows[r]``, edges ``breakpoints[r]`` and power
-    ``edge_powers[r]``.  Returns each row's panel count and total length
-    (summed left to right), then each panel's length, anchor, sign, power
-    and :func:`_edge`, row after row, as lists.  A run of rows with one
-    layout (edges, power and the edges inside the window) is built once,
-    at its first window; per row only the two outer panels, which reach
-    +-omega_max, are sized, as _build_panels sizes them.
+    Row r spans +-``windows[r]``, split at its edges ``breakpoints[r]``
+    inside the window.  With power m = ``edge_powers[r]`` != 1 both
+    panels at an edge e reach it as w = e +/- t^m (the channels' m:
+    green._edge_power), and a panel between two edges is halved.
+    Returns each row's panel count and total length (summed left to
+    right), then each panel's length, anchor, sign, power and
+    :func:`_edge`, row after row, as lists.  A run of rows with one layout
+    (edges, power and the edges inside the window) is laid out once by
+    :func:`_run_panels`; per row only its two outer panels are sized.
     """
     def layout(row):
         window, edges, edge_power = row
@@ -414,33 +432,24 @@ def _panel_columns(windows: Sequence[float],
 
     columns = [], [], [], [], [], [], []
     counts, total_len, length, anchor, sign, powers, edge = columns
-    for (edges, edge_power, inside), run in itertools.groupby(
+    for (_, edge_power, inside), run in itertools.groupby(
             zip(windows, breakpoints, edge_powers), layout):
         ws = [row[0] for row in run]
-        panels = _build_panels(ws[0], edges, edge_power)
+        panels, firsts, anchors, lasts = _run_panels(
+            ws, sorted({float(b) for b in inside}), edge_power)
         k, n = len(ws), len(panels)
-        lengths, anchors, signs, maps = map(list, zip(*panels))
-        # b - a with a = -omega_max is b + omega_max, to the bit
-        if not inside:
-            lengths = [w + w for w in ws]
-            anchors = [-w for w in ws]
-        else:
-            lengths *= k
-            anchors *= k
-            lo, hi = min(inside), max(inside)
-            if edge_power == 1.0:
-                anchors[0::n] = [-w for w in ws]
-                lengths[0::n] = [lo + w for w in ws]
-                lengths[n - 1::n] = [w - hi for w in ws]
-            else:
-                inverse = 1.0 / edge_power
-                lengths[0::n] = [(lo + w) ** inverse for w in ws]
-                lengths[n - 1::n] = [(w - hi) ** inverse for w in ws]
+        lengths, anchors_k, signs, maps = map(list, zip(*panels))
+        lengths *= k
+        anchors_k *= k
+        lengths[0::n] = firsts
+        anchors_k[0::n] = anchors
+        if lasts:
+            lengths[n - 1::n] = lasts
         counts += [n] * k
         # each row's n lengths, summed left to right
         total_len += map(sum, zip(*[iter(lengths)] * n))
         length += lengths
-        anchor += anchors
+        anchor += anchors_k
         sign += signs * k
         powers += maps * k
         edge += list(map(_edge, panels)) * k

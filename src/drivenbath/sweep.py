@@ -148,7 +148,7 @@ class _CellEvaluator:
     One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
     Without a p axis each sweep row, all y at one x, is one batch step of
     workstats: one channel table and one batched call per integral, with
-    one i-beta window per beta value of the sweep.  With one, W_bar and
+    one i-beta window per beta value it integrates.  With one, W_bar and
     the deficit are affine in p (channel_table builds both qubit
     channels as p (...) + (1 - p) (...)), so each column, one value of
     the other axis, is integrated once at p = 0 and p = 1, all columns
@@ -267,13 +267,13 @@ class _CellEvaluator:
 
     def _integrate_rows(self, xs, ys, errors: dict):
         """W_bar and the deficit of every cell not failed yet, one batch
-        step per row, with one i-beta window per beta value."""
+        step per row, with one i-beta window per beta value of those
+        cells (a refused cell's beta may have no window)."""
         todo = np.ones((len(xs), len(ys)), dtype=bool)
         for cell in errors:
             todo[cell] = False
-        beta = self._beta(xs, ys)
-        betas = np.broadcast_to(beta, todo.shape)
-        keys = beta.ravel().tolist()
+        betas = np.broadcast_to(self._beta(xs, ys), todo.shape)
+        keys = list(dict.fromkeys(betas[todo].tolist()))
         window = dict(zip(keys, _i_beta_grids(self.plan.fixed.source, keys)))
         both = np.full((len(xs), len(ys), 2), np.nan)
         for i, x in enumerate(xs):

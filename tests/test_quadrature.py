@@ -677,6 +677,37 @@ class TestInversion:
         assert np.max(np.abs(density.real - expected)) < 1e-9
 
 
+def reference_panels(omega_max, breakpoints, power):
+    """One window's panels, split recursively at every edge inside it.
+
+    The per-row layout that the run builder must reproduce to the bit:
+    with m != 1 a panel with one edge end maps toward it, and one between
+    two edges is halved.
+    """
+    pts = [-omega_max, *sorted({float(b) for b in breakpoints
+                                if -omega_max < b < omega_max}), omega_max]
+    singular = set(pts[1:-1]) if power != 1.0 else set()
+    panels = []
+
+    def add(a, b, left, right):
+        if b <= a:
+            return
+        if left and right:
+            mid = 0.5 * (a + b)
+            add(a, mid, True, False)
+            add(mid, b, False, True)
+        elif left or right:
+            panels.append(quadrature._Panel((b - a) ** (1.0 / power),
+                                            a if left else b,
+                                            1.0 if left else -1.0, power))
+        else:
+            panels.append(quadrature._Panel(b - a, a, 1.0, 1.0))
+
+    for a, b in zip(pts, pts[1:]):
+        add(a, b, a in singular, b in singular)
+    return panels
+
+
 def _layout_batches():
     """Batches of rows for integrate_rows, as (grids, edges, powers).
 
@@ -786,7 +817,10 @@ class TestPanelRuns:
                           if grid.rule is Rule.ADAPTIVE_GK]
         want = [], [], [], [], [], [], []
         for r, grid in enumerate(grids):
-            panels = _build_panels(grid.omega_max, edges[r], powers[r])
+            panels = reference_panels(grid.omega_max, edges[r], powers[r])
+            assert np.array(_build_panels(grid.omega_max, edges[r],
+                                          powers[r])).tobytes() == \
+                np.array(panels).tobytes()
             if grid.rule is Rule.TRAPEZOID:
                 assert res.points[r] == 3 * len(panels)
                 assert res.values[r] == 0.0 and res.errors[r] is None

@@ -348,6 +348,31 @@ class TestRunSweep:
             (i, 0, "invalid system spec: beta must be > 0")
             for i in range(16))
 
+    def test_beta_without_a_window_is_refused_alone(self):
+        # at t_int 100 the i-beta window 4.29/t_int + beta/(4 t_int^2) is
+        # <= 0 from beta ~ -1716 down, and no FrequencyGrid holds it: the
+        # refused beta -2000 takes no window, so its 16 cells (1% of the
+        # map) are recorded and the rest of each row integrates
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 0.1, n=16),
+                         y=Axis("beta", -2000.0, 200000.0, n=101),
+                         fixed=make_spec(coupling="spin", p=0.9))
+        result = run_sweep(plan, Quantity.W_EXT)
+        assert result.failures == tuple(
+            (i, 0, "invalid system spec: beta must be > 0")
+            for i in range(16))
+        assert np.isnan(result.grid[:, 0]).all()
+        assert np.isfinite(result.grid[:, 1:]).all()
+
+    def test_all_betas_without_a_window_fail_with_the_cell_list(self):
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 0.1, n=16),
+                         y=Axis("beta", -3000.0, -2000.0, n=16),
+                         fixed=make_spec(coupling="fermion", p=0.9))
+        with pytest.raises(SweepError) as info:
+            run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        assert info.value.failures == tuple(
+            (i, j, "invalid system spec: beta must be > 0")
+            for i in range(16) for j in range(16))
+
     def test_quadrature_failure_is_recorded_per_cell(self, monkeypatch):
         # the seam is the stage's last step, which turns each cell's
         # integrals into the quantity or the cell's error
@@ -567,6 +592,7 @@ class TestCellStage:
         # validation the beta = 0 column.  The guards run once per gap,
         # validate once per axis value, and only the invalid cells build
         # their own spec; the i-beta windows are one per beta value
+        # of a cell left to integrate
         plan = gap_beta_from_zero_plan(0.9)
         xs, ys = plan.x.values(), plan.y.values()
         want, failures = reference_cells(plan, Quantity.FIGURE_OF_MERIT,
@@ -596,7 +622,8 @@ class TestCellStage:
                      for i, j in sorted(errors)) == failures
         assert len(failures) == 16 + 15
         assert len(checked) <= len(xs) + len(ys) + len(failures)
-        assert sorted(windows) == sorted(ys)
+        # beta = 0 refuses its whole column, which takes no window
+        assert sorted(windows) == sorted(ys[1:])
 
     def test_panels_built_once_per_layout_run(self, monkeypatch):
         # the 48 x 48 gap x beta figure-of-merit map: each row's deficit
@@ -610,7 +637,7 @@ class TestCellStage:
                          fixed=make_spec(alpha=5.0, coupling="fermion",
                                          omega_gap=0.05, p=0.9))
         builds, calls, changes = [], [], []
-        build = quadrature._build_panels
+        build = quadrature._run_panels
 
         def counted_build(*args):
             builds.append(args)
@@ -626,7 +653,7 @@ class TestCellStage:
             changes.append(sum(a != b for a, b in zip(layouts, layouts[1:])))
             return integrate(f, source, grids, edges, powers)
 
-        monkeypatch.setattr(quadrature, "_build_panels", counted_build)
+        monkeypatch.setattr(quadrature, "_run_panels", counted_build)
         monkeypatch.setattr(ws, "integrate_rows", counted_rows)
         evaluator = sweepmod._CellEvaluator(plan, Quantity.FIGURE_OF_MERIT)
         values, errors = evaluator.grid(plan.x.values(), plan.y.values())
