@@ -37,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SystemSpec, require_valid, validate, with_param
+from .model import (FrequencyGrid, SystemSpec, require_valid, validate,
+                    with_param)
 from .quadrature import QuadratureError
 from .thermo import (_breakdowns, _engine_guard, _engine_reports,
                      _entropy_productions, default_mode_tol)
@@ -147,14 +148,15 @@ class _CellEvaluator:
 
     One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
     Without a p axis each sweep row, all y at one x, is one batch step of
-    workstats: one channel table and one batched call per integral, with
-    one i-beta window per beta value it integrates.  With one, W_bar and
-    the deficit are affine in p (channel_table builds both qubit
-    channels as p (...) + (1 - p) (...)), so each column, one value of
-    the other axis, is integrated once at p = 0 and p = 1, all columns
-    of the grid in one call per integral, and the grid gets (1 - p) I_0
-    + p I_1 by broadcasting, exact at both endpoints.  Columns are cached
-    by axis value, so saddle centres reuse them.
+    workstats: one channel table and one batched call per integral the
+    quantity needs, and one i-beta window per beta value it integrates
+    where it needs the deficit.  With one, W_bar and the deficit are
+    affine in p (channel_table builds both qubit channels as p (...) +
+    (1 - p) (...)), so each column, one value of the other axis, is
+    integrated once at p = 0 and p = 1, all columns of the grid in one
+    call per integral, and the grid gets (1 - p) I_0 + p I_1 by
+    broadcasting, exact at both endpoints.  Columns are cached by axis
+    value, so saddle centres reuse them.
 
     Both layouts take the same steps: the engine guards (figure of merit
     only), then validity, then each cell's integrals (a row batch of the
@@ -267,14 +269,19 @@ class _CellEvaluator:
 
     def _integrate_rows(self, xs, ys, errors: dict):
         """W_bar and the deficit of every cell not failed yet, one batch
-        step per row, with one i-beta window per beta value of those
-        cells (a refused cell's beta may have no window)."""
+        step per row, on the mean work's drive window and with one i-beta
+        window per beta value of those cells (a refused cell's beta may
+        have no window); each integral only where the quantity needs it."""
         todo = np.ones((len(xs), len(ys)), dtype=bool)
         for cell in errors:
             todo[cell] = False
-        betas = np.broadcast_to(self._beta(xs, ys), todo.shape)
-        keys = list(dict.fromkeys(betas[todo].tolist()))
-        window = dict(zip(keys, _i_beta_grids(self.plan.fixed.source, keys)))
+        source, mean, window = self.plan.fixed.source, None, None
+        if self._wanted["mean_work"]:
+            mean = FrequencyGrid.for_source(source)
+        if self._wanted["deficit"]:
+            betas = np.broadcast_to(self._beta(xs, ys), todo.shape)
+            keys = list(dict.fromkeys(betas[todo].tolist()))
+            window = dict(zip(keys, _i_beta_grids(source, keys)))
         both = np.full((len(xs), len(ys), 2), np.nan)
         for i, x in enumerate(xs):
             cells = np.flatnonzero(todo[i])
@@ -282,8 +289,9 @@ class _CellEvaluator:
                 continue
             values, failed, calls = _work_rows(
                 self._row_specs(x, np.asarray(ys)[cells]),
-                [window[b] for b in betas[i, cells].tolist()],
-                **self._wanted)
+                None if mean is None else [mean] * cells.size,
+                None if window is None else
+                [window[b] for b in betas[i, cells].tolist()])
             self._count(calls)
             both[i, cells] = values
             for j, message in zip(cells.tolist(), failed):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import SystemSpec, beta_q
 from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
-                        i_beta_deficit, w_ext2, work_integrals)
+                        work_integrals)
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -60,33 +60,36 @@ def entropy_production(spec: SystemSpec) -> float:
     """Mean entropy production beta * W_mean + ln chi2(i beta).
 
     Nonnegative up to O(lambda^4) roundoff: the linearized integrand is
-    pointwise nonnegative.
+    pointwise nonnegative.  The integrals are those of
+    :func:`work_integrals` and the formula that of the sweeps' cells, on
+    one cell; it raises the ValueError of an invalid spec, else the
+    QuadratureError of the mean work, then of the deficit, then
+    :class:`PerturbativeBreakdownError` when chi2(i beta) is not
+    positive.
     """
-    return _entropy_production(spec, -w_ext2(spec), i_beta_deficit(spec))
-
-
-def _entropy_production(spec: SystemSpec, w_bar: float,
-                        deficit: float) -> float:
-    """:func:`entropy_production` from the mean work and the i-beta deficit.
-
-    Raises :class:`PerturbativeBreakdownError` when chi2(i beta) =
-    1 - deficit is not positive.  The log is taken as log1p(-deficit):
-    at deficits near 1e-15 (small-gap fermion cells) forming 1 - deficit
-    first would round away the whole entropy production.
-    """
-    chi2_from_deficit(deficit)
-    return spec.beta * w_bar + math.log1p(-deficit)
+    (entry,), _ = work_integrals([spec])
+    if isinstance(entry, Exception):
+        raise entry
+    w_bar, deficit = entry
+    delta_s, errors = _entropy_productions(
+        np.array([w_bar]), np.array([deficit]), np.array([spec.beta]))
+    if errors:
+        raise errors[0]
+    return delta_s.item()
 
 
 def _entropy_productions(w_bar: np.ndarray, deficit: np.ndarray,
                          beta) -> tuple[np.ndarray, dict]:
-    """:func:`_entropy_production` of cells, on arrays.
+    """:func:`entropy_production` of cells, on arrays.
 
     ``w_bar``, ``deficit`` and ``beta`` are 1-D arrays over the cells.
     Returns Delta S, NaN at each cell whose chi2(i beta) = 1 - deficit is
     not positive, and the :class:`PerturbativeBreakdownError` of each
-    such cell keyed by its index.  The log is math.log1p per cell: on an
-    AVX-512 host np.log1p differs from it in the last bit on some inputs.
+    such cell keyed by its index.  The log is taken as log1p(-deficit):
+    at deficits near 1e-15 (small-gap fermion cells) forming 1 - deficit
+    first would round away the whole entropy production.  It is
+    math.log1p per cell: on an AVX-512 host np.log1p differs from it in
+    the last bit on some inputs.
     """
     errors = _breakdowns(deficit)
     if errors:
@@ -156,9 +159,10 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     A spec that the engine guards refuse is never integrated; the others
     meet validity, then a failed integral, then the refusals of the
     bookkeeping (chi2(i beta) breakdown, degenerate heat split), the
-    order a sweep's cells keep.  The bookkeeping is that of the sweeps
-    and of verify's engine-bounds check, on one cell; this is the one
-    integrating entry point.
+    order a sweep's cells keep.  The integrals are those of
+    :func:`work_integrals`, as for :func:`entropy_production`, and the
+    bookkeeping is that of the sweeps and of verify's engine-bounds
+    check, on one cell.
     """
     bq = _engine_guard(spec)  # refuse before integrating
     (entry,), _ = work_integrals([spec])

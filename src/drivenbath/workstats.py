@@ -10,7 +10,7 @@ pure function of the spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,48 +71,33 @@ class PositivityReport:
     message: str = ""
 
 
-def _grid_for(spec: SystemSpec,
-              grid: Optional[FrequencyGrid]) -> FrequencyGrid:
-    return grid if grid is not None else FrequencyGrid.for_source(spec.source)
+def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
+    """Window for the detailed-balance probe at v = i beta: the one-spec
+    view of :func:`_i_beta_grids`."""
+    return _i_beta_grids(spec.source, [spec.beta])[0]
 
 
-def _widened_grid(source: DrivenSource, beta: float,
-                  base: Optional[FrequencyGrid] = None) -> FrequencyGrid:
-    """Drive window for the i beta probe at inverse temperature ``beta``.
+def _i_beta_grids(source: DrivenSource,
+                  betas: Sequence[float]) -> list[FrequencyGrid]:
+    """The i-beta probe's window at each of ``betas`` for ``source``.
 
     Its integrand carries e^{+-beta w}, which grows like e^{beta |w|}
     before the drive envelope cuts it, so the Gaussian peak of the
-    integrand is shifted by beta/(4 t_int^2); the window is widened by
-    that amount to keep the truncated tail below TAIL_EPS of the peak
-    (drive-only sizing misses a ~1e-11 tail at beta ~ 1e3).  ``base`` is
-    the drive-only window of ``source`` when already at hand.
+    integrand is shifted by beta/(4 t_int^2); the drive-only window,
+    sized once, is widened by that amount to keep the truncated tail
+    below TAIL_EPS of the peak (drive-only sizing misses a ~1e-11 tail
+    at beta ~ 1e3).
     """
-    if base is None:
-        base = FrequencyGrid.for_source(source)
-    shift = beta / (4.0 * source.t_int ** 2)
-    return FrequencyGrid(base.omega_max + shift, base.n_points, base.rule)
+    base = FrequencyGrid.for_source(source)
+    return [FrequencyGrid(base.omega_max + beta / (4.0 * source.t_int ** 2),
+                          base.n_points, base.rule) for beta in betas]
 
 
-def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
-    """Window for the detailed-balance probe at v = i beta."""
-    return _widened_grid(spec.source, spec.beta)
-
-
-def _rows(integrand, specs: Sequence[SystemSpec],
+def _rows(integrand, table: ChannelTable, source: DrivenSource,
           grids: Sequence[FrequencyGrid]) -> Integrals:
-    """Integrals of ``integrand(table, omega, rows, near)`` for a batch of
-    specs.
-
-    The specs must be valid and share coupling and drive; row r
-    integrates on ``grids[r]`` with the support edges of spec r.
-    """
-    return _table_rows(integrand, channel_table(specs), specs[0].source,
-                       grids)
-
-
-def _table_rows(integrand, table: ChannelTable, source: DrivenSource,
-                grids: Sequence[FrequencyGrid]) -> Integrals:
-    """:func:`_rows` on the specs' channel table ``table``."""
+    """Integrals of ``integrand(table, omega, rows, near)`` for the specs
+    of ``table``, which share the drive ``source``; row r integrates on
+    ``grids[r]`` with the support edges of spec r."""
     return integrate_rows(
         lambda omega, rows, near: integrand(table, omega, rows, near),
         source, grids, table.edges, table.edge_powers)
@@ -149,7 +134,8 @@ def chi2(v: float, spec: SystemSpec,
         # float() only warns on a numpy complex and drops its imaginary part
         raise TypeError(f"chi2 takes real v, got {v!r}")
     v = float(v)
-    grid = _grid_for(spec, grid)
+    if grid is None:
+        grid = FrequencyGrid.for_source(spec.source)
 
     # on real v, -expm1(+-i theta) = 2 sin^2(theta/2) -+ i sin theta, the
     # bits of numpy's complex expm1 without its cos and exp: accurate at
@@ -164,7 +150,7 @@ def chi2(v: float, spec: SystemSpec,
         trig = np.where(imag, np.sin(theta), 2.0 * half * half)
         return np.where(imag, -trig, trig) * g_mp, trig * g_pm
 
-    res = _rows(f, [spec, spec], [grid, grid])
+    res = _rows(f, channel_table([spec, spec]), spec.source, [grid, grid])
     if res.errors != (None, None):
         raise QuadratureError(res.errors[0] or res.errors[1])
     re, im = res.values
@@ -180,31 +166,14 @@ def i_beta_deficit(spec: SystemSpec,
     identity is assumed), so it carries the margin that 1 - deficit
     rounds away.  All exponentials act on the windowed frequency, so the
     evaluation stays in range for beta up to ~1e3 at the default drive.
+    Without ``grid`` it integrates on :func:`default_i_beta_grid`.
     """
     require_valid(spec)
-    return float(i_beta_deficit_rows([spec], grid).value())
-
-
-def i_beta_deficit_rows(specs: Sequence[SystemSpec],
-                        grid: Optional[FrequencyGrid] = None) -> Integrals:
-    """:func:`i_beta_deficit` of each of ``specs`` in one batched call.
-
-    The specs must be valid and share coupling and drive; without
-    ``grid`` each row takes its own :func:`default_i_beta_grid`, widened
-    from the one drive-only window of the batch.
-    """
-    grids = _i_beta_grids(specs[0].source, [s.beta for s in specs]) \
-        if grid is None else [grid] * len(specs)
-    out = _rows(_deficit_integrand, specs, grids)
-    return replace(out, values=0.5 * out.values)
-
-
-def _i_beta_grids(source: DrivenSource,
-                  betas: Sequence[float]) -> list[FrequencyGrid]:
-    """The i-beta probe's window at each of ``betas`` for ``source``,
-    widened from its one drive-only window."""
-    base = FrequencyGrid.for_source(source)
-    return [_widened_grid(source, beta, base) for beta in betas]
+    values, (error,), _ = _work_rows(
+        [spec], None, [default_i_beta_grid(spec) if grid is None else grid])
+    if error:
+        raise QuadratureError(error)
+    return float(values[0, 1])
 
 
 def _deficit_integrand(table: ChannelTable, w, rows, near):
@@ -242,8 +211,10 @@ def channel_sum_integral(spec: SystemSpec,
     require_valid(spec)
 
     # both channels are >= 0, so the pair's |a| + |b| is its sum
-    return float(_rows(ChannelTable.pair, [spec],
-                       [_grid_for(spec, grid)]).value())
+    if grid is None:
+        grid = FrequencyGrid.for_source(spec.source)
+    return float(_rows(ChannelTable.pair, channel_table([spec]), spec.source,
+                       [grid]).value())
 
 
 def positivity_check(spec: SystemSpec) -> PositivityReport:
@@ -313,19 +284,12 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
     (passivity), either sign once a qubit breaks detailed balance.
     """
     require_valid(spec)
-    return float(w_ext2_rows([spec], grid).value())
-
-
-def w_ext2_rows(specs: Sequence[SystemSpec],
-                grid: Optional[FrequencyGrid] = None) -> Integrals:
-    """:func:`w_ext2` of each of ``specs`` in one batched call.
-
-    The specs must be valid and share coupling and drive, so they
-    share one window.
-    """
-    out = _rows(_mean_work_integrand, specs,
-                [_grid_for(specs[0], grid)] * len(specs))
-    return replace(out, values=-0.5 * out.values)
+    if grid is None:
+        grid = FrequencyGrid.for_source(spec.source)
+    values, (error,), _ = _work_rows([spec], [grid], None)
+    if error:
+        raise QuadratureError(error)
+    return -float(values[0, 0])
 
 
 def _mean_work_integrand(table: ChannelTable, w, rows, near):
@@ -343,8 +307,10 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
     :func:`i_beta_deficit`) raise, the entry is the error they raise
     first: the ValueError of an invalid spec, else the QuadratureError of
     the mean work, then of the deficit.  The valid specs go through
-    :func:`_work_rows`, each with its own i-beta window.  Also returns
-    the calls' :class:`Integrals`, which carry their points.
+    :func:`_work_rows` on the direct calls' default windows, the mean
+    work's drive window and each spec's own i-beta window, so every
+    entry has the bits of those calls.  Also returns the calls'
+    :class:`Integrals`, which carry their points.
     """
     entries: list = [None] * len(specs)
     valid = []
@@ -358,25 +324,28 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
     if not valid:
         return entries, []
     batch = [specs[k] for k in valid]
-    windows = _i_beta_grids(batch[0].source,
-                            [s.beta for s in batch]) if deficit else None
-    values, errors, calls = _work_rows(batch, windows, mean_work, deficit)
+    source = batch[0].source
+    values, errors, calls = _work_rows(
+        batch,
+        [FrequencyGrid.for_source(source)] * len(batch) if mean_work else None,
+        _i_beta_grids(source, [s.beta for s in batch]) if deficit else None)
     for k, pair, error in zip(valid, values.tolist(), errors):
         entries[k] = QuadratureError(error) if error else tuple(pair)
     return entries, calls
 
 
 def _work_rows(specs: Sequence[SystemSpec],
-               windows: Optional[Sequence[FrequencyGrid]],
-               mean_work: bool, deficit: bool):
+               mean_grids: Optional[Sequence[FrequencyGrid]],
+               deficit_grids: Optional[Sequence[FrequencyGrid]]):
     """W_bar and the i-beta deficit of valid specs, batched.
 
-    The batch step of :func:`work_integrals` and of the sweeps: the
-    specs must be valid and share coupling and drive, and ``windows``
-    holds the deficit's window of each (None without the deficit).  One
-    channel table serves both integrals, one :func:`integrate_rows`
-    call each, so every value has the bits of :func:`w_ext2` and
-    :func:`i_beta_deficit` on that window.  Returns an (n, 2) array of
+    The one batch step of both integrals: :func:`w_ext2`,
+    :func:`i_beta_deficit`, :func:`work_integrals` and the sweep rows all
+    integrate through it.  The specs must be valid and share coupling
+    and drive; ``mean_grids`` and ``deficit_grids`` hold each spec's
+    window of the mean work and of the deficit, None for an integral not
+    asked for.  One channel table serves both integrals, one
+    :func:`integrate_rows` call each.  Returns an (n, 2) array of
     (W_bar, deficit), NaN where not asked for or failed; each row's
     first error message, the mean work's before the deficit's, or None;
     and the calls' :class:`Integrals`.
@@ -384,15 +353,11 @@ def _work_rows(specs: Sequence[SystemSpec],
     table, source = channel_table(specs), specs[0].source
     values = np.full((len(specs), 2), math.nan)
     calls = []
-    if mean_work:
-        calls.append(_table_rows(
-            _mean_work_integrand, table, source,
-            [FrequencyGrid.for_source(source)] * len(specs)))
-        values[:, 0] = 0.5 * calls[-1].values
-    if deficit:
-        calls.append(_table_rows(_deficit_integrand, table, source,
-                                 windows))
-        values[:, 1] = 0.5 * calls[-1].values
+    for column, integrand, grids in ((0, _mean_work_integrand, mean_grids),
+                                     (1, _deficit_integrand, deficit_grids)):
+        if grids is not None:
+            calls.append(_rows(integrand, table, source, grids))
+            values[:, column] = 0.5 * calls[-1].values
     errors = [next(filter(None, row), None)
               for row in zip(*(res.errors for res in calls))]
     return values, errors, calls

@@ -9,8 +9,8 @@ from drivenbath import (Coupling, DrivenSource, OhmicSpectrum, QubitSpec,
 from drivenbath.green import channel_table
 from drivenbath.quadrature import _build_panels, _gl_nodes_weights
 from drivenbath.thermo import (DEGENERACY_TOL, EngineMode, EngineReport,
-                               _engine_guard, _entropy_production,
-                               default_mode_tol)
+                               _engine_guard, default_mode_tol)
+from drivenbath.workstats import chi2_from_deficit
 
 DEFAULT_SOURCE = DrivenSource(lambda0=0.01, t_int=100.0)
 
@@ -26,6 +26,17 @@ def make_spec(beta=1.0, alpha=5.0, lambda0=0.01, t_int=100.0,
                       qubit=qubit)
 
 
+def scalar_entropy_production(spec, w_bar, deficit):
+    """beta * W_mean + ln chi2(i beta) of one cell in scalars.
+
+    The per-cell reference of ``thermo._entropy_productions``: raises
+    PerturbativeBreakdownError when chi2(i beta) = 1 - deficit is not
+    positive, and takes the log as log1p(-deficit).
+    """
+    chi2_from_deficit(deficit)
+    return spec.beta * w_bar + math.log1p(-deficit)
+
+
 def scalar_engine_report(spec, w_bar, deficit):
     """First-law and mode bookkeeping of one cell in scalars.
 
@@ -38,7 +49,7 @@ def scalar_engine_report(spec, w_bar, deficit):
     bq = _engine_guard(spec)
     t_b, t_q = 1.0 / spec.beta, 0.0 if math.isinf(bq) else 1.0 / bq
     mode_tol = default_mode_tol(spec)
-    delta_s = _entropy_production(spec, w_bar, deficit)
+    delta_s = scalar_entropy_production(spec, w_bar, deficit)
     if abs(t_b - t_q) <= DEGENERACY_TOL * max(abs(t_b), abs(t_q)):
         raise ValueError("heat split undefined at T_B = T_Q")
     q_b = -t_b * (t_q * delta_s - w_bar) / (t_b - t_q)

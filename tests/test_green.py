@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivenbath
-from drivenbath import Coupling, green, quadrature, workstats
+from drivenbath import Coupling, green, quadrature, verify, workstats
 from drivenbath.green import ChannelTable, channel_table
 
 from conftest import green_pair, make_spec
@@ -171,6 +171,28 @@ TABLE_SPECS = [(0.5, 0.3, 0.05, 0.9), (10.0, 0.75, 0.2, 0.0),
                (0.1, 6.0, 5.0, 0.95)]
 
 
+#: the library paths that reach ChannelTable.pair and .beta
+ROW_CALLERS = {
+    "engine_report": lambda: drivenbath.engine_report(
+        make_spec(beta=2.0, coupling="fermion", p=0.9)),
+    "row-sweep": lambda: drivenbath.run_sweep(drivenbath.SweepPlan(
+        x=drivenbath.Axis("omega_gap", 0.01, 0.1, n=16),
+        y=drivenbath.Axis("beta", 0.1, 100.0, n=16, scale="log"),
+        fixed=make_spec(coupling="fermion", p=0.9)),
+        drivenbath.Quantity.FIGURE_OF_MERIT),
+    "p-column-sweep": lambda: drivenbath.run_sweep(drivenbath.SweepPlan(
+        x=drivenbath.Axis("p", 0.0, 1.0, n=16),
+        y=drivenbath.Axis("beta", 0.1, 100.0, n=16, scale="log"),
+        fixed=make_spec(coupling="spin", p=0.9)),
+        drivenbath.Quantity.DELTA_S),
+    "chi2": lambda: drivenbath.chi2(3.0, make_spec(coupling="spin", p=0.7)),
+    "chi2_field": lambda: drivenbath.chi2_field(
+        make_spec(coupling="topological", p=0.7), np.linspace(0.0, 100.0, 33)),
+    "wdf2": lambda: drivenbath.wdf2(make_spec(coupling="spin", p=0.7)),
+    "check_gapless_reduction": verify.check_gapless_reduction,
+}
+
+
 class TestChannelTableRows:
     """The multi-spec path of ChannelTable.pair, line by line.
 
@@ -206,6 +228,28 @@ class TestChannelTableRows:
                 pair = green_pair(specs[row])
                 assert np.array_equal(g_mp[line], pair.g_mp(omega[line]))
                 assert np.array_equal(g_pm[line], pair.g_pm(omega[line]))
+
+    @pytest.mark.parametrize("caller", ROW_CALLERS)
+    def test_every_caller_passes_ascending_rows(self, monkeypatch, caller):
+        # pair and beta read rows[0] == rows[-1] as "every line is one
+        # spec", which holds only for ascending rows; no production guard
+        # checks it, so every caller must pass them ascending
+        seen = []
+        pair, beta = ChannelTable.pair, ChannelTable.beta
+
+        def recording_pair(self, omega, rows, near):
+            seen.append(np.array(rows))
+            return pair(self, omega, rows, near)
+
+        def recording_beta(self, rows):
+            seen.append(np.array(rows))
+            return beta(self, rows)
+
+        monkeypatch.setattr(ChannelTable, "pair", recording_pair)
+        monkeypatch.setattr(ChannelTable, "beta", recording_beta)
+        ROW_CALLERS[caller]()
+        assert seen
+        assert all(np.all(np.diff(rows) >= 0) for rows in seen)
 
 
 def per_term_pair(specs, omega, rows):
@@ -454,6 +498,7 @@ class TestPublicApi:
         options = []
         functions = {"quadrature.integrate_rows": quadrature.integrate_rows,
                      "workstats._rows": workstats._rows,
+                     "workstats._work_rows": workstats._work_rows,
                      "ChannelTable.pair": ChannelTable.pair,
                      "ChannelTable._channels": ChannelTable._channels}
         for name in drivenbath.__all__:

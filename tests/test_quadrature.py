@@ -16,9 +16,9 @@ from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _edge,
                                    _gl_nodes_weights, _unit_phases,
                                    integrate_rows)
-from drivenbath.workstats import (_widened_grid, chi2_field,
+from drivenbath.workstats import (_i_beta_grids, chi2_field,
                                   default_i_beta_grid, i_beta_deficit,
-                                  i_beta_deficit_rows, w_ext2_rows)
+                                  work_integrals)
 
 from conftest import (DEFAULT_SOURCE, dense_phase_sum, green_pair,
                       make_spec)
@@ -26,6 +26,19 @@ from conftest import (DEFAULT_SOURCE, dense_phase_sum, green_pair,
 
 def adaptive_grid(source=DEFAULT_SOURCE):
     return FrequencyGrid.for_source(source)
+
+
+#: each of the two integrals of work_integrals, asked for alone
+EACH_INTEGRAL = pytest.mark.parametrize(
+    "integral", [dict(deficit=False), dict(mean_work=False)],
+    ids=["mean_work", "deficit"])
+
+
+def integral_rows(specs, integral):
+    """The Integrals of the one integral ``integral`` asks of
+    work_integrals for ``specs``."""
+    _, (res,) = work_integrals(specs, **integral)
+    return res
 
 
 def trapezoid_grid(source=DEFAULT_SOURCE, n=1 << 16):
@@ -323,9 +336,9 @@ class TestRunawayRefinement:
         assert count_points() < 20_000
         assert value == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
+    @EACH_INTEGRAL
     @pytest.mark.parametrize("coupling", ["spin", "fermion", "topological"])
-    def test_sub_ohmic_qubit_edges_converge(self, rows, coupling):
+    def test_sub_ohmic_qubit_edges_converge(self, integral, coupling):
         # every term at a mapped qubit edge takes its exact offset from
         # the edge, so no row stalls; while x was formed as w - gap, the
         # spin rows took up to ~0.5 M points and 87 of 108 stalled
@@ -333,7 +346,7 @@ class TestRunawayRefinement:
                            omega_gap=gap, p=p)
                  for alpha in (0.1, 0.3, 0.5) for gap in (0.003, 0.01)
                  for beta in (1e-3, 1.0, 1e3) for p in (0.0, 0.5, 1.0)]
-        res = rows(specs)
+        res = integral_rows(specs, integral)
         assert res.errors == (None,) * len(specs)
         assert res.points.max() <= 2000
 
@@ -728,8 +741,8 @@ def _layout_batches():
         for _ in range(draw(st.integers(1, 4))):
             betas = sorted(draw(st.lists(st.floats(-3.0, math.log10(2e4)),
                                          min_size=2, max_size=12)))
-            windows = [_widened_grid(DEFAULT_SOURCE, 10.0 ** b).omega_max
-                       for b in betas]
+            windows = [g.omega_max for g in _i_beta_grids(
+                DEFAULT_SOURCE, [10.0 ** b for b in betas])]
             if draw(st.booleans()):
                 windows = [np.float64(w) for w in windows]
             crossing = 0.5 * (windows[0] + windows[-1])
@@ -749,8 +762,8 @@ def _layout_batches():
                 edges.append(run_edges)
                 powers.append(power)
         power = draw(st.sampled_from([1.0, 2.0, _edge_power(0.3)]))
-        windows = [_widened_grid(DEFAULT_SOURCE, beta).omega_max
-                   for beta in (1e-3, 0.3, 1.0, 30.0, 2e4)]
+        windows = [g.omega_max for g in _i_beta_grids(
+            DEFAULT_SOURCE, (1e-3, 0.3, 1.0, 30.0, 2e4))]
         gap = 0.5 * (windows[1] + windows[2])
         grids += [FrequencyGrid(w) for w in windows]
         edges += [(-gap, gap)] * len(windows)
@@ -845,16 +858,17 @@ class TestBatchedRule:
         assert batch.points[i] == single.points[0]
         assert batch.errors[i] == single.errors[0]
 
-    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
-    def test_batch_equals_singletons_bit_for_bit(self, rows):
+    @EACH_INTEGRAL
+    def test_batch_equals_singletons_bit_for_bit(self, integral):
         groups = _batch_specs(20251018)
         assert sum(map(len, groups)) >= 200
         rng = np.random.default_rng(1)
         for specs in groups:
             order = rng.permutation(len(specs))
-            batch = rows([specs[i] for i in order])
+            batch = integral_rows([specs[i] for i in order], integral)
             for pos, i in enumerate(order):
-                self.assert_rows_equal(batch, pos, rows([specs[i]]))
+                self.assert_rows_equal(batch, pos,
+                                       integral_rows([specs[i]], integral))
         # a sweep row: one gap and 48 ascending beta values, whose i-beta
         # windows leave the gap out below beta ~ 300 and hold it above, so
         # the panel layout changes mid-batch; identity edges at alpha 5,
@@ -867,9 +881,10 @@ class TestBatchedRule:
                                omega_gap=gap, p=0.9) for beta in betas]
             windows = [default_i_beta_grid(s).omega_max for s in specs]
             assert min(windows) < gap < max(windows)
-            batch = rows(specs)
+            batch = integral_rows(specs, integral)
             for i, spec in enumerate(specs):
-                self.assert_rows_equal(batch, i, rows([spec]))
+                self.assert_rows_equal(batch, i,
+                                       integral_rows([spec], integral))
 
     def test_stalled_row_fails_alone(self):
         # a jump without its breakpoint stalls; in a batch it fails with
@@ -900,10 +915,10 @@ class TestBatchedRule:
         assert math.isnan(batch.values[1])
         assert [batch.errors[k] for k in (0, 2, 3)] == [None] * 3
 
-    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
+    @EACH_INTEGRAL
     @pytest.mark.parametrize("coupling", [None, "spin", "fermion",
                                           "topological"])
-    def test_integer_and_t2_edges_in_one_batch(self, monkeypatch, rows,
+    def test_integer_and_t2_edges_in_one_batch(self, monkeypatch, integral,
                                                coupling):
         # integer alpha keeps identity panels and non-integer alpha >= 1
         # maps its edges by t^2, so both kinds of line meet in the batch's
@@ -921,25 +936,26 @@ class TestBatchedRule:
             return panel_map(t, anchor, sign, line_powers)
 
         monkeypatch.setattr(quadrature, "_panel_map", recording)
-        batch = rows(specs)
+        batch = integral_rows(specs, integral)
         assert powers[0] == {1.0, 2.0}
         for i, spec in enumerate(specs):
-            self.assert_rows_equal(batch, i, rows([spec]))
+            self.assert_rows_equal(batch, i, integral_rows([spec], integral))
 
     def test_singletons_are_batches_of_one(self):
         for specs in _batch_specs(7):
             spec = specs[0]
-            assert w_ext2(spec) == w_ext2_rows([spec]).values[0]
-            assert i_beta_deficit(spec) == \
-                i_beta_deficit_rows([spec]).values[0]
+            (w_bar, deficit), = work_integrals([spec])[0]
+            assert w_ext2(spec) == -w_bar
+            assert i_beta_deficit(spec) == deficit
 
-    @pytest.mark.parametrize("rows", [w_ext2_rows, i_beta_deficit_rows])
-    def test_drive_window_sized_once_per_batch(self, monkeypatch, rows):
+    @EACH_INTEGRAL
+    def test_drive_window_sized_once_per_batch(self, monkeypatch, integral):
         # a batch shares its drive, so its drive-only window is one
         specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
                            omega_gap=0.05, p=0.9)
                  for beta in (0.3, 1.0, 3.0, 10.0, 30.0)]
-        expected = [rows([spec]).values[0] for spec in specs]
+        expected = [integral_rows([spec], integral).values[0]
+                    for spec in specs]
         sized = []
         for_source = FrequencyGrid.for_source.__func__
 
@@ -949,14 +965,15 @@ class TestBatchedRule:
 
         monkeypatch.setattr(FrequencyGrid, "for_source",
                             classmethod(counted))
-        assert list(rows(specs).values) == expected
+        assert list(integral_rows(specs, integral).values) == expected
         assert len(sized) == 1
 
     def test_non_finite_sample_fails_its_row_alone(self, monkeypatch):
         specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
                            omega_gap=0.05, p=0.9)
                  for beta in (0.3, 1.0, 3.0, 10.0, 30.0)]
-        clean = w_ext2_rows(specs)
+        mean_work = dict(deficit=False)
+        clean = integral_rows(specs, mean_work)
         poisoned_beta = specs[2].beta
         pair = ChannelTable.pair
 
@@ -968,8 +985,8 @@ class TestBatchedRule:
             return np.where(hit, np.nan, g_mp), g_pm
 
         monkeypatch.setattr(ChannelTable, "pair", poisoned)
-        batch = w_ext2_rows(specs)
-        single = w_ext2_rows([specs[2]])
+        batch = integral_rows(specs, mean_work)
+        single = integral_rows([specs[2]], mean_work)
         assert single.errors[0].startswith(
             "integrand evaluation failed at omega = 0.02")
         assert batch.errors[2] == single.errors[0]
@@ -978,5 +995,6 @@ class TestBatchedRule:
             w_ext2(specs[2])
         assert str(info.value) == single.errors[0]
         for i in (0, 1, 3, 4):
-            self.assert_rows_equal(batch, i, w_ext2_rows([specs[i]]))
+            self.assert_rows_equal(batch, i,
+                                   integral_rows([specs[i]], mean_work))
             assert batch.values[i] == clean.values[i]

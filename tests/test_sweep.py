@@ -14,10 +14,11 @@ from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
 from drivenbath.green import ChannelTable
 from drivenbath.model import require_valid
 from drivenbath.sweep import CELL_ERRORS, SweepResult
-from drivenbath.thermo import _engine_guard, _entropy_production
+from drivenbath.thermo import _engine_guard
 from drivenbath.workstats import chi2_from_deficit, work_integrals
 
-from conftest import make_spec, scalar_engine_report
+from conftest import (make_spec, scalar_engine_report,
+                      scalar_entropy_production)
 
 #: what a cell of each quantity evaluates when integrated on its own
 DIRECT = {
@@ -75,7 +76,7 @@ def reference_cell_value(spec, quantity, w_bar, deficit):
         return -w_bar
     if quantity is Quantity.CHI_I_BETA:
         return chi2_from_deficit(deficit)
-    return _entropy_production(spec, w_bar, deficit)
+    return scalar_entropy_production(spec, w_bar, deficit)
 
 
 def reference_cells(plan, quantity, xs, ys):
@@ -424,11 +425,11 @@ class TestRunSweep:
         beta = plan.y.values()[3]
         original = ws._work_rows
 
-        def flaky(specs, windows, mean_work, deficit):
+        def flaky(specs, mean_grids, deficit_grids):
             # the batched rule fails the rows at this beta, as it fails a
             # row with a non-finite sample
-            values, errors, calls = original(specs, windows, mean_work,
-                                             deficit)
+            values, errors, calls = original(specs, mean_grids,
+                                             deficit_grids)
             hit = [spec.beta == beta for spec in specs]
             values[hit] = np.nan
             return values, ["non-finite integrand" if h else e
@@ -609,13 +610,13 @@ class TestCellStage:
                 return check(spec)
             monkeypatch.setattr(module, name, counted)
         windows = []
-        widened = ws._widened_grid
+        widened = sweepmod._i_beta_grids
 
-        def window(source, beta, base=None):
-            windows.append(beta)
-            return widened(source, beta, base)
+        def window(source, betas):
+            windows.extend(betas)
+            return widened(source, betas)
 
-        monkeypatch.setattr(ws, "_widened_grid", window)
+        monkeypatch.setattr(sweepmod, "_i_beta_grids", window)
         values, errors = evaluator.grid(xs, ys)
         assert np.array_equal(values, want, equal_nan=True)
         assert tuple((i, j, str(errors[i, j]))
@@ -624,6 +625,26 @@ class TestCellStage:
         assert len(checked) <= len(xs) + len(ys) + len(failures)
         # beta = 0 refuses its whole column, which takes no window
         assert sorted(windows) == sorted(ys[1:])
+
+    def test_wext_rows_take_no_i_beta_window(self, monkeypatch):
+        # W_ext reads only the mean work, so a row-layout W_ext sweep
+        # builds no i-beta window; the figure of merit of the same plan
+        # builds them, so the counter sees them
+        plan = SweepPlan(x=Axis("omega_gap", 0.01, 1.0, n=16, scale="log"),
+                         y=Axis("beta", 0.1, 100.0, n=16, scale="log"),
+                         fixed=make_spec(alpha=5.0, coupling="fermion",
+                                         p=0.9))
+        windows = []
+        for module in (sweepmod, ws):
+            def counted(source, betas, widen=module._i_beta_grids):
+                windows.append(betas)
+                return widen(source, betas)
+            monkeypatch.setattr(module, "_i_beta_grids", counted)
+        result = run_sweep(plan, Quantity.W_EXT)
+        assert np.all(np.isfinite(result.grid))
+        assert windows == []
+        run_sweep(plan, Quantity.FIGURE_OF_MERIT)
+        assert windows
 
     def test_panels_built_once_per_layout_run(self, monkeypatch):
         # the 48 x 48 gap x beta figure-of-merit map: each row's deficit
