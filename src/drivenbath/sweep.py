@@ -6,12 +6,13 @@ the batched adaptive rule integrates a whole set of specs in one
 refinement loop, and a row of that rule gives the same bits in any batch
 as alone.  A p axis is not integrated cell by cell: the mean work and the
 chi2(i beta) deficit are affine in p, so each column (one value of the
-other axis) is integrated at p = 0 and p = 1, all 2n endpoints in one
-call per integral, and its cells are blended from those two values.
-Sweeps without a p axis integrate one sweep row (all y at one x) per call
-and match the library calls bit for bit by construction.  Both layouts
-share one cell stage, and a failed cell records the error its direct
-call raises first: for a figure of merit the engine guards, which keep
+other axis) that has a cell left to integrate is integrated at p = 0 and
+p = 1, the ends of all such columns in one batch, and its cells are
+blended from those two values.  Sweeps without a p axis integrate one
+sweep row (all y at one x) per batch and match the library calls bit for
+bit by construction.  Both layouts share one cell stage and one
+integration step, and a failed cell records the error its direct call
+raises first: for a figure of merit the engine guards, which keep
 the cell out of every integral; then an invalid spec; then a failed row
 or column integral; then chi2(i beta) <= 0 and the degenerate heat
 split.  The cells of a grid are evaluated on arrays, not one by one: the
@@ -42,8 +43,7 @@ from .model import (FrequencyGrid, SystemSpec, require_valid, validate,
 from .quadrature import QuadratureError
 from .thermo import (_breakdowns, _engine_guard, _engine_reports,
                      _entropy_productions, default_mode_tol)
-from .workstats import (PerturbativeBreakdownError, _i_beta_grids,
-                        _work_rows, work_integrals)
+from .workstats import PerturbativeBreakdownError, _i_beta_grids, _work_rows
 
 SWEEP_PARAMETERS = ("p", "beta", "omega_gap", "alpha")
 
@@ -147,28 +147,27 @@ class _CellEvaluator:
     """The quantity on a grid of plan points, tallying the integrals taken.
 
     One stage serves the sweep grid and each saddle centre, a 1 x 1 grid.
-    Without a p axis each sweep row, all y at one x, is one batch step of
-    workstats: one channel table and one batched call per integral the
-    quantity needs, and one i-beta window per beta value it integrates
-    where it needs the deficit.  With one, W_bar and the deficit are
-    affine in p (channel_table builds both qubit channels as p (...) +
-    (1 - p) (...)), so each column, one value of the other axis, is
-    integrated once at p = 0 and p = 1, all columns of the grid in one
-    call per integral, and the grid gets (1 - p) I_0 + p I_1 by
-    broadcasting, exact at both endpoints.  Columns are cached by axis
-    value, so saddle centres reuse them.
-
     Both layouts take the same steps: the engine guards (figure of merit
-    only), then validity, then each cell's integrals (a row batch of the
-    cells not refused yet, or the blend of their columns), then the
-    quantity from them.  A failed cell holds the error that its direct
-    evaluation raises first: for a figure of merit the engine guards, as
-    in engine_report; then an invalid spec; then a failed column, or the
-    error of its batched row; then the breakdown of chi2(i beta) and the
-    degenerate heat split.  The guards read only the qubit, so they run
-    once per distinct qubit: per value of a p or gap axis.  Validity is
-    checked once per axis value (see _refuse_invalid).  The quantity is
-    formed on arrays, with the bits of the scalar formulas: W_ext and
+    only), then validity, then one integration step over the cells not
+    refused yet, then the quantity from their integrals.  The integration
+    step calls the batch step of workstats once per batch, one channel
+    table and one batched call per integral the quantity needs.  Without
+    a p axis a batch is a sweep row, all y at one x.  With one, W_bar and
+    the deficit are affine in p (channel_table builds both qubit channels
+    as p (...) + (1 - p) (...)), so the one batch holds the p = 0 and
+    p = 1 ends of each column, one value of the other axis, that still
+    has a cell, and the cells get (1 - p) I_0 + p I_1 by broadcasting,
+    exact at both ends.  A column that the guards or validity refuse
+    whole takes no integral.
+
+    A failed cell holds the error that its direct evaluation raises
+    first: for a figure of merit the engine guards, as in engine_report;
+    then an invalid spec; then the error of its batched row, or of its
+    column's ends; then the breakdown of chi2(i beta) and the degenerate
+    heat split.  The guards read only the qubit, so they run once per
+    distinct qubit: per value of a p or gap axis.  Validity is checked
+    once per axis value (see _refuse_invalid).  The quantity is formed
+    on arrays, with the bits of the scalar formulas: W_ext and
     chi2(i beta) directly, Delta S and the figure of merit by thermo's
     cell entropy production and engine bookkeeping.
     """
@@ -176,14 +175,8 @@ class _CellEvaluator:
     def __init__(self, plan: SweepPlan, quantity: Quantity):
         self.plan, self.quantity = plan, quantity
         self.stats = {"integrals": 0, "points": 0, "max_points": 0}
-        self._wanted = dict(mean_work=quantity is not Quantity.CHI_I_BETA,
-                            deficit=quantity is not Quantity.W_EXT)
-        self._columns: dict = {}
-        # with a p axis, the other axis indexes the columns
-        self._column_axis = plan.y if plan.x.name == "p" else \
-            plan.x if plan.y.name == "p" else None
-        if self._column_axis is not None:
-            self._integrate_columns(self._column_axis.values())
+        self._mean_work = quantity is not Quantity.CHI_I_BETA
+        self._deficit = quantity is not Quantity.W_EXT
 
     def _row_specs(self, x: float, ys) -> list:
         """The spec at (x, y) for every y, built from the spec at x."""
@@ -209,23 +202,6 @@ class _CellEvaluator:
             stats["max_points"] = max(stats["max_points"],
                                       int(res.points.max()))
 
-    def _integrate_columns(self, keys) -> None:
-        """Integrate the p = 0 and p = 1 ends of the columns at ``keys``.
-
-        A column keeps (W_0, D_0, W_1, D_1), or the first error its
-        endpoint integrals raise, in the order of direct calls, which
-        fails every point of the column.
-        """
-        name = self._column_axis.name
-        ends = [with_param(with_param(self.plan.fixed, name, key), "p", p)
-                for key in keys for p in (0.0, 1.0)]
-        entries, calls = work_integrals(ends, **self._wanted)
-        self._count(calls)
-        for c, key in enumerate(keys):
-            pair = entries[2 * c:2 * c + 2]
-            failed = [e for e in pair if isinstance(e, Exception)]
-            self._columns[key] = failed[0] if failed else pair[0] + pair[1]
-
     def grid(self, xs, ys) -> tuple[np.ndarray, dict]:
         """The quantity at every (xs[i], ys[j]), NaN where the cell fails,
         and the error of each failed cell keyed by (i, j)."""
@@ -235,10 +211,7 @@ class _CellEvaluator:
             # the engine guards refuse a cell before anything else
             beta_q = self._engine_guards(xs, ys, errors)
         self._refuse_invalid(xs, ys, errors)
-        if self._column_axis is not None:
-            w_bar, deficit = self._blend(xs, ys, errors)
-        else:
-            w_bar, deficit = self._integrate_rows(xs, ys, errors)
+        w_bar, deficit = self._integrate(xs, ys, errors)
         return self._values(xs, ys, beta_q, w_bar, deficit, errors), errors
 
     def _engine_guards(self, xs, ys, errors: dict) -> np.ndarray:
@@ -267,62 +240,68 @@ class _CellEvaluator:
                         errors[cell] = exc
         return beta_q
 
-    def _integrate_rows(self, xs, ys, errors: dict):
+    def _integrate(self, xs, ys, errors: dict):
         """W_bar and the deficit of every cell not failed yet, one batch
-        step per row, on the mean work's drive window and with one i-beta
-        window per beta value of those cells (a refused cell's beta may
-        have no window); each integral only where the quantity needs it."""
+        step of workstats per batch.
+
+        A line is a row, all y at one x, without a p axis, else one value
+        of the other axis with every p.  A row batch is its cells left.
+        With a p axis the one batch holds the p = 0 and p = 1 ends of
+        every line with a cell left, and the cells get (1 - p) I_0 +
+        p I_1 by broadcasting; a failed end fails its line's cells, the
+        p = 0 end's message first.  The mean work's drive window is
+        built once, and one i-beta window per distinct beta of the cells
+        left (a refused cell's beta may have no window); each integral
+        only where the quantity needs it.
+        """
+        plan, source = self.plan, self.plan.fixed.source
         todo = np.ones((len(xs), len(ys)), dtype=bool)
         for cell in errors:
             todo[cell] = False
-        source, mean, window = self.plan.fixed.source, None, None
-        if self._wanted["mean_work"]:
-            mean = FrequencyGrid.for_source(source)
-        if self._wanted["deficit"]:
-            betas = np.broadcast_to(self._beta(xs, ys), todo.shape)
+        betas = np.broadcast_to(self._beta(xs, ys), todo.shape)
+        mean = FrequencyGrid.for_source(source) if self._mean_work else None
+        if self._deficit:
             keys = list(dict.fromkeys(betas[todo].tolist()))
             window = dict(zip(keys, _i_beta_grids(source, keys)))
-        both = np.full((len(xs), len(ys), 2), np.nan)
-        for i, x in enumerate(xs):
-            cells = np.flatnonzero(todo[i])
-            if not cells.size:
-                continue
-            values, failed, calls = _work_rows(
-                self._row_specs(x, np.asarray(ys)[cells]),
-                None if mean is None else [mean] * cells.size,
-                None if window is None else
-                [window[b] for b in betas[i, cells].tolist()])
-            self._count(calls)
-            both[i, cells] = values
-            for j, message in zip(cells.tolist(), failed):
-                if message:
-                    errors[i, j] = QuadratureError(message)
-        return both[..., 0], both[..., 1]
-
-    def _blend(self, xs, ys, errors: dict):
-        """W_bar and the deficit of every cell from its column's ends."""
-        p_on_x = self.plan.x.name == "p"
-        keys = ys if p_on_x else xs
-        new = [key for key in dict.fromkeys(keys) if key not in self._columns]
-        if new:
-            self._integrate_columns(new)
-        ends = np.full((len(keys), 4), np.nan)  # w0, d0, w1, d1 per column
+        p_on_x = plan.x.name == "p"
+        blend = p_on_x or plan.y.name == "p"
+        if p_on_x:
+            todo, betas = todo.T, betas.T  # lines along axis 0
+        left = [np.flatnonzero(line) for line in todo]
+        lines = [k for k, cells in enumerate(left) if cells.size]
+        # (line, position, spec, beta) of each row of each batch
+        if not blend:
+            batches = [(np.full(left[k].size, k), left[k],
+                        self._row_specs(xs[k], np.asarray(ys)[left[k]]),
+                        betas[k, left[k]].tolist()) for k in lines]
+        elif lines:
+            name, keys = (plan.y.name, ys) if p_on_x else (plan.x.name, xs)
+            batches = [(np.repeat(lines, 2), np.tile([0, 1], len(lines)),
+                        [with_param(with_param(plan.fixed, name, keys[k]),
+                                    "p", p)
+                         for k in lines for p in (0.0, 1.0)],
+                        np.repeat(betas[lines, 0], 2).tolist())]
+        else:
+            batches = []
+        got = np.full((len(todo), 2 if blend else todo.shape[1], 2), np.nan)
         failed = []
-        for k, key in enumerate(keys):
-            column = self._columns[key]
-            if isinstance(column, Exception):
-                failed.append((k, column))
-            else:
-                ends[k] = column
-        # (column, p) arrays, transposed when p runs along x
+        for ks, js, specs, bs in batches:
+            values, messages, calls = _work_rows(
+                specs, None if mean is None else [mean] * len(specs),
+                [window[b] for b in bs] if self._deficit else None)
+            self._count(calls)
+            got[ks, js] = values
+            failed += [(k, j, QuadratureError(message)) for k, j, message
+                       in zip(ks.tolist(), js.tolist(), messages) if message]
+        for k, j, exc in failed:
+            for c in left[k].tolist() if blend else [j]:
+                errors.setdefault((c, k) if p_on_x else (k, c), exc)
+        if not blend:
+            return got[..., 0], got[..., 1]
+        # (line, p) arrays, transposed back when p runs along x
         p = np.asarray(xs if p_on_x else ys, dtype=float)[None, :]
-        w0, d0, w1, d1 = ends.T[:, :, None]
-        w_bar = (1.0 - p) * w0 + p * w1
-        deficit = (1.0 - p) * d0 + p * d1
-        for k, column in failed:
-            for other in range(len(xs) if p_on_x else len(ys)):
-                errors.setdefault((other, k) if p_on_x else (k, other),
-                                  column)
+        (w0, d0), (w1, d1) = got.transpose(1, 2, 0)[..., None]
+        w_bar, deficit = (1.0 - p) * w0 + p * w1, (1.0 - p) * d0 + p * d1
         return (w_bar.T, deficit.T) if p_on_x else (w_bar, deficit)
 
     def _refuse_invalid(self, xs, ys, errors: dict) -> None:
@@ -395,13 +374,17 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     """Evaluate ``quantity`` over the plan's grid and extract contours.
 
     Cells failing with one of CELL_ERRORS are recorded as NaN; more than
-    MAX_FAILED_FRACTION of them aborts with the cell list.  A saddle cell
-    whose center evaluation fails falls back to the corner mean and is
-    listed too, with the message prefixed by "center: ".
+    MAX_FAILED_FRACTION of them aborts with the cell list, and its
+    message counts the distinct reasons and names the first failed cell
+    with its reason.  A saddle cell whose center evaluation fails falls
+    back to the corner mean and is listed too, with the message prefixed
+    by "center: ".
     ``metadata["integrals"]`` counts the drive-weighted integrals taken,
     ``"points"`` their integrand points and ``"max_points"`` the most
-    one integral took; an integral whose refinement stalls above its
-    tolerance fails its cell with a QuadratureError.
+    one integral took; a cell refused before integration, and a p-axis
+    column whose every cell is, takes none.  An integral whose
+    refinement stalls above its tolerance fails its cell with a
+    QuadratureError.
     """
     xs, ys = plan.x.values(), plan.y.values()
     value_at = _CellEvaluator(plan, quantity)
@@ -409,9 +392,12 @@ def run_sweep(plan: SweepPlan, quantity: Quantity) -> SweepResult:
     failures = [(i, j, str(errors[i, j])) for i, j in sorted(errors)]
 
     if len(failures) > MAX_FAILED_FRACTION * values.size:
+        reasons = len({message for _, _, message in failures})
+        i, j, first = failures[0]
         raise SweepError(
-            f"{len(failures)} of {values.size} sweep cells failed",
-            failures)
+            f"{len(failures)} of {values.size} sweep cells failed; "
+            f"{reasons} distinct reason{'s' * (reasons > 1)}, first at cell "
+            f"({i}, {j}): {first}", failures)
 
     result = SweepResult(plan=plan, quantity=quantity, xs=xs, ys=ys,
                          grid=values)

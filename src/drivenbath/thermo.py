@@ -67,7 +67,7 @@ def entropy_production(spec: SystemSpec) -> float:
     :class:`PerturbativeBreakdownError` when chi2(i beta) is not
     positive.
     """
-    (entry,), _ = work_integrals([spec])
+    (entry,) = work_integrals([spec])
     if isinstance(entry, Exception):
         raise entry
     w_bar, deficit = entry
@@ -165,7 +165,7 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     check, on one cell.
     """
     bq = _engine_guard(spec)  # refuse before integrating
-    (entry,), _ = work_integrals([spec])
+    (entry,) = work_integrals([spec])
     if isinstance(entry, Exception):
         raise entry
     w_bar, deficit = entry

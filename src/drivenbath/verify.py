@@ -281,7 +281,7 @@ def check_engine_bounds() -> CheckResult:
     for coupling in Coupling:
         ends = [_spec(float(beta), 5.0, QubitSpec(coupling, 0.05, p))
                 for beta in betas for p in (0.0, 1.0)]
-        entries, _ = ws.work_integrals(ends)
+        entries = ws.work_integrals(ends)
         for entry in entries:
             if isinstance(entry, Exception):
                 raise entry

@@ -298,19 +298,16 @@ def _mean_work_integrand(table: ChannelTable, w, rows, near):
     return w * g_mp, -w * g_pm
 
 
-def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
-                   deficit: bool = True) -> tuple[list, list[Integrals]]:
+def work_integrals(specs: Sequence[SystemSpec]) -> list:
     """(W_bar, i-beta deficit) of each spec, one batched call per integral.
 
-    The specs share coupling and drive; an integral not asked for is
-    NaN.  Where the direct calls (-:func:`w_ext2`, then
-    :func:`i_beta_deficit`) raise, the entry is the error they raise
-    first: the ValueError of an invalid spec, else the QuadratureError of
-    the mean work, then of the deficit.  The valid specs go through
-    :func:`_work_rows` on the direct calls' default windows, the mean
-    work's drive window and each spec's own i-beta window, so every
-    entry has the bits of those calls.  Also returns the calls'
-    :class:`Integrals`, which carry their points.
+    The specs share coupling and drive.  Where the direct calls
+    (-:func:`w_ext2`, then :func:`i_beta_deficit`) raise, the entry is
+    the error they raise first: the ValueError of an invalid spec, else
+    the QuadratureError of the mean work, then of the deficit.  The
+    valid specs go through :func:`_work_rows` on the direct calls'
+    default windows, the mean work's drive window and each spec's own
+    i-beta window, so every entry has the bits of those calls.
     """
     entries: list = [None] * len(specs)
     valid = []
@@ -322,16 +319,15 @@ def work_integrals(specs: Sequence[SystemSpec], mean_work: bool = True,
         else:
             valid.append(k)
     if not valid:
-        return entries, []
+        return entries
     batch = [specs[k] for k in valid]
     source = batch[0].source
-    values, errors, calls = _work_rows(
-        batch,
-        [FrequencyGrid.for_source(source)] * len(batch) if mean_work else None,
-        _i_beta_grids(source, [s.beta for s in batch]) if deficit else None)
+    values, errors, _ = _work_rows(
+        batch, [FrequencyGrid.for_source(source)] * len(batch),
+        _i_beta_grids(source, [s.beta for s in batch]))
     for k, pair, error in zip(valid, values.tolist(), errors):
         entries[k] = QuadratureError(error) if error else tuple(pair)
-    return entries, calls
+    return entries
 
 
 def _work_rows(specs: Sequence[SystemSpec],
@@ -340,15 +336,15 @@ def _work_rows(specs: Sequence[SystemSpec],
     """W_bar and the i-beta deficit of valid specs, batched.
 
     The one batch step of both integrals: :func:`w_ext2`,
-    :func:`i_beta_deficit`, :func:`work_integrals` and the sweep rows all
-    integrate through it.  The specs must be valid and share coupling
-    and drive; ``mean_grids`` and ``deficit_grids`` hold each spec's
-    window of the mean work and of the deficit, None for an integral not
-    asked for.  One channel table serves both integrals, one
-    :func:`integrate_rows` call each.  Returns an (n, 2) array of
-    (W_bar, deficit), NaN where not asked for or failed; each row's
-    first error message, the mean work's before the deficit's, or None;
-    and the calls' :class:`Integrals`.
+    :func:`i_beta_deficit`, :func:`work_integrals` and the sweeps' rows
+    and p-column ends all integrate through it.  The specs must be valid
+    and share coupling and drive; ``mean_grids`` and ``deficit_grids``
+    hold each spec's window of the mean work and of the deficit, None
+    for an integral not asked for.  One channel table serves both
+    integrals, one :func:`integrate_rows` call each.  Returns an (n, 2)
+    array of (W_bar, deficit), NaN where not asked for or failed; each
+    row's first error message, the mean work's before the deficit's, or
+    None; and the calls' :class:`Integrals`.
     """
     table, source = channel_table(specs), specs[0].source
     values = np.full((len(specs), 2), math.nan)

@@ -232,6 +232,20 @@ class TestSweep:
         assert all(len(row) == 3 and float(row[0]) > 0 and float(row[1]) > 0
                    for row in rows)
 
+    def test_abort_names_the_first_reason(self, tmp_path, capsys):
+        # alpha from -0.01: validation refuses the two alpha values below
+        # 0.1, 32 of 1,024 cells, more than the sweep tolerates
+        code = run(["sweep", "--qubit", "fermion", "--p", "0.9",
+                    "--omega", "0.05", "--sweep-x", "beta",
+                    "--x-range", "0.1,100", "--x-scale", "log",
+                    "--sweep-y", "alpha", "--y-range=-0.01,5",
+                    "--nx", "16", "--ny", "64", "--out", tmp_path / "s"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: 32 of 1024 sweep cells failed; 1 distinct "
+            "reason, first at cell (0, 0): invalid system spec: alpha must "
+            "be >= 0.1\n")
+
     def test_missing_axes_is_usage_error(self, tmp_path, capsys):
         assert run(["sweep", "--qubit", "spin",
                     "--out", tmp_path / "d"]) == 2
@@ -247,7 +261,7 @@ class TestSweep:
         def no_integrals(*args, **kwargs):
             raise AssertionError("integrated before refusing the range")
 
-        monkeypatch.setattr(sweepmod, "work_integrals", no_integrals)
+        monkeypatch.setattr(sweepmod, "_work_rows", no_integrals)
         out = tmp_path / "sweep"
         code = run(["sweep", "--qubit", "spin", "--p", "0.9",
                     "--sweep-x", "p", "--sweep-y", "beta", *axis,

@@ -492,13 +492,14 @@ class TestPublicApi:
     def test_defaulted_options_pinned(self):
         # defaulted parameters of every public function and classmethod,
         # and defaulted dataclass fields: a new setting shows up here.
-        # The batched rule, its workstats entry and the channel table's
+        # The batched rule, its workstats entries and the channel table's
         # evaluation are not public, but a mode flag added to any of them
         # shows up here too.
         options = []
         functions = {"quadrature.integrate_rows": quadrature.integrate_rows,
                      "workstats._rows": workstats._rows,
                      "workstats._work_rows": workstats._work_rows,
+                     "workstats.work_integrals": workstats.work_integrals,
                      "ChannelTable.pair": ChannelTable.pair,
                      "ChannelTable._channels": ChannelTable._channels}
         for name in drivenbath.__all__:

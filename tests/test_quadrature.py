@@ -16,7 +16,7 @@ from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _edge,
                                    _gl_nodes_weights, _unit_phases,
                                    integrate_rows)
-from drivenbath.workstats import (_i_beta_grids, chi2_field,
+from drivenbath.workstats import (_i_beta_grids, _work_rows, chi2_field,
                                   default_i_beta_grid, i_beta_deficit,
                                   work_integrals)
 
@@ -28,16 +28,20 @@ def adaptive_grid(source=DEFAULT_SOURCE):
     return FrequencyGrid.for_source(source)
 
 
-#: each of the two integrals of work_integrals, asked for alone
+#: each of the two integrals of _work_rows, asked for alone
 EACH_INTEGRAL = pytest.mark.parametrize(
-    "integral", [dict(deficit=False), dict(mean_work=False)],
-    ids=["mean_work", "deficit"])
+    "integral", ["mean_work", "deficit"])
 
 
 def integral_rows(specs, integral):
-    """The Integrals of the one integral ``integral`` asks of
-    work_integrals for ``specs``."""
-    _, (res,) = work_integrals(specs, **integral)
+    """The Integrals of the one integral ``integral`` of _work_rows for
+    ``specs``, on the direct calls' default windows."""
+    source = specs[0].source
+    if integral == "mean_work":
+        grids = ([FrequencyGrid.for_source(source)] * len(specs), None)
+    else:
+        grids = (None, _i_beta_grids(source, [s.beta for s in specs]))
+    _, _, (res,) = _work_rows(specs, *grids)
     return res
 
 
@@ -944,7 +948,7 @@ class TestBatchedRule:
     def test_singletons_are_batches_of_one(self):
         for specs in _batch_specs(7):
             spec = specs[0]
-            (w_bar, deficit), = work_integrals([spec])[0]
+            (w_bar, deficit), = work_integrals([spec])
             assert w_ext2(spec) == -w_bar
             assert i_beta_deficit(spec) == deficit
 
@@ -972,8 +976,7 @@ class TestBatchedRule:
         specs = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
                            omega_gap=0.05, p=0.9)
                  for beta in (0.3, 1.0, 3.0, 10.0, 30.0)]
-        mean_work = dict(deficit=False)
-        clean = integral_rows(specs, mean_work)
+        clean = integral_rows(specs, "mean_work")
         poisoned_beta = specs[2].beta
         pair = ChannelTable.pair
 
@@ -985,8 +988,8 @@ class TestBatchedRule:
             return np.where(hit, np.nan, g_mp), g_pm
 
         monkeypatch.setattr(ChannelTable, "pair", poisoned)
-        batch = integral_rows(specs, mean_work)
-        single = integral_rows([specs[2]], mean_work)
+        batch = integral_rows(specs, "mean_work")
+        single = integral_rows([specs[2]], "mean_work")
         assert single.errors[0].startswith(
             "integrand evaluation failed at omega = 0.02")
         assert batch.errors[2] == single.errors[0]
@@ -996,5 +999,5 @@ class TestBatchedRule:
         assert str(info.value) == single.errors[0]
         for i in (0, 1, 3, 4):
             self.assert_rows_equal(batch, i,
-                                   integral_rows([specs[i]], mean_work))
+                                   integral_rows([specs[i]], "mean_work"))
             assert batch.values[i] == clean.values[i]

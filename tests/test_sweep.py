@@ -15,7 +15,7 @@ from drivenbath.green import ChannelTable
 from drivenbath.model import require_valid
 from drivenbath.sweep import CELL_ERRORS, SweepResult
 from drivenbath.thermo import _engine_guard
-from drivenbath.workstats import chi2_from_deficit, work_integrals
+from drivenbath.workstats import chi2_from_deficit, i_beta_deficit
 
 from conftest import (make_spec, scalar_engine_report,
                       scalar_entropy_production)
@@ -79,6 +79,18 @@ def reference_cell_value(spec, quantity, w_bar, deficit):
     return scalar_entropy_production(spec, w_bar, deficit)
 
 
+def direct_integrals(spec, quantity):
+    """(W_bar, deficit) of ``spec`` by the direct calls, each only where
+    ``quantity`` needs it (NaN else), or the error they raise first."""
+    try:
+        return (math.nan if quantity is Quantity.CHI_I_BETA
+                else -w_ext2(spec),
+                math.nan if quantity is Quantity.W_EXT
+                else i_beta_deficit(spec))
+    except CELL_ERRORS as exc:
+        return exc
+
+
 def reference_cells(plan, quantity, xs, ys):
     """Per-cell reference of the sweep's cell stage at (xs[i], ys[j]).
 
@@ -90,15 +102,13 @@ def reference_cells(plan, quantity, xs, ys):
     """
     values = np.full((len(xs), len(ys)), np.nan)
     failures = []
-    wanted = dict(mean_work=quantity is not Quantity.CHI_I_BETA,
-                  deficit=quantity is not Quantity.W_EXT)
     p_on_x, p_on_y = plan.x.name == "p", plan.y.name == "p"
     if p_on_x or p_on_y:
         axis = plan.y if p_on_x else plan.x
         keys = ys if p_on_x else xs
-        ends = [with_param(with_param(plan.fixed, axis.name, key), "p", p)
-                for key in keys for p in (0.0, 1.0)]
-        entries, _ = work_integrals(ends, **wanted)
+        entries = [direct_integrals(with_param(with_param(
+            plan.fixed, axis.name, key), "p", p), quantity)
+            for key in keys for p in (0.0, 1.0)]
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             spec = with_param(with_param(plan.fixed, plan.x.name, x),
@@ -120,7 +130,7 @@ def reference_cells(plan, quantity, xs, ys):
                 elif quantity is Quantity.FIGURE_OF_MERIT:
                     values[i, j] = engine_report(spec).figure_of_merit
                 else:
-                    (entry,), _ = work_integrals([spec], **wanted)
+                    entry = direct_integrals(spec, quantity)
                     if isinstance(entry, Exception):
                         raise entry
                     values[i, j] = reference_cell_value(spec, quantity,
@@ -337,6 +347,18 @@ class TestRunSweep:
             run_sweep(plan, Quantity.FIGURE_OF_MERIT)
         assert len(info.value.failures) > 0
 
+    def test_abort_message_counts_reasons_and_names_the_first(self):
+        # the engine guard refuses the gapless row and validation the
+        # beta = 0 column: 31 of 256 cells for two reasons
+        with pytest.raises(SweepError) as info:
+            run_sweep(gap_beta_from_zero_plan(0.9), Quantity.FIGURE_OF_MERIT)
+        failures = info.value.failures
+        assert len(failures) == 31
+        assert len({m for _, _, m in failures}) == 2
+        assert str(info.value) == (
+            "31 of 256 sweep cells failed; 2 distinct reasons, first at "
+            f"cell (0, 0): {failures[0][2]}")
+
     def test_beta_axis_from_zero_fails_those_cells_by_validation(self):
         # the engine guard runs on numpy axis values before validation: at
         # beta = 0 it must refuse nothing and divide by nothing
@@ -423,7 +445,7 @@ class TestRunSweep:
     def test_failed_endpoint_integral_fails_its_column(self, monkeypatch):
         plan = spin_plan()
         beta = plan.y.values()[3]
-        original = ws._work_rows
+        original = sweepmod._work_rows
 
         def flaky(specs, mean_grids, deficit_grids):
             # the batched rule fails the rows at this beta, as it fails a
@@ -435,7 +457,7 @@ class TestRunSweep:
             return values, ["non-finite integrand" if h else e
                             for h, e in zip(hit, errors)], calls
 
-        monkeypatch.setattr(ws, "_work_rows", flaky)
+        monkeypatch.setattr(sweepmod, "_work_rows", flaky)
         column = tuple((i, 3, "non-finite integrand") for i in range(16))
         with pytest.raises(SweepError) as info:
             run_sweep(plan, Quantity.W_EXT)
@@ -645,6 +667,45 @@ class TestCellStage:
         assert windows == []
         run_sweep(plan, Quantity.FIGURE_OF_MERIT)
         assert windows
+
+    def test_column_refused_whole_takes_no_integral(self):
+        # gap x p from gap 0: the engine guard refuses the gapless column
+        # whole, so only the 17 others integrate their two ends, each for
+        # both integrals: 68 integrals, where integrating every column
+        # took 72
+        plan = SweepPlan(x=Axis("omega_gap", 0.0, 0.5, n=18),
+                         y=Axis("p", 0.55, 0.95, n=18),
+                         fixed=make_spec(alpha=0.7, coupling="spin", p=0.9))
+        xs, ys = plan.x.values(), plan.y.values()
+        want, failures = reference_cells(plan, Quantity.FIGURE_OF_MERIT,
+                                         xs, ys)
+        evaluator = sweepmod._CellEvaluator(plan, Quantity.FIGURE_OF_MERIT)
+        values, errors = evaluator.grid(xs, ys)
+        assert np.array_equal(values, want, equal_nan=True)
+        assert tuple((i, j, str(errors[i, j]))
+                     for i, j in sorted(errors)) == failures
+        assert [(i, j) for i, j, _ in failures] == [(0, j) for j in range(18)]
+        assert evaluator.stats["integrals"] == 68
+
+    def test_p_columns_take_one_i_beta_window_per_beta(self, monkeypatch):
+        # a p x beta Delta S map: both ends of a column share its beta, so
+        # 32 columns take 32 i-beta windows (one per end took 64), keyed
+        # by the axis values as Python floats
+        plan = spin_plan(nx=16, ny=32)
+        xs, ys = plan.x.values(), plan.y.values()
+        want, failures = reference_cells(plan, Quantity.DELTA_S, xs, ys)
+        assert not failures
+        betas = []
+        for module in (sweepmod, ws):
+            def counted(source, bs, widen=module._i_beta_grids):
+                betas.extend(bs)
+                return widen(source, bs)
+            monkeypatch.setattr(module, "_i_beta_grids", counted)
+        evaluator = sweepmod._CellEvaluator(plan, Quantity.DELTA_S)
+        values, errors = evaluator.grid(xs, ys)
+        assert np.array_equal(values, want) and not errors
+        assert betas == ys.tolist()
+        assert all(type(beta) is float for beta in betas)
 
     def test_panels_built_once_per_layout_run(self, monkeypatch):
         # the 48 x 48 gap x beta figure-of-merit map: each row's deficit
