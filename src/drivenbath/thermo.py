@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .model import SystemSpec, beta_q
-from .workstats import (PerturbativeBreakdownError, chi2_from_deficit,
-                        work_integrals)
+from .workstats import (PerturbativeBreakdownError, _work_one,
+                        chi2_from_deficit, default_i_beta_grid, drive_grid)
 
 #: relative temperature difference below which the heat split is singular
 DEGENERACY_TOL = 1e-9
@@ -60,17 +60,13 @@ def entropy_production(spec: SystemSpec) -> float:
     """Mean entropy production beta * W_mean + ln chi2(i beta).
 
     Nonnegative up to O(lambda^4) roundoff: the linearized integrand is
-    pointwise nonnegative.  The integrals are those of
-    :func:`work_integrals` and the formula that of the sweeps' cells, on
-    one cell; it raises the ValueError of an invalid spec, else the
+    pointwise nonnegative.  It takes the integrals of -w_ext2 and
+    i_beta_deficit in one batch of one, and the formula of the sweeps'
+    cells; it raises the ValueError of an invalid spec, else the
     QuadratureError of the mean work, then of the deficit, then
-    :class:`PerturbativeBreakdownError` when chi2(i beta) is not
-    positive.
+    :class:`PerturbativeBreakdownError` when chi2(i beta) <= 0.
     """
-    (entry,) = work_integrals([spec])
-    if isinstance(entry, Exception):
-        raise entry
-    w_bar, deficit = entry
+    w_bar, deficit = _work_one(spec, drive_grid, default_i_beta_grid)
     delta_s, errors = _entropy_productions(
         np.array([w_bar]), np.array([deficit]), np.array([spec.beta]))
     if errors:
@@ -160,15 +156,11 @@ def engine_report(spec: SystemSpec) -> EngineReport:
     meet validity, then a failed integral, then the refusals of the
     bookkeeping (chi2(i beta) breakdown, degenerate heat split), the
     order a sweep's cells keep.  The integrals are those of
-    :func:`work_integrals`, as for :func:`entropy_production`, and the
-    bookkeeping is that of the sweeps and of verify's engine-bounds
-    check, on one cell.
+    :func:`entropy_production`, and the bookkeeping is that of the
+    sweeps and of verify's engine-bounds check, on one cell.
     """
     bq = _engine_guard(spec)  # refuse before integrating
-    (entry,) = work_integrals([spec])
-    if isinstance(entry, Exception):
-        raise entry
-    w_bar, deficit = entry
+    w_bar, deficit = _work_one(spec, drive_grid, default_i_beta_grid)
     report, errors = _engine_reports(
         np.array([w_bar]), np.array([deficit]), np.array([spec.beta]),
         np.array([bq]), default_mode_tol(spec))

@@ -269,7 +269,9 @@ def check_engine_bounds() -> CheckResult:
     betas are integrated at p = 0 and p = 1 only and every cell is
     blended from those ends, as a p-axis sweep does: the check bounds the
     figure-of-merit map's own values, through the sweeps' array engine
-    bookkeeping.  A failed end raises; a cell that the bookkeeping
+    bookkeeping.  A coupling's ends are one batch of the workstats batch
+    step, on the drive window and each beta's i-beta window; the first
+    failed end raises its QuadratureError.  A cell that the bookkeeping
     refuses (the heat split at T_B = T_Q) is counted on the detail line.
     """
     eps = 1e-6
@@ -279,16 +281,17 @@ def check_engine_bounds() -> CheckResult:
     counts = {mode: 0 for mode in EngineMode}
     refused = 0
     for coupling in Coupling:
-        ends = [_spec(float(beta), 5.0, QubitSpec(coupling, 0.05, p))
-                for beta in betas for p in (0.0, 1.0)]
-        entries = ws.work_integrals(ends)
-        for entry in entries:
-            if isinstance(entry, Exception):
-                raise entry
-        # (beta, p) arrays from the (w0, d0, w1, d1) ends of each beta
-        w0, d0, w1, d1 = np.reshape(entries, (len(betas), 4)).T[:, :, None]
-        w_bar = (1.0 - ps) * w0 + ps * w1
-        deficit = (1.0 - ps) * d0 + ps * d1
+        ends = [_spec(beta, 5.0, QubitSpec(coupling, 0.05, p))
+                for p in (0.0, 1.0) for beta in betas.tolist()]
+        values, failed, _ = ws._work_rows(
+            ends, [FrequencyGrid.for_source(DEFAULT_SOURCE)] * len(ends),
+            ws._i_beta_grids(DEFAULT_SOURCE, betas.tolist()) * 2)
+        if any(failed):
+            raise ws.QuadratureError(next(filter(None, failed)))
+        # w[k], d[k]: mean work and deficit of the p = k ends, one per beta
+        w, d = values.T.reshape(2, 2, len(betas), 1)
+        w_bar = (1.0 - ps) * w[0] + ps * w[1]
+        deficit = (1.0 - ps) * d[0] + ps * d[1]
         # beta_q once per qubit, by the scalar log of model.beta_q
         bq = [beta_q(QubitSpec(coupling, 0.05, p)) for p in ps.tolist()]
         report, errors = _engine_reports(
@@ -335,13 +338,11 @@ def check_quadrature_oracle() -> CheckResult:
         _spec(1000.0, 2.0, QubitSpec(Coupling.TOPOLOGICAL, 5.0, 0.9)),
     ]
     families: list[tuple[str, Callable, Callable]] = [
-        ("channel-sum", ws.channel_sum_integral,
-         lambda s: FrequencyGrid.for_source(s.source)),
-        ("mean-work", lambda s, grid: -ws.w_ext2(s, grid),
-         lambda s: FrequencyGrid.for_source(s.source)),
+        ("channel-sum", ws.channel_sum_integral, ws.drive_grid),
+        ("mean-work", lambda s, grid: -ws.w_ext2(s, grid), ws.drive_grid),
         ("chi-i-beta", ws.chi2_at_i_beta, ws.default_i_beta_grid),
         ("chi2(v=37.7)", lambda s, grid: ws.chi2(37.7, s, grid),
-         lambda s: FrequencyGrid.for_source(s.source)),
+         ws.drive_grid),
     ]
     worst_rule, worst_window, lines = 0.0, 0.0, []
     for spec in specs:

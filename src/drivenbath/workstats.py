@@ -71,6 +71,11 @@ class PositivityReport:
     message: str = ""
 
 
+def drive_grid(spec: SystemSpec) -> FrequencyGrid:
+    """The drive-only window, :meth:`FrequencyGrid.for_source`."""
+    return FrequencyGrid.for_source(spec.source)
+
+
 def default_i_beta_grid(spec: SystemSpec) -> FrequencyGrid:
     """Window for the detailed-balance probe at v = i beta: the one-spec
     view of :func:`_i_beta_grids`."""
@@ -134,8 +139,7 @@ def chi2(v: float, spec: SystemSpec,
         # float() only warns on a numpy complex and drops its imaginary part
         raise TypeError(f"chi2 takes real v, got {v!r}")
     v = float(v)
-    if grid is None:
-        grid = FrequencyGrid.for_source(spec.source)
+    grid = drive_grid(spec) if grid is None else grid
 
     # on real v, -expm1(+-i theta) = 2 sin^2(theta/2) -+ i sin theta, the
     # bits of numpy's complex expm1 without its cos and exp: accurate at
@@ -168,12 +172,8 @@ def i_beta_deficit(spec: SystemSpec,
     evaluation stays in range for beta up to ~1e3 at the default drive.
     Without ``grid`` it integrates on :func:`default_i_beta_grid`.
     """
-    require_valid(spec)
-    values, (error,), _ = _work_rows(
-        [spec], None, [default_i_beta_grid(spec) if grid is None else grid])
-    if error:
-        raise QuadratureError(error)
-    return float(values[0, 1])
+    window = default_i_beta_grid if grid is None else lambda _: grid
+    return _work_one(spec, None, window)[1]
 
 
 def _deficit_integrand(table: ChannelTable, w, rows, near):
@@ -211,8 +211,7 @@ def channel_sum_integral(spec: SystemSpec,
     require_valid(spec)
 
     # both channels are >= 0, so the pair's |a| + |b| is its sum
-    if grid is None:
-        grid = FrequencyGrid.for_source(spec.source)
+    grid = drive_grid(spec) if grid is None else grid
     return float(_rows(ChannelTable.pair, channel_table([spec]), spec.source,
                        [grid]).value())
 
@@ -283,13 +282,8 @@ def w_ext2(spec: SystemSpec, grid: Optional[FrequencyGrid] = None) -> float:
     Equals minus the mean work; nonpositive for the pure thermal bath
     (passivity), either sign once a qubit breaks detailed balance.
     """
-    require_valid(spec)
-    if grid is None:
-        grid = FrequencyGrid.for_source(spec.source)
-    values, (error,), _ = _work_rows([spec], [grid], None)
-    if error:
-        raise QuadratureError(error)
-    return -float(values[0, 0])
+    window = drive_grid if grid is None else lambda _: grid
+    return -_work_one(spec, window, None)[0]
 
 
 def _mean_work_integrand(table: ChannelTable, w, rows, near):
@@ -298,36 +292,24 @@ def _mean_work_integrand(table: ChannelTable, w, rows, near):
     return w * g_mp, -w * g_pm
 
 
-def work_integrals(specs: Sequence[SystemSpec]) -> list:
-    """(W_bar, i-beta deficit) of each spec, one batched call per integral.
+def _work_one(spec: SystemSpec, mean_window,
+              deficit_window) -> tuple[float, float]:
+    """(W_bar, i-beta deficit) of one spec: a :func:`_work_rows` batch of
+    one.
 
-    The specs share coupling and drive.  Where the direct calls
-    (-:func:`w_ext2`, then :func:`i_beta_deficit`) raise, the entry is
-    the error they raise first: the ValueError of an invalid spec, else
-    the QuadratureError of the mean work, then of the deficit.  The
-    valid specs go through :func:`_work_rows` on the direct calls'
-    default windows, the mean work's drive window and each spec's own
-    i-beta window, so every entry has the bits of those calls.
+    ``mean_window`` and ``deficit_window`` map the spec to its window of
+    each integral, None for one not asked for (NaN); they run only on a
+    valid spec, as the default windows divide by t_int.  Raises the
+    ValueError of an invalid spec, else the row's first error as
+    :class:`QuadratureError`, the mean work's before the deficit's.
     """
-    entries: list = [None] * len(specs)
-    valid = []
-    for k, spec in enumerate(specs):
-        try:
-            require_valid(spec)
-        except ValueError as exc:
-            entries[k] = exc
-        else:
-            valid.append(k)
-    if not valid:
-        return entries
-    batch = [specs[k] for k in valid]
-    source = batch[0].source
-    values, errors, _ = _work_rows(
-        batch, [FrequencyGrid.for_source(source)] * len(batch),
-        _i_beta_grids(source, [s.beta for s in batch]))
-    for k, pair, error in zip(valid, values.tolist(), errors):
-        entries[k] = QuadratureError(error) if error else tuple(pair)
-    return entries
+    require_valid(spec)
+    values, (error,), _ = _work_rows(
+        [spec], mean_window and [mean_window(spec)],
+        deficit_window and [deficit_window(spec)])
+    if error:
+        raise QuadratureError(error)
+    return tuple(values[0].tolist())
 
 
 def _work_rows(specs: Sequence[SystemSpec],
@@ -335,16 +317,16 @@ def _work_rows(specs: Sequence[SystemSpec],
                deficit_grids: Optional[Sequence[FrequencyGrid]]):
     """W_bar and the i-beta deficit of valid specs, batched.
 
-    The one batch step of both integrals: :func:`w_ext2`,
-    :func:`i_beta_deficit`, :func:`work_integrals` and the sweeps' rows
-    and p-column ends all integrate through it.  The specs must be valid
-    and share coupling and drive; ``mean_grids`` and ``deficit_grids``
-    hold each spec's window of the mean work and of the deficit, None
-    for an integral not asked for.  One channel table serves both
-    integrals, one :func:`integrate_rows` call each.  Returns an (n, 2)
-    array of (W_bar, deficit), NaN where not asked for or failed; each
-    row's first error message, the mean work's before the deficit's, or
-    None; and the calls' :class:`Integrals`.
+    The one batch step of both integrals, for the singletons through
+    :func:`_work_one`, verify's engine-bounds check and the sweeps' rows
+    and p-column ends.  The specs must be valid and share coupling and
+    drive; ``mean_grids`` and ``deficit_grids`` hold each spec's window
+    of the mean work and of the deficit, None for an integral not asked
+    for.  One channel table serves both integrals, one
+    :func:`integrate_rows` call each.  Returns an (n, 2) array of
+    (W_bar, deficit), NaN where not asked for or failed; each row's
+    first error message, the mean work's before the deficit's, or None;
+    and the calls' :class:`Integrals`.
     """
     table, source = channel_table(specs), specs[0].source
     values = np.full((len(specs), 2), math.nan)
@@ -474,7 +456,7 @@ def chi2_field(spec: SystemSpec, v: np.ndarray) -> ChiField:
     a_mp, a_pm = quadrature.oscillatory_pair(
         lambda w: tuple(g[0] for g in table.pair(w[None], rows, None)),
         h, int(k.max(initial=0)) + 1, spec.source,
-        FrequencyGrid.for_source(spec.source), table.edges[0],
+        drive_grid(spec), table.edges[0],
         table.edge_powers[0])
     p0 = 1.0 - 0.5 * float(a_mp[0].real + a_pm[0].real)
     # T(v) = (A_mp(v) + conj(A_pm(v)))/2 for v >= 0, conjugate below

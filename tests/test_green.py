@@ -499,7 +499,7 @@ class TestPublicApi:
         functions = {"quadrature.integrate_rows": quadrature.integrate_rows,
                      "workstats._rows": workstats._rows,
                      "workstats._work_rows": workstats._work_rows,
-                     "workstats.work_integrals": workstats.work_integrals,
+                     "workstats._work_one": workstats._work_one,
                      "ChannelTable.pair": ChannelTable.pair,
                      "ChannelTable._channels": ChannelTable._channels}
         for name in drivenbath.__all__:

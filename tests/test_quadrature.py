@@ -16,9 +16,9 @@ from drivenbath import quadrature
 from drivenbath.quadrature import (_build_panels, _edge,
                                    _gl_nodes_weights, _unit_phases,
                                    integrate_rows)
-from drivenbath.workstats import (_i_beta_grids, _work_rows, chi2_field,
-                                  default_i_beta_grid, i_beta_deficit,
-                                  work_integrals)
+from drivenbath.workstats import (_i_beta_grids, _work_one, _work_rows,
+                                  chi2_field, default_i_beta_grid,
+                                  drive_grid, i_beta_deficit)
 
 from conftest import (DEFAULT_SOURCE, dense_phase_sum, green_pair,
                       make_spec)
@@ -946,11 +946,35 @@ class TestBatchedRule:
             self.assert_rows_equal(batch, i, integral_rows([spec], integral))
 
     def test_singletons_are_batches_of_one(self):
-        for specs in _batch_specs(7):
-            spec = specs[0]
-            (w_bar, deficit), = work_integrals([spec])
-            assert w_ext2(spec) == -w_bar
-            assert i_beta_deficit(spec) == deficit
+        # w_ext2, i_beta_deficit and _work_one return the bits, or raise
+        # the error, of the spec's row in a batch on the default windows
+        def outcome(fn, *args):
+            try:
+                value = fn(*args)
+            except QuadratureError as exc:
+                return str(exc)
+            return tuple(map(float.hex, value)) \
+                if isinstance(value, tuple) else value.hex()
+
+        # then a clean fermion cell and one whose i-beta deficit fails
+        failing = [make_spec(beta=beta, alpha=5.0, coupling="fermion",
+                             omega_gap=0.05, p=0.9) for beta in (1.0, 5e3)]
+        for specs in [*_batch_specs(7), failing]:
+            source = specs[0].source
+            values, errors, (mean, deficit) = _work_rows(
+                specs, [adaptive_grid(source)] * len(specs),
+                _i_beta_grids(source, [spec.beta for spec in specs]))
+            for k in [*range(0, len(specs), 10), len(specs) - 1]:
+                spec, (w_bar, d) = specs[k], values[k].tolist()
+                assert outcome(w_ext2, spec) == \
+                    (mean.errors[k] or (-w_bar).hex())
+                assert outcome(i_beta_deficit, spec) == \
+                    (deficit.errors[k] or d.hex())
+                assert outcome(_work_one, spec, drive_grid,
+                               default_i_beta_grid) == \
+                    (errors[k] or (w_bar.hex(), d.hex()))
+        assert errors == [None, "integrand evaluation failed at omega = "
+                                "-0.167802"]
 
     @EACH_INTEGRAL
     def test_drive_window_sized_once_per_batch(self, monkeypatch, integral):

@@ -7,7 +7,8 @@ import drivenbath.quadrature as quadrature
 import drivenbath.sweep as sweepmod
 import drivenbath.thermo as thermo
 import drivenbath.workstats as ws
-from drivenbath import (Axis, Quantity, QuadratureError, SweepError,
+from drivenbath import verify
+from drivenbath import (Axis, Coupling, Quantity, QuadratureError, SweepError,
                         SweepPlan, beta_q_marker, chi2_at_i_beta,
                         engine_report, entropy_production,
                         extract_zero_contour, run_sweep, w_ext2, with_param)
@@ -943,3 +944,29 @@ class TestBetaQMarker:
         pts = np.vstack(curves)
         expected = np.log(pts[:, 0] / (1.0 - pts[:, 0])) / 2.0
         assert np.allclose(pts[:, 1], expected, rtol=1e-12)
+
+
+def test_engine_bounds_checks_the_figure_of_merit_map(monkeypatch):
+    # verify's engine-bounds check bounds each coupling's 64 x 64 p x beta
+    # figure-of-merit map: its cells are that map's, bit for bit
+    reports = []
+    engine_reports = verify._engine_reports
+
+    def recording(*args):
+        reports.append(engine_reports(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "_engine_reports", recording)
+    assert verify.check_engine_bounds().passed
+    dissipators = {}
+    for coupling, (report, errors) in zip(Coupling, reports):
+        assert errors == {}
+        plan = SweepPlan(x=Axis("p", 0.5 + 1e-6, 1.0 - 1e-6, 64),
+                         y=Axis("beta", 0.1, 100.0, 64, scale="log"),
+                         fixed=make_spec(alpha=5.0, coupling=coupling.value,
+                                         omega_gap=0.05, p=0.9))
+        grid = run_sweep(plan, Quantity.FIGURE_OF_MERIT).grid.T
+        fom = report.figure_of_merit.reshape(grid.shape)
+        assert np.array_equal(fom, grid, equal_nan=True)
+        dissipators[coupling.value] = int(np.count_nonzero(np.isnan(fom)))
+    assert dissipators == {"spin": 708, "fermion": 491, "topological": 675}

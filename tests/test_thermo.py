@@ -204,6 +204,66 @@ class TestEngineReport:
             pytest.approx(1e-16 * 1e-4 * 100.0, rel=1e-12)
 
 
+#: fermion cell whose i-beta deficit fails while its mean work does not
+DEFICIT_FAILS = make_spec(beta=5000.0, alpha=5.0, coupling="fermion",
+                          omega_gap=0.05, p=0.9)
+
+
+class TestSingletonErrorOrder:
+    """engine_report and entropy_production raise in one order: the
+    engine guard, an invalid spec, the mean work, the deficit, then the
+    bookkeeping."""
+
+    def test_engine_guard_before_validity(self):
+        with pytest.raises(ValueError, match="p > 1/2"):
+            engine_report(make_spec(beta=-1.0, coupling="spin", p=0.3))
+
+    @pytest.mark.parametrize("fn", [engine_report, entropy_production])
+    def test_invalid_spec_before_integrating(self, monkeypatch, fn):
+        calls = []
+        work_rows = ws._work_rows
+
+        def counted(*args):
+            calls.append(1)
+            return work_rows(*args)
+
+        monkeypatch.setattr(ws, "_work_rows", counted)
+        with pytest.raises(ValueError) as info:
+            fn(make_spec(beta=-1.0, coupling="spin", p=0.9))
+        assert str(info.value) == "invalid system spec: beta must be > 0"
+        assert calls == []
+
+    @pytest.mark.parametrize("fn", [engine_report, entropy_production,
+                                    w_ext2, ws.i_beta_deficit])
+    def test_invalid_drive_before_sizing_windows(self, fn):
+        # the default windows divide by t_int
+        with pytest.raises(ValueError) as info:
+            fn(make_spec(t_int=0.0, coupling="spin", p=0.9))
+        assert str(info.value) == "invalid system spec: t_int must be > 0"
+
+    @pytest.mark.parametrize("fn", [engine_report, entropy_production])
+    def test_mean_work_before_deficit(self, monkeypatch, fn):
+        def nan_integrand(table, w, rows, near):
+            return tuple(g * math.nan for g in table.pair(w, rows, near))
+
+        monkeypatch.setattr(ws, "_mean_work_integrand", nan_integrand)
+        with pytest.raises(ws.QuadratureError) as mean_work:
+            w_ext2(DEFICIT_FAILS)
+        with pytest.raises(ws.QuadratureError) as info:
+            fn(DEFICIT_FAILS)
+        assert str(info.value) == str(mean_work.value)
+        assert str(info.value) != \
+            "integrand evaluation failed at omega = -0.167802"
+
+    def test_failed_deficit_alone(self):
+        assert w_ext2(DEFICIT_FAILS) == pytest.approx(-4.126e-13, rel=1e-3)
+        for fn in (engine_report, entropy_production, ws.i_beta_deficit):
+            with pytest.raises(ws.QuadratureError) as info:
+                fn(DEFICIT_FAILS)
+            assert str(info.value) == \
+                "integrand evaluation failed at omega = -0.167802"
+
+
 #: the degeneracy band around W_bar = 0 of every cell drawn below
 MODE_TOL = default_mode_tol(make_spec())
 

@@ -10,10 +10,13 @@ and its ``exit`` code.  ``diff -r`` of the OUTDIRs of two checkouts is
 then the byte comparison of their CLIs.
 
 The list: ``verify --verbose`` and the README's five examples; ``wext``
-and ``engine`` for each coupling; ``wcf`` and ``wdf`` with and without
-``--nonperturbative``; and all four sweep quantities on p-axis plans and
-on row-layout plans, including invalid p, alpha and beta, beta <= 0,
-gap 0 and beta into the thousands, where some i-beta deficits fail.
+and ``engine`` for each coupling; the single-spec error paths (``engine``
+and ``wext`` for fermion at beta 5000, where the i-beta deficit fails
+but the mean work does not, and ``engine`` at beta -1 and at p 0.3);
+``wcf`` and ``wdf`` with and without ``--nonperturbative``; and all four
+sweep quantities on p-axis plans and on row-layout plans, including
+invalid p, alpha and beta, beta <= 0, gap 0 and beta into the
+thousands, where some i-beta deficits fail.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ README = {
     "readme-sweep": "sweep --qubit spin --alpha 5 --omega 0.05 --sweep-x p "
                     "--x-range 0,1 --sweep-y beta --y-range 0.1,100 "
                     "--y-scale log --quantity wext",
+}
+
+#: single-spec commands on their error paths: engine exits 1 on the
+#: failed deficit, wext 0; an invalid beta and the engine guard exit 2
+SINGLE_ERRORS = {
+    "engine-fermion-beta-5000": "engine --qubit fermion --p 0.9 "
+                                "--beta 5000",
+    "wext-fermion-beta-5000": "wext --qubit fermion --p 0.9 --beta 5000",
+    "engine-spin-negative-beta": "engine --qubit spin --beta -1",
+    "engine-spin-inverted": "engine --qubit spin --p 0.3",
 }
 
 #: sweep plans with a p axis, each run for every quantity
@@ -109,6 +122,7 @@ def commands() -> dict:
         runs[f"wext-{coupling}"] = f"wext --qubit {coupling} --alpha 2.5 " \
                                    "--p 0.9"
         runs[f"engine-{coupling}"] = f"engine --qubit {coupling} --p 0.9"
+    runs.update(SINGLE_ERRORS)
     for command in ("wcf", "wdf"):
         runs[command] = command
         runs[f"{command}-nonperturbative"] = f"{command} --nonperturbative"
